@@ -238,7 +238,6 @@ def cmd_simmatrix(config: ExperimentConfig, measure: str) -> Path:
         matrix = simbase.build_matrix_base(measure, _read_vectors(out, doc_ids))
     csv_path = out / f"matrix_{measure}.csv"
     csv_path.write_text(matrix.to_csv(), encoding="utf-8")
-    _write_json(out / f"matrix_{measure}.json", matrix.to_json())
     return csv_path
 
 
@@ -408,6 +407,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
         return 2
     return 0
 

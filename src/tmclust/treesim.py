@@ -9,13 +9,21 @@ unmatched, which promotes its children into its sibling position, so
 matches can skip levels).  `brute_force_common_subtree` is an exhaustive
 oracle for small trees and shares no code with the DP beyond node
 numbering.
+
+Every entry point goes through one pair routine, and `build_matrix`
+builds each forest's arrays once.  Before the DP, both forests are
+contracted: each non-root node whose label does not occur among the other
+forest's non-root nodes is deleted and its children are promoted into its
+place.  A pair that shares no non-root label skips the DP and scores
+exactly 0.  Both are exact because a mapping preserves labels, so it can
+only use shared labels, and contraction keeps ancestry and left-to-right
+order among the nodes that remain.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,13 +71,6 @@ class SimilarityMatrix:
             writer.writerow([doc_id] + [repr(float(v)) for v in row])
         return buf.getvalue()
 
-    def to_json(self) -> dict:
-        return {
-            "measure": self.measure,
-            "ids": list(self.doc_ids),
-            "rows": [[float(v) for v in row] for row in self.values],
-        }
-
     @classmethod
     def from_csv(cls, text: str, measure: str) -> "SimilarityMatrix":
         rows = list(csv.reader(io.StringIO(text)))
@@ -84,40 +85,52 @@ class SimilarityMatrix:
         return matrix
 
 
-class _Codec:
-    """Interns labels and subtree shapes so ids compare across forests."""
+class _Form:
+    """BFS arrays of one forest (index k <-> node number k + 1).
 
-    def __init__(self) -> None:
-        self.labels: dict[str, int] = {}
-        self.shapes: dict[tuple, int] = {}
+    Label ids come from a codec shared by every forest that is compared,
+    so ids compare across forests.
+    """
 
-    def label_id(self, label: str) -> int:
-        return self.labels.setdefault(label, len(self.labels))
+    __slots__ = ("labels", "children", "nonroot")
 
-    def shape_id(self, key: tuple) -> int:
-        return self.shapes.setdefault(key, len(self.shapes))
+    def __init__(self, forest: TopicForest, codec: dict[str, int]) -> None:
+        order = list(iter_bfs(forest.root))
+        index = {id(node): k for k, node in enumerate(order)}
+        self.labels = [codec.setdefault(node.label, len(codec)) for node in order]
+        self.children = [tuple(index[id(c)] for c in node.children) for node in order]
+        self.nonroot = frozenset(self.labels[1:])
 
 
 class _Tree:
-    """BFS-indexed arrays for one forest (index k <-> node number k + 1)."""
+    """A form contracted to the non-root labels in `keep`.
 
-    __slots__ = ("labels", "children", "sizes", "shapes", "n")
+    Every other non-root node is deleted and its children take its place
+    among its siblings.  Kept nodes keep their BFS index, so traced pairs
+    are in the original numbering; entries of deleted nodes are unused.
+    Shape ids come from `shapes`, shared by both trees of a pair.
+    """
 
-    def __init__(self, forest: TopicForest, codec: _Codec) -> None:
-        order = list(iter_bfs(forest.root))
-        index = {id(node): k for k, node in enumerate(order)}
-        self.n = len(order)
-        self.labels = [codec.label_id(node.label) for node in order]
-        self.children = [
-            tuple(index[id(c)] for c in node.children) for node in order
-        ]
-        self.sizes = [0] * self.n
-        self.shapes = [0] * self.n
-        for k in range(self.n - 1, -1, -1):
-            kids = self.children[k]
+    __slots__ = ("labels", "children", "sizes", "shapes")
+
+    def __init__(self, form: _Form, keep: frozenset[int], shapes: dict[tuple, int]) -> None:
+        labels = self.labels = form.labels
+        n = len(labels)
+        self.children: list[tuple[int, ...]] = [()] * n
+        self.sizes = [0] * n
+        self.shapes = [0] * n
+        # lifted[k]: what node k contributes to its parent's child list.
+        lifted: list[tuple[int, ...]] = [()] * n
+        for k in range(n - 1, -1, -1):
+            kids = tuple(x for c in form.children[k] for x in lifted[c])
+            if k and labels[k] not in keep:
+                lifted[k] = kids
+                continue
+            lifted[k] = (k,)
+            self.children[k] = kids
             self.sizes[k] = 1 + sum(self.sizes[c] for c in kids)
-            key = (self.labels[k], tuple(self.shapes[c] for c in kids))
-            self.shapes[k] = codec.shape_id(key)
+            key = (labels[k], tuple(self.shapes[c] for c in kids))
+            self.shapes[k] = shapes.setdefault(key, len(shapes))
 
 
 def _forest_lcs(
@@ -189,52 +202,73 @@ def _trace(
         f2 = t2.children[w] + rest2
 
 
-def common_subtree_size(a: TopicForest, b: TopicForest, codec: _Codec | None = None) -> int:
-    """Cardinality of a maximum valid mapping between the two forests."""
-    codec = codec or _Codec()
-    t1, t2 = _Tree(a, codec), _Tree(b, codec)
-    if t1.labels[0] != t2.labels[0]:
+def _pair(a: _Form, b: _Form, pairs: list[tuple[int, int]] | None = None) -> int:
+    """Size of a maximum mapping; its index pairs go to `pairs` if given.
+
+    A mapping preserves labels, so only non-root labels found in both
+    forests can occur in it beyond the root pair.  The DP therefore runs
+    on both forests contracted to those labels, and not at all when there
+    are none.
+    """
+    if a.labels[0] != b.labels[0]:
         return 0
-    return 1 + _forest_lcs(t1.children[0], t2.children[0], t1, t2, {})
+    if pairs is not None:
+        pairs.append((0, 0))
+    keep = a.nonroot & b.nonroot
+    if not keep:
+        return 1
+    shapes: dict[tuple, int] = {}
+    t1, t2 = _Tree(a, keep, shapes), _Tree(b, keep, shapes)
+    memo: dict = {}
+    size = 1 + _forest_lcs(t1.children[0], t2.children[0], t1, t2, memo)
+    if pairs is not None:
+        _trace(t1.children[0], t2.children[0], t1, t2, memo, pairs)
+    return size
+
+
+def _similarity(a: _Form, b: _Form) -> float:
+    n1, n2 = len(a.labels), len(b.labels)
+    if n1 == 1 and n2 == 1:
+        return 1.0
+    return (2.0 * _pair(a, b) - 2.0) / (n1 + n2 - 2.0)
+
+
+def _forms(*forests: TopicForest) -> list[_Form]:
+    codec: dict[str, int] = {}
+    return [_Form(forest, codec) for forest in forests]
+
+
+def common_subtree_size(a: TopicForest, b: TopicForest) -> int:
+    """Cardinality of a maximum valid mapping between the two forests."""
+    return _pair(*_forms(a, b))
 
 
 def max_common_subtree(a: TopicForest, b: TopicForest) -> Mapping:
     """A maximum root-preserving mapping, as BFS node-number pairs."""
-    codec = _Codec()
-    t1, t2 = _Tree(a, codec), _Tree(b, codec)
-    if t1.labels[0] != t2.labels[0]:
-        return Mapping(frozenset())
-    memo: dict = {}
-    _forest_lcs(t1.children[0], t2.children[0], t1, t2, memo)
-    collected: list[tuple[int, int]] = [(0, 0)]
-    _trace(t1.children[0], t2.children[0], t1, t2, memo, collected)
+    collected: list[tuple[int, int]] = []
+    _pair(*_forms(a, b), collected)
     return Mapping(frozenset((i + 1, j + 1) for i, j in collected))
 
 
-def tm_similarity(a: TopicForest, b: TopicForest, codec: _Codec | None = None) -> float:
+def tm_similarity(a: TopicForest, b: TopicForest) -> float:
     """Dice-style similarity over non-root nodes, in [0, 1].
 
     sim = (2*|mapping| - 2) / (n1 + n2 - 2); the shared synthetic root is
     discounted.  Two root-only forests are defined as identical (1.0).
     """
-    n1, n2 = a.n, b.n
-    if n1 == 1 and n2 == 1:
-        return 1.0
-    size = common_subtree_size(a, b, codec)
-    return (2.0 * size - 2.0) / (n1 + n2 - 2.0)
+    return _similarity(*_forms(a, b))
 
 
 def build_matrix(forests: list[TopicForest]) -> SimilarityMatrix:
-    """Pairwise tm-sim matrix; pair computations are independent."""
+    """Pairwise tm-sim matrix; each forest's arrays are built once."""
     if len(forests) < 2:
         raise ValidationError("need at least 2 forests to build a matrix")
-    codec = _Codec()
-    n = len(forests)
+    forms = _forms(*forests)
+    n = len(forms)
     values = np.eye(n, dtype=float)
     for i in range(n):
         for j in range(i + 1, n):
-            sim = tm_similarity(forests[i], forests[j], codec)
-            values[i, j] = values[j, i] = sim
+            values[i, j] = values[j, i] = _similarity(forms[i], forms[j])
     matrix = SimilarityMatrix(
         measure=TM_MEASURE, doc_ids=[f.doc_id for f in forests], values=values
     )

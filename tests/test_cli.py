@@ -16,6 +16,7 @@ from tmclust.cli import (
     main,
 )
 from tmclust.synth import make_planted_corpus, write_jsonl
+from tmclust.xtm import DOC_ROOT_LABEL
 
 TEXT_DOCS = {
     "d1": ("red cars race fast. red wins again.", "racing"),
@@ -148,6 +149,10 @@ def test_experiment_writes_report_and_config_echo(tmp_path):
     echo = json.loads((Path(config.out_dir) / "run_config.json").read_text())
     assert echo["corpus"] == str(corpus)
     assert echo["measures"] == list(config.measures)
+    # CSV is the one matrix format.
+    assert sorted(p.name for p in Path(config.out_dir).glob("matrix_*")) == [
+        f"matrix_{m}.csv" for m in sorted(config.measures)
+    ]
 
 
 def test_experiment_jsonl_with_trees(tmp_path):
@@ -180,6 +185,27 @@ def test_cli_exit_codes(tmp_path):
         ["ingest", "--corpus", str(tmp_path / "nowhere"), "--mode", "text-dir", "--out-dir", out_dir]
     )
     assert missing == 2
+
+
+def test_deeply_nested_tree_exits_2_without_traceback(tmp_path, capsys):
+    # json.dumps cannot encode a 1000-deep chain either, so build the line by hand.
+    depth = 1000
+    chain = '{"label": "t", "children": [' * depth + "]}" * depth
+    tree = '{"label": ' + json.dumps(DOC_ROOT_LABEL) + ', "children": [' + chain + "]}"
+    lines = [
+        '{"id": "deep", "label": "x", "text": "alpha beta", "tree": ' + tree + "}",
+        '{"id": "flat", "label": "y", "text": "gamma delta"}',
+    ]
+    corpus = tmp_path / "deep.jsonl"
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(
+        ["experiment", "--corpus", str(corpus), "--mode", "jsonl",
+         "--out-dir", str(tmp_path / "out"), "--measures", "tm-sim"]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "nested too deeply" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_cli_config_file_with_flag_override(tmp_path):

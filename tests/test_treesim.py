@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import random
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from conftest import make_forest, node, random_forest
 
 from tmclust.errors import ValidationError
+from tmclust.synth import make_planted_corpus
+from tmclust.textpipe import build_fallback_forest
 from tmclust.treesim import (
     SimilarityMatrix,
     brute_force_common_subtree,
@@ -17,7 +20,7 @@ from tmclust.treesim import (
     max_common_subtree,
     tm_similarity,
 )
-from tmclust.xtm import TopicForest, TopicNode, sort_forest
+from tmclust.xtm import TopicForest, TopicNode, iter_bfs, sort_forest
 
 
 def test_identical_trees_map_completely():
@@ -199,3 +202,97 @@ def test_matrix_validate_rejects_asymmetry_and_range():
     )
     with pytest.raises(ValidationError, match="outside"):
         out_of_range.validate()
+
+
+# Matrix CSV digests for make_planted_corpus(4, 10, seed=0), recorded with the
+# DP on uncontracted forests: the zero shortcut and contraction must not move
+# a byte of them.
+GOLDEN_PINNED_SHA256 = "1612083753ae6adceebc35fccc39a0fb2d215e9f52545e52d6970f6b2c946d72"
+GOLDEN_FALLBACK_SHA256 = "2101012be4ca448ab2e066c7c865a4f5ac5dfcab9df3887d33871b29eef1ca96"
+
+
+def test_golden_planted_matrices():
+    docs = make_planted_corpus(4, 10, seed=0)
+    pinned = build_matrix([d.forest for d in docs]).to_csv()
+    fallback = build_matrix(
+        [build_fallback_forest(d.doc_id, d.text) for d in docs]
+    ).to_csv()
+    assert hashlib.sha256(pinned.encode("utf-8")).hexdigest() == GOLDEN_PINNED_SHA256
+    assert hashlib.sha256(fallback.encode("utf-8")).hexdigest() == GOLDEN_FALLBACK_SHA256
+
+
+def _relabel_one(rng: random.Random, forest: TopicForest, label: str, depth: int) -> None:
+    """Give `label` to a node as close to `depth` (1 = root's child) as exists."""
+    level = forest.root.children
+    target = None
+    for _ in range(depth):
+        if not level:
+            break
+        target = rng.choice(level)
+        level = target.children
+    if target is not None:
+        target.label = label
+
+
+def _overlap_pairs(seed: int):
+    """Random pairs of at most 10 nodes, by kind of label overlap."""
+    rng = random.Random(seed)
+    for _ in range(60):
+        yield "disjoint", random_forest(rng, alphabet="abc"), random_forest(rng, alphabet="xyz")
+    for _ in range(60):
+        a = random_forest(rng, alphabet="abc")
+        b = random_forest(rng, alphabet="xyz")
+        _relabel_one(rng, a, "s", rng.randint(1, 4))
+        _relabel_one(rng, b, "s", rng.randint(1, 4))
+        yield "one-shared", sort_forest(a), sort_forest(b)
+    for _ in range(60):
+        yield "repeated", random_forest(rng, alphabet="aab"), random_forest(rng, alphabet="abb")
+    for _ in range(60):
+        # Shared a/b with private labels that sit between them on each side.
+        yield (
+            "interleaved",
+            random_forest(rng, alphabet="abpq"),
+            random_forest(rng, alphabet="abuv"),
+        )
+
+
+def _nonroot_labels(forest: TopicForest) -> set[str]:
+    return {n.label for n in iter_bfs(forest.root)} - {forest.root.label}
+
+
+def test_pair_routine_matches_oracle_by_label_overlap():
+    kinds = set()
+    for kind, a, b in _overlap_pairs(11):
+        kinds.add(kind)
+        expected = len(brute_force_common_subtree(a, b))
+        assert common_subtree_size(a, b) == expected, kind
+        mapping = max_common_subtree(a, b)
+        assert len(mapping) == expected, kind
+        assert mapping_violations(a, b, mapping) == [], kind
+        if not _nonroot_labels(a) & _nonroot_labels(b):
+            assert mapping.pairs == frozenset({(1, 1)})
+            if a.n + b.n > 2:
+                sim = tm_similarity(a, b)
+                assert sim == 0.0 and str(sim) == "0.0"
+    assert kinds == {"disjoint", "one-shared", "repeated", "interleaved"}
+
+
+def test_unshared_nodes_between_shared_ones_are_skipped():
+    # x and y are private to T1; a and b still map through them.
+    t1 = make_forest("d1", node("x", node("a", node("y", node("b")))), node("c"))
+    t2 = make_forest("d2", node("a", node("b")), node("z"))
+    mapping = max_common_subtree(t1, t2)
+    assert mapping.pairs == frozenset({(1, 1), (4, 2), (6, 4)})
+    assert mapping_violations(t1, t2, mapping) == []
+    assert len(brute_force_common_subtree(t1, t2)) == 3
+
+
+def test_build_matrix_equals_pairwise_similarity_bitwise():
+    forests = [f for _, a, b in _overlap_pairs(12) for f in (a, b)][::7]
+    matrix = build_matrix(forests)
+    for i, a in enumerate(forests):
+        for j, b in enumerate(forests):
+            if i != j:
+                assert matrix.values[i, j] == tm_similarity(a, b)
+    off_diagonal = matrix.values[~np.eye(len(forests), dtype=bool)]
+    assert (off_diagonal == 0.0).any() and (off_diagonal > 0.0).any()
