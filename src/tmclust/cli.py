@@ -2,7 +2,7 @@
 
 Every stage reads and writes plain JSON/CSV artifacts in the output
 directory, so stages can be run separately or end to end.  Outputs are
-byte-identical across runs given the same inputs and seed.
+byte-identical across runs given the same inputs.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import cluster as _cluster
@@ -56,21 +56,6 @@ class ExperimentConfig:
             raise UsageError(f"linkage must be one of {_cluster.LINKAGES}")
         if self.k is not None and self.k < 1:
             raise UsageError("k must be >= 1")
-
-    def to_json(self) -> dict:
-        return {
-            "corpus": self.corpus,
-            "mode": self.mode,
-            "measures": list(self.measures),
-            "linkage": self.linkage,
-            "k": self.k,
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-            "dataset": self.dataset,
-            "stopwords": self.stopwords,
-            "stem": self.stem,
-            "timing": self.timing,
-        }
 
 
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -320,7 +305,7 @@ def cmd_experiment(config: ExperimentConfig) -> Path:
             writer.writerow(
                 [dataset, measure, linkage, row_k, repr(pur), repr(ent), f"{secs:.3f}"]
             )
-    _write_json(out / "run_config.json", config.to_json())
+    _write_json(out / "run_config.json", asdict(config))
     for row in rows:
         print(
             f"{row[0]} {row[1]} linkage={row[2]} k={row[3]} "
@@ -347,7 +332,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=MODE_CHOICES, help="corpus input mode")
     parser.add_argument("--out-dir", dest="out_dir", help="artifact output directory")
     parser.add_argument("--dataset", help="dataset name used in reports")
-    parser.add_argument("--seed", type=int, help="seed recorded for reproducibility")
     parser.add_argument("--stopwords", help="override stopword list file")
     parser.add_argument(
         "--stem", action="store_true", help="apply the light suffix stripper"
@@ -381,6 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="run every measure end to end")
     _add_common(p_exp)
+    p_exp.add_argument("--seed", type=int, help="seed echoed into run_config.json")
     p_exp.add_argument("--measures", help="comma-separated measure list")
     p_exp.add_argument(
         "--timing",

@@ -121,6 +121,17 @@ def test_simmatrix_is_byte_identical_across_runs(tmp_path):
         assert (tmp_path / "out1" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
 
 
+def test_experiment_with_stopword_only_document_scores_kld_zero(tmp_path):
+    docs = dict(TEXT_DOCS, d3=("the and of it. it is the.", "cooking"))
+    corpus = write_text_corpus(tmp_path / "corpus", docs)
+    out = tmp_path / "out"
+    code = main(["experiment", "--corpus", str(corpus), "--mode", "text-dir", "--out-dir", str(out)])
+    assert code == 0
+    assert (out / "report.csv").exists()
+    rows = list(csv.reader((out / "matrix_kld.csv").read_text().splitlines()))
+    assert rows[3] == ["d3", "0.0", "0.0", "1.0", "0.0"]
+
+
 def test_cluster_and_evaluate_stage_chain(tmp_path):
     corpus = write_text_corpus(tmp_path / "corpus")
     config = config_for(tmp_path, corpus, "text-dir")
@@ -229,6 +240,22 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert code == 0
     assert (tmp_path / "override" / "report.csv").exists()
     assert not (tmp_path / "from_file").exists()
+
+
+def test_seed_is_an_experiment_flag_echoed_into_run_config(tmp_path):
+    corpus = write_text_corpus(tmp_path / "corpus")
+    out = tmp_path / "out"
+    common = ["--corpus", str(corpus), "--mode", "text-dir", "--out-dir", str(out)]
+    assert main(["ingest", *common, "--seed", "3"]) == 1
+    assert main(["experiment", *common, "--measures", "cosine", "--seed", "5"]) == 0
+    for stage in ("simmatrix", "cluster", "evaluate"):
+        assert main([stage, *common, "--measure", "cosine", "--seed", "5"]) == 1
+    echo = json.loads((out / "run_config.json").read_text())
+    assert echo["seed"] == 5 and echo["measures"] == ["cosine"]
+    assert sorted(echo) == [
+        "corpus", "dataset", "k", "linkage", "measures", "mode", "out_dir",
+        "seed", "stem", "stopwords", "timing",
+    ]
 
 
 def test_cli_rejects_unknown_config_key(tmp_path):

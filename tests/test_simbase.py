@@ -67,9 +67,12 @@ def test_kld_examples():
     assert kld_sim(vec("a", x=1.0), vec("b", y=1.0)) == 0.0
 
 
-def test_kld_rejects_zero_vector():
-    with pytest.raises(ValidationError, match="'empty'"):
-        kld_sim(vec("empty"), vec("q", x=1.0))
+def test_kld_with_an_empty_vector_is_zero():
+    empty, q = vec("empty"), vec("q", x=1.0, y=2.0)
+    assert kld_sim(empty, q) == 0.0
+    assert kld_sim(q, empty) == 0.0
+    assert kld_sim(empty, vec("empty2")) == 0.0
+    assert jsd(empty, q) == 1.0
 
 
 def _random_vec(rng: random.Random, doc_id: str, vocab: list[str]) -> TermVector:
@@ -134,10 +137,123 @@ def test_build_matrix_base_shape_and_diag():
         assert np.all(np.diag(matrix.values) == 1.0)
 
 
-def test_build_matrix_base_names_failing_pair():
-    vectors = [vec("ok", x=1.0), vec("broken")]
-    with pytest.raises(ValidationError, match="'ok'.*'broken'"):
-        build_matrix_base("kld", vectors)
+def test_build_matrix_base_scores_an_empty_vector_zero_with_unit_diagonal():
+    vectors = [vec("ok", x=1.0), vec("empty"), vec("other", x=2.0, y=1.0)]
+    for measure in ("cosine", "jaccard", "kld"):
+        values = build_matrix_base(measure, vectors).values
+        assert list(values[1]) == [0.0, 1.0, 0.0], measure
+        assert list(values[:, 1]) == [0.0, 1.0, 0.0], measure
+    euclidean = build_matrix_base("euclidean", vectors).values
+    assert list(euclidean[1]) == [0.5, 1.0, 0.5]
+
+
+def _vector_set(rng: random.Random, n: int) -> list[TermVector]:
+    """Random vectors with empty ones, duplicates, and subset and disjoint supports."""
+    vocab = [f"t{k:02d}" for k in range(16)]
+    vectors: list[TermVector] = []
+    for k in range(n):
+        kind = rng.randrange(6)
+        if kind == 0:
+            terms = []
+        elif kind == 1 and vectors:
+            vectors.append(TermVector.make(f"d{k}", dict(rng.choice(vectors).entries)))
+            continue
+        elif kind == 2 and vectors:
+            base = sorted(rng.choice(vectors).entries)
+            terms = rng.sample(base, rng.randint(0, len(base)))
+        elif kind == 3:
+            terms = [f"only{k}x{m}" for m in range(rng.randint(1, 4))]
+        else:
+            terms = rng.sample(vocab, rng.randint(1, len(vocab)))
+        rng.shuffle(terms)
+        entries = {t: rng.uniform(0.05, 1.0) * 10 ** rng.uniform(-3, 3) for t in terms}
+        vectors.append(TermVector.make(f"d{k}", entries))
+    return vectors
+
+
+def _loop_dot(a: TermVector, b: TermVector) -> float:
+    dot = 0.0
+    for t in sorted(a.entries):
+        if t in b.entries:
+            dot += a.entries[t] * b.entries[t]
+    return dot
+
+
+def _loop_sum_squares(a: TermVector) -> float:
+    total = 0.0
+    for t in sorted(a.entries):
+        total += a.entries[t] * a.entries[t]
+    return total
+
+
+def _loop_cosine(a: TermVector, b: TermVector) -> float:
+    if a.norm == 0.0 or b.norm == 0.0:
+        return 0.0
+    return min(1.0, _loop_dot(a, b) / (a.norm * b.norm))
+
+
+def _loop_jaccard(a: TermVector, b: TermVector) -> float:
+    dot = _loop_dot(a, b)
+    denom = _loop_sum_squares(a) + _loop_sum_squares(b) - dot
+    return 0.0 if denom == 0.0 else min(1.0, dot / denom)
+
+
+def _dense(a: TermVector, b: TermVector) -> tuple[np.ndarray, np.ndarray]:
+    terms = sorted(set(a.entries) | set(b.entries))
+    return (
+        np.array([a.entries.get(t, 0.0) for t in terms]),
+        np.array([b.entries.get(t, 0.0) for t in terms]),
+    )
+
+
+def _dense_euclidean(a: TermVector, b: TermVector) -> float:
+    x, y = _dense(a, b)
+    ux = x / np.linalg.norm(x) if x.any() else x
+    uy = y / np.linalg.norm(y) if y.any() else y
+    return 1.0 / (1.0 + float(np.linalg.norm(ux - uy)))
+
+
+def _dense_kld(a: TermVector, b: TermVector) -> float:
+    x, y = _dense(a, b)
+    if not x.any() or not y.any():
+        return 0.0
+    p, q = x / x.sum(), y / y.sum()
+    m = 0.5 * (p + q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        part = np.where(p > 0, 0.5 * p * np.log2(p / m), 0.0) + np.where(
+            q > 0, 0.5 * q * np.log2(q / m), 0.0
+        )
+    return 1.0 - min(1.0, max(0.0, float(part.sum())))
+
+
+def test_matrix_entries_are_the_pair_functions_and_match_oracles():
+    rng = random.Random(11)
+    exact = {"cosine": _loop_cosine, "jaccard": _loop_jaccard}
+    close = {"euclidean": _dense_euclidean, "kld": _dense_kld}
+    kinds = {"empty": 0, "duplicate": 0, "disjoint": 0, "subset": 0}
+    for n in (2, 3, 7, 12):
+        for _ in range(6):
+            vectors = _vector_set(rng, n)
+            for measure, func in MEASURES.items():
+                values = build_matrix_base(measure, vectors).values
+                assert np.all(np.diag(values) == 1.0)
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        a, b = vectors[i], vectors[j]
+                        assert values[i, j] == func(a, b) == func(b, a), measure
+                        if measure in exact:
+                            assert values[i, j] == exact[measure](a, b), measure
+                        else:
+                            assert abs(values[i, j] - close[measure](a, b)) <= 1e-12, measure
+            for i, a in enumerate(vectors):
+                kinds["empty"] += a.is_zero
+                for b in vectors[i + 1 :]:
+                    sa, sb = set(a.entries), set(b.entries)
+                    if sa and sb:
+                        kinds["duplicate"] += a.entries == b.entries
+                        kinds["disjoint"] += not sa & sb
+                        kinds["subset"] += sa < sb or sb < sa
+    assert all(count > 0 for count in kinds.values()), kinds
 
 
 def test_build_matrix_base_rejects_unknown_measure():
