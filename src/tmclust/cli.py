@@ -1,8 +1,10 @@
 """Command-line pipeline: ingest, simmatrix, cluster, evaluate, experiment.
 
-Every stage reads and writes plain JSON/CSV artifacts in the output
-directory, so stages can be run separately or end to end.  Outputs are
-byte-identical across runs given the same inputs.
+Every stage writes plain JSON/CSV artifacts to the output directory.  Run
+separately, each stage after ingest reads its inputs from those artifacts;
+`experiment` passes each stage's result to the next in memory, so it writes
+every artifact once and reads none back.  Outputs are byte-identical across
+runs given the same inputs.
 """
 
 from __future__ import annotations
@@ -93,12 +95,6 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
-def _stopword_set(config: ExperimentConfig) -> frozenset[str] | None:
-    if config.stopwords is None:
-        return None
-    return textpipe.load_stopwords(config.stopwords)
-
-
 def _load_corpus(config: ExperimentConfig) -> tuple[textpipe.Corpus, dict[str, xtm.TopicForest]]:
     base = Path(config.corpus)
     if not base.exists():
@@ -107,19 +103,18 @@ def _load_corpus(config: ExperimentConfig) -> tuple[textpipe.Corpus, dict[str, x
         return textpipe.load_jsonl(base, name=config.dataset)
     if config.mode == "text-dir":
         return textpipe.load_text_dir(base, name=config.dataset), {}
-    return _load_xtm_dir(base, config)
+    return _load_xtm_dir(base, config.dataset)
 
 
-def _load_xtm_dir(
-    base: Path, config: ExperimentConfig
-) -> tuple[textpipe.Corpus, dict[str, xtm.TopicForest]]:
-    labels = textpipe.read_labels(base / "labels.csv")
+def _load_xtm_dir(base: Path, name: str) -> tuple[textpipe.Corpus, dict[str, xtm.TopicForest]]:
+    paths = sorted(base.glob("*.xtm"))
+    if not paths:
+        raise ValidationError(f"no documents found under {base}")
+    labels = textpipe.read_labels(base / "labels.csv", [path.stem for path in paths])
     docs = []
     trees: dict[str, xtm.TopicForest] = {}
-    for path in sorted(base.glob("*.xtm")):
+    for path in paths:
         doc_id = path.stem
-        if doc_id not in labels:
-            raise ValidationError(f"document {doc_id!r} missing from labels.csv")
         parsed = xtm.parse_xtm(path.read_bytes(), doc_id=doc_id)
         trees[doc_id] = xtm.derive_forest(parsed)
         # Vector text for XTM input: topic names plus occurrence values.
@@ -127,9 +122,7 @@ def _load_xtm_dir(
         docs.append(
             textpipe.CorpusDoc(doc_id=doc_id, text=" ".join(words), label=labels[doc_id])
         )
-    if not docs:
-        raise ValidationError(f"no documents found under {base}")
-    corpus = textpipe.Corpus(docs=docs, name=config.dataset)
+    corpus = textpipe.Corpus(docs=docs, name=name)
     corpus.validate()
     return corpus, trees
 
@@ -138,20 +131,23 @@ def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def cmd_ingest(config: ExperimentConfig) -> Path:
-    """Persist forests, vectors, and the corpus manifest."""
+def _ingest_stage(config: ExperimentConfig) -> tuple[Path, dict, list, list]:
+    """Write forests, vectors and the manifest; return the out dir, the manifest,
+    the forests (none unless tm-sim is measured) and the vectors, in doc order."""
     corpus, trees = _load_corpus(config)
-    stopwords = _stopword_set(config)
+    stopwords = None if config.stopwords is None else textpipe.load_stopwords(config.stopwords)
     out = Path(config.out_dir)
     (out / "forests").mkdir(parents=True, exist_ok=True)
 
+    forests = []
     for doc in corpus.docs:
         forest = trees.get(doc.doc_id)
         if forest is None:
-            forest = textpipe.build_fallback_forest(
-                doc.doc_id, doc.text, stopwords, config.stem
-            )
+            forest = textpipe.build_fallback_forest(doc.doc_id, doc.text, stopwords, config.stem)
         _write_json(out / "forests" / f"{doc.doc_id}.json", xtm.forest_to_json(forest))
+        # Only tm-sim reads forests; without it each one is dropped once written.
+        if treesim.TM_MEASURE in config.measures:
+            forests.append(forest)
 
     vocab, vectors = textpipe.vectorize(corpus, stopwords, config.stem)
     empty = [v.doc_id for v in vectors if v.is_zero]
@@ -166,19 +162,22 @@ def cmd_ingest(config: ExperimentConfig) -> Path:
             "vectors": {v.doc_id: v.entries for v in vectors},
         },
     )
-    _write_json(
-        out / "manifest.json",
-        {
-            "dataset": corpus.name,
-            "mode": config.mode,
-            "doc_ids": [d.doc_id for d in corpus.docs],
-            "labels": {d.doc_id: d.label for d in corpus.docs},
-            "classes": corpus.classes,
-            "n_docs": len(corpus.docs),
-            "empty_docs": empty,
-        },
-    )
-    return out
+    manifest = {
+        "dataset": corpus.name,
+        "mode": config.mode,
+        "doc_ids": [d.doc_id for d in corpus.docs],
+        "labels": {d.doc_id: d.label for d in corpus.docs},
+        "classes": corpus.classes,
+        "n_docs": len(corpus.docs),
+        "empty_docs": empty,
+    }
+    _write_json(out / "manifest.json", manifest)
+    return out, manifest, forests, vectors
+
+
+def cmd_ingest(config: ExperimentConfig) -> Path:
+    """Persist forests, vectors, and the corpus manifest."""
+    return _ingest_stage(config)[0]
 
 
 def _read_manifest(out: Path) -> dict:
@@ -212,22 +211,43 @@ def _read_vectors(out: Path, doc_ids: list[str]) -> list[textpipe.TermVector]:
     return vectors
 
 
+def _matrix_stage(out: Path, measure: str, items: list) -> treesim.SimilarityMatrix:
+    """Build one measure's matrix from forests (tm-sim) or vectors and write it."""
+    if measure == treesim.TM_MEASURE:
+        matrix = treesim.build_matrix(items)
+    else:
+        matrix = simbase.build_matrix_base(measure, items)
+    (out / f"matrix_{measure}.csv").write_text(matrix.to_csv(), encoding="utf-8")
+    return matrix
+
+
 def cmd_simmatrix(config: ExperimentConfig, measure: str) -> Path:
     """Build and persist one measure's similarity matrix."""
     out = Path(config.out_dir)
-    manifest = _read_manifest(out)
-    doc_ids = manifest["doc_ids"]
-    if measure == treesim.TM_MEASURE:
-        matrix = treesim.build_matrix(_read_forests(out, doc_ids))
-    else:
-        matrix = simbase.build_matrix_base(measure, _read_vectors(out, doc_ids))
-    csv_path = out / f"matrix_{measure}.csv"
-    csv_path.write_text(matrix.to_csv(), encoding="utf-8")
-    return csv_path
+    doc_ids = _read_manifest(out)["doc_ids"]
+    read = _read_forests if measure == treesim.TM_MEASURE else _read_vectors
+    _matrix_stage(out, measure, read(out, doc_ids))
+    return out / f"matrix_{measure}.csv"
 
 
 def _resolve_k(config: ExperimentConfig, manifest: dict) -> int:
     return config.k if config.k is not None else len(manifest["classes"])
+
+
+def _cluster_stage(
+    out: Path, matrix: treesim.SimilarityMatrix, linkage: str, k: int
+) -> _cluster.ClusterAssignment:
+    """Cluster one matrix, write the dendrogram and the cut, return the cut."""
+    dendrogram = _cluster.hac(matrix, linkage)
+    _write_json(out / f"dendrogram_{matrix.measure}.json", dendrogram.to_json())
+    assignment = _cluster.cut(dendrogram, k)
+    path = out / f"assignment_{matrix.measure}.csv"
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["doc_id", "cluster"])
+        for doc_id, cluster in zip(matrix.doc_ids, assignment.labels):
+            writer.writerow([doc_id, cluster])
+    return assignment
 
 
 def cmd_cluster(config: ExperimentConfig, measure: str) -> Path:
@@ -238,16 +258,19 @@ def cmd_cluster(config: ExperimentConfig, measure: str) -> Path:
     if not matrix_path.exists():
         raise ValidationError(f"missing matrix {matrix_path}; run simmatrix first")
     matrix = treesim.SimilarityMatrix.from_csv(matrix_path.read_text("utf-8"), measure)
-    dendrogram = _cluster.hac(matrix, config.linkage)
-    _write_json(out / f"dendrogram_{measure}.json", dendrogram.to_json())
-    assignment = _cluster.cut(dendrogram, _resolve_k(config, manifest))
-    path = out / f"assignment_{measure}.csv"
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["doc_id", "cluster"])
-        for doc_id, cluster in zip(matrix.doc_ids, assignment.labels):
-            writer.writerow([doc_id, cluster])
-    return path
+    _cluster_stage(out, matrix, config.linkage, _resolve_k(config, manifest))
+    return out / f"assignment_{measure}.csv"
+
+
+def _evaluate_stage(
+    out: Path, measure: str, manifest: dict, doc_ids: list[str],
+    assignment: _cluster.ClusterAssignment,
+) -> evalx.EvalReport:
+    """Score an assignment of `doc_ids` against the gold labels and write it."""
+    gold = [manifest["labels"].get(doc_id) for doc_id in doc_ids]
+    report = evalx.evaluate(assignment, gold, measure, manifest["dataset"], doc_ids=doc_ids)
+    _write_json(out / f"eval_{measure}.json", report.to_json())
+    return report
 
 
 def cmd_evaluate(config: ExperimentConfig, measure: str) -> evalx.EvalReport:
@@ -257,60 +280,40 @@ def cmd_evaluate(config: ExperimentConfig, measure: str) -> evalx.EvalReport:
     path = out / f"assignment_{measure}.csv"
     if not path.exists():
         raise ValidationError(f"missing assignment {path}; run cluster first")
-    doc_ids: list[str] = []
-    labels: list[int] = []
     with path.open(newline="", encoding="utf-8") as handle:
-        for row in csv.reader(handle):
-            if row == ["doc_id", "cluster"] or not row:
-                continue
-            doc_ids.append(row[0])
-            labels.append(int(row[1]))
+        rows = [row for row in csv.reader(handle) if row and row != ["doc_id", "cluster"]]
+    doc_ids = [row[0] for row in rows]
+    labels = [int(row[1]) for row in rows]
     assignment = _cluster.ClusterAssignment(k=len(set(labels)), labels=labels)
-    gold = [manifest["labels"].get(doc_id) for doc_id in doc_ids]
-    report = evalx.evaluate(
-        assignment, gold, measure, manifest["dataset"], doc_ids=doc_ids
-    )
-    _write_json(out / f"eval_{measure}.json", report.to_json())
-    return report
+    return _evaluate_stage(out, measure, manifest, doc_ids, assignment)
 
 
 def cmd_experiment(config: ExperimentConfig) -> Path:
-    """Run the full pipeline for every configured measure."""
-    out = cmd_ingest(config)
-    manifest = _read_manifest(out)
+    """Run every configured measure end to end, passing results in memory."""
+    out, manifest, forests, vectors = _ingest_stage(config)
     k = _resolve_k(config, manifest)
     rows = []
     for measure in config.measures:
         started = time.perf_counter()
-        cmd_simmatrix(config, measure)
-        cmd_cluster(config, measure)
-        report = cmd_evaluate(config, measure)
-        seconds = time.perf_counter() - started if config.timing else 0.0
-        rows.append(
-            (
-                manifest["dataset"],
-                measure,
-                config.linkage,
-                k,
-                report.purity,
-                report.entropy,
-                seconds,
-            )
-        )
+        items = forests if measure == treesim.TM_MEASURE else vectors
+        matrix = _matrix_stage(out, measure, items)
+        assignment = _cluster_stage(out, matrix, config.linkage, k)
+        report = _evaluate_stage(out, measure, manifest, matrix.doc_ids, assignment)
+        rows.append((report, time.perf_counter() - started if config.timing else 0.0))
+    _write_json(out / "run_config.json", asdict(config))
     report_path = out / "report.csv"
     with report_path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
-        for dataset, measure, linkage, row_k, pur, ent, secs in rows:
-            writer.writerow(
-                [dataset, measure, linkage, row_k, repr(pur), repr(ent), f"{secs:.3f}"]
+        for report, secs in rows:
+            writer.writerow([
+                report.dataset, report.measure, config.linkage, k,
+                repr(report.purity), repr(report.entropy), f"{secs:.3f}",
+            ])
+            print(
+                f"{report.dataset} {report.measure} linkage={config.linkage} k={k} "
+                f"purity={report.purity:.4f} entropy={report.entropy:.4f}"
             )
-    _write_json(out / "run_config.json", asdict(config))
-    for row in rows:
-        print(
-            f"{row[0]} {row[1]} linkage={row[2]} k={row[3]} "
-            f"purity={row[4]:.4f} entropy={row[5]:.4f}"
-        )
     return report_path
 
 
@@ -387,10 +390,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         args.func(config, args)
-    except TmclustError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TmclustError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

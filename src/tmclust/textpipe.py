@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -191,21 +192,26 @@ def build_fallback_forest(
 def load_text_dir(path: str | Path, name: str = "") -> Corpus:
     """Load a directory of .txt files plus a labels.csv (doc_id,label)."""
     base = Path(path)
-    labels = read_labels(base / "labels.csv")
-    docs = []
-    for txt in sorted(base.glob("*.txt")):
-        doc_id = txt.stem
-        if doc_id not in labels:
-            raise ValidationError(f"document {doc_id!r} missing from labels.csv")
-        docs.append(CorpusDoc(doc_id=doc_id, text=txt.read_text("utf-8"), label=labels[doc_id]))
-    if not docs:
+    paths = sorted(base.glob("*.txt"))
+    if not paths:
         raise ValidationError(f"no documents found under {base}")
+    labels = read_labels(base / "labels.csv", [txt.stem for txt in paths])
+    docs = [
+        CorpusDoc(doc_id=txt.stem, text=txt.read_text("utf-8"), label=labels[txt.stem])
+        for txt in paths
+    ]
     corpus = Corpus(docs=docs, name=name or base.name)
     corpus.validate()
     return corpus
 
 
-def read_labels(path: Path) -> dict[str, str]:
+def read_labels(path: Path, doc_ids: list[str]) -> dict[str, str]:
+    """Read labels.csv (doc_id,label rows) for the documents `doc_ids`.
+
+    A document without a label is an error.  An id listed twice keeps its
+    last row and an id that names no document is ignored; each prints a
+    `warning:` line on stderr.
+    """
     if not path.exists():
         raise ValidationError(f"labels file not found: {path}")
     labels: dict[str, str] = {}
@@ -215,7 +221,23 @@ def read_labels(path: Path) -> dict[str, str]:
                 continue
             if len(row) < 2:
                 raise ValidationError(f"bad labels.csv row: {row!r}")
+            if row[0] in labels:
+                print(
+                    f"warning: labels.csv lists document {row[0]!r} more than once; "
+                    "the last row wins",
+                    file=sys.stderr,
+                )
             labels[row[0]] = row[1]
+    for doc_id in doc_ids:
+        if doc_id not in labels:
+            raise ValidationError(f"document {doc_id!r} missing from labels.csv")
+    known = set(doc_ids)
+    for doc_id in labels:
+        if doc_id not in known:
+            print(
+                f"warning: labels.csv names {doc_id!r}, which is not a document of the corpus",
+                file=sys.stderr,
+            )
     return labels
 
 

@@ -188,8 +188,8 @@ def test_criterion_6_measure_sanity(tmp_path):
         q = np.array([b.entries.get(t, 0.0) / total_b for t in union])
         m = 0.5 * (p + q)
         with np.errstate(divide="ignore", invalid="ignore"):
-            kl_pm = np.where(p > 0, p * np.log2(np.divide(p, m, where=m > 0)), 0.0).sum()
-            kl_qm = np.where(q > 0, q * np.log2(np.divide(q, m, where=m > 0)), 0.0).sum()
+            kl_pm = np.where(p > 0, p * np.log2(np.divide(p, m, out=np.zeros_like(p), where=m > 0)), 0.0).sum()
+            kl_qm = np.where(q > 0, q * np.log2(np.divide(q, m, out=np.zeros_like(q), where=m > 0)), 0.0).sum()
         oracle_jsd = 0.5 * kl_pm + 0.5 * kl_qm
         worst = max(worst, abs(kld_sim(a, b) - (1.0 - oracle_jsd)))
     ok = matrix_ok and worst <= 1e-12

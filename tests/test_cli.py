@@ -4,9 +4,12 @@ import csv
 import json
 from pathlib import Path
 
+import pytest
 from conftest import XTM_ZOO
 
+from tmclust import cli
 from tmclust.cli import (
+    MEASURE_CHOICES,
     ExperimentConfig,
     cmd_cluster,
     cmd_evaluate,
@@ -16,6 +19,7 @@ from tmclust.cli import (
     main,
 )
 from tmclust.synth import make_planted_corpus, write_jsonl
+from tmclust.treesim import SimilarityMatrix
 from tmclust.xtm import DOC_ROOT_LABEL
 
 TEXT_DOCS = {
@@ -34,6 +38,38 @@ def write_text_corpus(base: Path, docs: dict[str, tuple[str, str]] = TEXT_DOCS) 
         rows.append(f"{doc_id},{label}")
     (base / "labels.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     return base
+
+
+def write_xtm_corpus(base: Path) -> Path:
+    base.mkdir(parents=True, exist_ok=True)
+    docs = {
+        "zoo_a": (XTM_ZOO, "pets"),
+        "zoo_b": (XTM_ZOO.replace(b"Dogs", b"Wolves"), "wild"),
+        "zoo_c": (XTM_ZOO.replace(b"Cats", b"Lynxes"), "wild"),
+    }
+    rows = ["doc_id,label"]
+    for doc_id, (xml, label) in docs.items():
+        (base / f"{doc_id}.xtm").write_bytes(xml)
+        rows.append(f"{doc_id},{label}")
+    (base / "labels.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return base
+
+
+def write_planted_jsonl(base: Path) -> Path:
+    base.mkdir(parents=True, exist_ok=True)
+    docs = make_planted_corpus(n_clusters=2, docs_per_cluster=4, seed=7)
+    return write_jsonl(docs, base / "planted.jsonl")
+
+
+CORPUS_WRITERS = {
+    "jsonl": write_planted_jsonl,
+    "text-dir": write_text_corpus,
+    "xtm-dir": write_xtm_corpus,
+}
+
+
+def artifact_bytes(out: Path) -> dict[str, bytes]:
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
 
 def config_for(tmp_path: Path, corpus: Path, mode: str, **overrides) -> ExperimentConfig:
@@ -266,3 +302,52 @@ def test_cli_rejects_unknown_config_key(tmp_path):
 
 def test_cli_requires_corpus():
     assert main(["ingest"]) == 1
+
+
+@pytest.mark.parametrize("mode", sorted(CORPUS_WRITERS))
+def test_experiment_writes_what_the_staged_chain_writes(tmp_path, mode):
+    corpus = CORPUS_WRITERS[mode](tmp_path / "corpus")
+    common = ["--corpus", str(corpus), "--mode", mode, "--dataset", "toy"]
+    whole, staged = tmp_path / "whole", tmp_path / "staged"
+    assert main(["experiment", *common, "--out-dir", str(whole)]) == 0
+    assert main(["ingest", *common, "--out-dir", str(staged)]) == 0
+    for measure in MEASURE_CHOICES:
+        for stage in ("simmatrix", "cluster", "evaluate"):
+            assert main([stage, *common, "--out-dir", str(staged), "--measure", measure]) == 0
+    whole_files, staged_files = artifact_bytes(whole), artifact_bytes(staged)
+    # report.csv and run_config.json are experiment's own; every other file is shared.
+    assert sorted(set(whole_files) - set(staged_files)) == ["report.csv", "run_config.json"]
+    assert {name: whole_files[name] for name in staged_files} == staged_files
+
+
+def test_experiment_reads_no_artifact_back(tmp_path, monkeypatch):
+    corpus = write_planted_jsonl(tmp_path / "corpus")
+    common = ["experiment", "--corpus", str(corpus), "--mode", "jsonl"]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([*common, "--out-dir", str(first)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("experiment read an artifact back")
+
+    for name in ("_read_manifest", "_read_forests", "_read_vectors"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(SimilarityMatrix, "from_csv", refuse)
+    assert main([*common, "--out-dir", str(second)]) == 0
+    assert (second / "report.csv").read_bytes() == (first / "report.csv").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["text-dir", "xtm-dir"])
+def test_labels_csv_duplicate_and_stray_ids_are_warned(tmp_path, capsys, mode):
+    corpus = CORPUS_WRITERS[mode](tmp_path / "corpus")
+    first = sorted(p.stem for p in corpus.iterdir() if p.name != "labels.csv")[0]
+    with (corpus / "labels.csv").open("a", encoding="utf-8") as handle:
+        handle.write(f"{first},relabelled\nghost,pets\n")
+    out = tmp_path / "out"
+    assert main(["ingest", "--corpus", str(corpus), "--mode", mode, "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: labels.csv lists document {first!r} more than once; the last row wins",
+        "warning: labels.csv names 'ghost', which is not a document of the corpus",
+    ]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["labels"][first] == "relabelled"
+    assert "ghost" not in manifest["doc_ids"]

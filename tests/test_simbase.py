@@ -117,8 +117,8 @@ def test_jsd_matches_direct_summation_oracle():
         q = np.array([b.entries.get(t, 0.0) / total_b for t in terms])
         m = 0.5 * (p + q)
         with np.errstate(divide="ignore", invalid="ignore"):
-            kl_pm = np.where(p > 0, p * np.log2(np.divide(p, m, where=m > 0)), 0.0).sum()
-            kl_qm = np.where(q > 0, q * np.log2(np.divide(q, m, where=m > 0)), 0.0).sum()
+            kl_pm = np.where(p > 0, p * np.log2(np.divide(p, m, out=np.zeros_like(p), where=m > 0)), 0.0).sum()
+            kl_qm = np.where(q > 0, q * np.log2(np.divide(q, m, out=np.zeros_like(q), where=m > 0)), 0.0).sum()
         oracle = 0.5 * kl_pm + 0.5 * kl_qm
         assert abs(jsd(a, b) - oracle) <= 1e-12
         assert abs(kld_sim(a, b) - (1 - oracle)) <= 1e-12
