@@ -131,6 +131,30 @@ def _write_json(path: Path, obj: dict) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+def _flat_json(obj: dict, inner: str) -> str:
+    """`obj`, a dict of scalars, as `json.dumps(..., sort_keys=True, indent=2)`
+    formats it where its items start at newline-and-indent `inner`."""
+    if not obj:
+        return "{}"
+    # Without `indent`, json.dumps runs the C encoder.
+    text = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
+    return "{" + inner + text[1:-1] + inner[:-2] + "}"
+
+
+def _vectors_json(vocab: textpipe.Vocabulary, vectors: list[textpipe.TermVector]) -> str:
+    """The vectors.json text, byte for byte what `_write_json` would write."""
+    stored = ",\n    ".join(
+        json.dumps(v.doc_id) + ": " + _flat_json(v.entries, "\n      ")
+        for v in sorted(vectors, key=lambda v: v.doc_id)
+    )
+    return (
+        '{\n  "df": ' + _flat_json(vocab.df, "\n    ")
+        + ',\n  "index": ' + _flat_json(vocab.index, "\n    ")
+        + ',\n  "n_docs": ' + json.dumps(vocab.n_docs)
+        + ',\n  "vectors": {\n    ' + stored + "\n  }\n}\n"
+    )
+
+
 def _ingest_stage(config: ExperimentConfig) -> tuple[Path, dict, list, list]:
     """Write forests, vectors and the manifest; return the out dir, the manifest,
     the forests (none unless tm-sim is measured) and the vectors, in doc order."""
@@ -144,7 +168,9 @@ def _ingest_stage(config: ExperimentConfig) -> tuple[Path, dict, list, list]:
         forest = trees.get(doc.doc_id)
         if forest is None:
             forest = textpipe.build_fallback_forest(doc.doc_id, doc.text, stopwords, config.stem)
-        _write_json(out / "forests" / f"{doc.doc_id}.json", xtm.forest_to_json(forest))
+        (out / "forests" / f"{doc.doc_id}.json").write_text(
+            xtm.forest_json_text(forest), encoding="utf-8"
+        )
         # Only tm-sim reads forests; without it each one is dropped once written.
         if treesim.TM_MEASURE in config.measures:
             forests.append(forest)
@@ -153,15 +179,7 @@ def _ingest_stage(config: ExperimentConfig) -> tuple[Path, dict, list, list]:
     empty = [v.doc_id for v in vectors if v.is_zero]
     for doc_id in empty:
         print(f"warning: document {doc_id!r} has an empty term vector", file=sys.stderr)
-    _write_json(
-        out / "vectors.json",
-        {
-            "n_docs": vocab.n_docs,
-            "df": vocab.df,
-            "index": vocab.index,
-            "vectors": {v.doc_id: v.entries for v in vectors},
-        },
-    )
+    (out / "vectors.json").write_text(_vectors_json(vocab, vectors), encoding="utf-8")
     manifest = {
         "dataset": corpus.name,
         "mode": config.mode,
@@ -180,11 +198,18 @@ def cmd_ingest(config: ExperimentConfig) -> Path:
     return _ingest_stage(config)[0]
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text("utf-8"))
+    except ValueError as exc:
+        raise ValidationError(f"bad JSON in {path}: {exc}") from exc
+
+
 def _read_manifest(out: Path) -> dict:
     path = out / "manifest.json"
     if not path.exists():
         raise ValidationError(f"no manifest at {path}; run ingest first")
-    return json.loads(path.read_text("utf-8"))
+    return _read_json(path)
 
 
 def _read_forests(out: Path, doc_ids: list[str]) -> list[xtm.TopicForest]:
@@ -193,7 +218,7 @@ def _read_forests(out: Path, doc_ids: list[str]) -> list[xtm.TopicForest]:
         path = out / "forests" / f"{doc_id}.json"
         if not path.exists():
             raise ValidationError(f"missing forest file {path}")
-        forests.append(xtm.forest_from_json(doc_id, json.loads(path.read_text("utf-8"))))
+        forests.append(xtm.forest_from_json(doc_id, _read_json(path)))
     return forests
 
 
@@ -201,7 +226,7 @@ def _read_vectors(out: Path, doc_ids: list[str]) -> list[textpipe.TermVector]:
     path = out / "vectors.json"
     if not path.exists():
         raise ValidationError(f"no vectors at {path}; run ingest first")
-    stored = json.loads(path.read_text("utf-8"))["vectors"]
+    stored = _read_json(path)["vectors"]
     vectors = []
     for doc_id in doc_ids:
         if doc_id not in stored:
@@ -257,7 +282,10 @@ def cmd_cluster(config: ExperimentConfig, measure: str) -> Path:
     matrix_path = out / f"matrix_{measure}.csv"
     if not matrix_path.exists():
         raise ValidationError(f"missing matrix {matrix_path}; run simmatrix first")
-    matrix = treesim.SimilarityMatrix.from_csv(matrix_path.read_text("utf-8"), measure)
+    try:
+        matrix = treesim.SimilarityMatrix.from_csv(matrix_path.read_text("utf-8"), measure)
+    except ValidationError as exc:
+        raise ValidationError(f"{matrix_path}: {exc}") from exc
     _cluster_stage(out, matrix, config.linkage, _resolve_k(config, manifest))
     return out / f"assignment_{measure}.csv"
 
@@ -282,8 +310,11 @@ def cmd_evaluate(config: ExperimentConfig, measure: str) -> evalx.EvalReport:
         raise ValidationError(f"missing assignment {path}; run cluster first")
     with path.open(newline="", encoding="utf-8") as handle:
         rows = [row for row in csv.reader(handle) if row and row != ["doc_id", "cluster"]]
-    doc_ids = [row[0] for row in rows]
-    labels = [int(row[1]) for row in rows]
+    try:
+        doc_ids = [row[0] for row in rows]
+        labels = [int(row[1]) for row in rows]
+    except (IndexError, ValueError) as exc:
+        raise ValidationError(f"bad row in {path}: {exc}") from exc
     assignment = _cluster.ClusterAssignment(k=len(set(labels)), labels=labels)
     return _evaluate_stage(out, measure, manifest, doc_ids, assignment)
 

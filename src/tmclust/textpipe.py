@@ -19,7 +19,6 @@ from .xtm import (
     TopicForest,
     TopicNode,
     forest_from_json,
-    sort_forest,
 )
 
 _TOKEN_RE = re.compile(r"[a-z]+")
@@ -186,7 +185,7 @@ def build_fallback_forest(
         node = TopicNode(label=topic)
         node.children = [TopicNode(label=c) for c in sorted(children_of[topic])]
         root.children.append(node)
-    return sort_forest(TopicForest(doc_id=doc_id, root=root))
+    return TopicForest(doc_id=doc_id, root=root)
 
 
 def load_text_dir(path: str | Path, name: str = "") -> Corpus:

@@ -64,11 +64,24 @@ class SimilarityMatrix:
             raise ValidationError(f"{self.measure} matrix diagonal is not 1")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["doc_id"] + self.doc_ids)
-        for doc_id, row in zip(self.doc_ids, self.values):
-            writer.writerow([doc_id] + [repr(float(v)) for v in row])
+        """One `repr(float(v))` per cell; each entry above the diagonal is
+        formatted once and mirrored, so the matrix must be symmetric bit for bit."""
+        values = np.asarray(self.values, dtype=float)
+        if not np.array_equal(values.view(np.int64), values.T.view(np.int64)):
+            raise ValidationError(f"{self.measure} matrix is not symmetric")
+        cells: list[list[str]] = []
+        for i, row in enumerate(values.tolist()):
+            cells.append([above[i] for above in cells] + [repr(v) for v in row[i:]])
+        buf, lead = io.StringIO(), io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(["doc_id"] + self.doc_ids)
+        # A doc id may need CSV quoting; the repr of a float never does.  So
+        # csv writes each row as "<doc id>,\n" and the numbers replace the "\n".
+        lead_writer = csv.writer(lead, lineterminator="\n")
+        for doc_id, row in zip(self.doc_ids, cells):
+            lead.seek(0)
+            lead.truncate()
+            lead_writer.writerow([doc_id, ""])
+            buf.write(lead.getvalue()[:-1] + ",".join(row) + "\n")
         return buf.getvalue()
 
     @classmethod
@@ -77,9 +90,12 @@ class SimilarityMatrix:
         if not rows or rows[0][:1] != ["doc_id"]:
             raise ValidationError("matrix CSV must start with a doc_id header row")
         doc_ids = rows[0][1:]
-        values = np.array(
-            [[float(cell) for cell in row[1:]] for row in rows[1:]], dtype=float
-        )
+        try:
+            values = np.array(
+                [[float(cell) for cell in row[1:]] for row in rows[1:]], dtype=float
+            )
+        except ValueError as exc:
+            raise ValidationError(f"matrix CSV has a ragged or non-numeric row: {exc}") from exc
         matrix = cls(measure=measure, doc_ids=doc_ids, values=values)
         matrix.validate()
         return matrix

@@ -12,6 +12,7 @@ import re
 import xml.etree.ElementTree as ET
 from collections import deque
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 from .errors import ValidationError, XtmParseError
@@ -346,6 +347,38 @@ def forest_to_json(forest: TopicForest) -> dict:
         return {"label": node.label, "children": [convert(c) for c in node.children]}
 
     return convert(forest.root)
+
+
+def forest_json_text(forest: TopicForest) -> str:
+    """`json.dumps(forest_to_json(forest), sort_keys=True, indent=2) + "\\n"`.
+
+    One walk over the nodes with an explicit stack builds the text: no
+    intermediate dict and no recursion, so a forest of any depth is written.
+    """
+    parts: list[str] = []
+    # A node with the newline and indent its own lines start with, or a
+    # closing text to emit as it is.
+    stack: list = [(forest.root, "\n")]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        node, nl = item
+        tail = nl + '  "label": ' + encode_basestring_ascii(node.label) + nl + "}"
+        children = node.children
+        if not children:
+            parts.append("{" + nl + '  "children": [],' + tail)
+            continue
+        inner = nl + "    "
+        parts.append("{" + nl + '  "children": [' + inner)
+        stack.append(nl + "  ]," + tail)
+        for child in children[:0:-1]:
+            stack.append((child, inner))
+            stack.append("," + inner)
+        stack.append((children[0], inner))
+    parts.append("\n")
+    return "".join(parts)
 
 
 def forest_from_json(doc_id: str, obj: dict) -> TopicForest:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from conftest import XTM_ZOO
 
-from tmclust import cli
+from tmclust import cli, textpipe
 from tmclust.cli import (
     MEASURE_CHOICES,
     ExperimentConfig,
@@ -20,7 +20,7 @@ from tmclust.cli import (
 )
 from tmclust.synth import make_planted_corpus, write_jsonl
 from tmclust.treesim import SimilarityMatrix
-from tmclust.xtm import DOC_ROOT_LABEL
+from tmclust.xtm import DOC_ROOT_LABEL, Association, Topic, TopicMapDoc, serialize_xtm
 
 TEXT_DOCS = {
     "d1": ("red cars race fast. red wins again.", "racing"),
@@ -351,3 +351,98 @@ def test_labels_csv_duplicate_and_stray_ids_are_warned(tmp_path, capsys, mode):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["labels"][first] == "relabelled"
     assert "ghost" not in manifest["doc_ids"]
+
+
+def _truncate(path: Path) -> None:
+    path.write_text(path.read_text("utf-8")[:-10], encoding="utf-8")
+
+
+def _ragged_row(path: Path) -> None:
+    lines = path.read_text("utf-8").splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _non_numeric_cell(path: Path) -> None:
+    lines = path.read_text("utf-8").splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",high"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _no_cluster_column(path: Path) -> None:
+    lines = path.read_text("utf-8").splitlines()
+    lines[1] = lines[1].split(",")[0]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "name, corrupt, stage, measure",
+    [
+        ("manifest.json", _truncate, "simmatrix", "cosine"),
+        ("forests/d1.json", _truncate, "simmatrix", "tm-sim"),
+        ("vectors.json", _truncate, "simmatrix", "cosine"),
+        ("matrix_cosine.csv", _ragged_row, "cluster", "cosine"),
+        ("matrix_cosine.csv", _non_numeric_cell, "cluster", "cosine"),
+        ("assignment_cosine.csv", _no_cluster_column, "evaluate", "cosine"),
+    ],
+    ids=["manifest", "forest", "vectors", "matrix-ragged", "matrix-text", "assignment"],
+)
+def test_corrupt_stage_input_exits_2_naming_the_file(tmp_path, capsys, name, corrupt, stage, measure):
+    corpus = write_text_corpus(tmp_path / "corpus")
+    out = tmp_path / "out"
+    common = ["--corpus", str(corpus), "--mode", "text-dir", "--out-dir", str(out)]
+    assert main(["experiment", *common, "--measures", "cosine,tm-sim"]) == 0
+    corrupt(out / name)
+    capsys.readouterr()
+    assert main([stage, *common, "--measure", measure]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out / name) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_experiment_writes_a_700_deep_xtm_hierarchy(tmp_path):
+    corpus = tmp_path / "deep"
+    corpus.mkdir()
+    # Alphabetic names, so that the documents' term vectors are not empty.
+    chain = ["t" + "".join(chr(97 + i // 26**p % 26) for p in (2, 1, 0)) for i in range(700)]
+    for doc_id, names in (("deep", chain), ("shallow", chain[:3])):
+        doc = TopicMapDoc(
+            doc_id=doc_id,
+            topics=[Topic(id=name, name=name) for name in names],
+            associations=[
+                Association(assoc_type="parent-child", parent_role=parent, child_role=child)
+                for parent, child in zip(names, names[1:])
+            ],
+        )
+        (corpus / f"{doc_id}.xtm").write_bytes(serialize_xtm(doc))
+    (corpus / "labels.csv").write_text("doc_id,label\ndeep,x\nshallow,y\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["experiment", "--corpus", str(corpus), "--mode", "xtm-dir", "--out-dir", str(out)]) == 0
+    lines = (out / "forests" / "deep.json").read_text("utf-8").splitlines()
+    # A node's label follows its children, so labels run from the leaf up.
+    labels = [json.loads(line.split(": ", 1)[1]) for line in lines if '"label": ' in line]
+    assert labels == chain[::-1] + [DOC_ROOT_LABEL]
+    assert lines[-2] == '  "label": ' + json.dumps(DOC_ROOT_LABEL)
+    assert (out / "report.csv").exists()
+
+
+def test_vectors_json_matches_json_dumps_with_an_empty_vector():
+    corpus = textpipe.Corpus(
+        docs=[
+            textpipe.CorpusDoc("b", "red cars race fast. red wins again.", "x"),
+            textpipe.CorpusDoc("a \"quoted\" id", "soup recipe needs onions.", "y"),
+            textpipe.CorpusDoc("stop", "the and of it. it is the.", "y"),
+            textpipe.CorpusDoc("é", "red soup wins.", "x"),
+        ]
+    )
+    vocab, vectors = textpipe.vectorize(corpus)
+    assert vectors[2].entries == {}
+    expected = {
+        "n_docs": vocab.n_docs,
+        "df": vocab.df,
+        "index": vocab.index,
+        "vectors": {v.doc_id: v.entries for v in vectors},
+    }
+    text = cli._vectors_json(vocab, vectors)
+    assert text == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    assert '"stop": {}' in text

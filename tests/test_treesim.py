@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import copy
+import csv
 import hashlib
+import io
 import random
 
 import numpy as np
@@ -189,6 +191,41 @@ def test_matrix_csv_roundtrip():
     again = SimilarityMatrix.from_csv(matrix.to_csv(), matrix.measure)
     assert again.doc_ids == matrix.doc_ids
     assert np.array_equal(again.values, matrix.values)
+
+
+def _per_cell_csv(matrix: SimilarityMatrix) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["doc_id"] + matrix.doc_ids)
+    for doc_id, row in zip(matrix.doc_ids, matrix.values):
+        writer.writerow([doc_id] + [repr(float(v)) for v in row])
+    return buf.getvalue()
+
+
+def test_to_csv_matches_the_per_cell_repr_csv():
+    matrices = [SimilarityMatrix("m", ["a", "b"], np.array([[1.0, 5e-324], [5e-324, 1.0]]))]
+    odd = [5e-324, 1e-05, 0.1 + 0.2, 1.0, 0.0, 1 / 3, 2.5e-300, 0.9999999999999999]
+    values = np.eye(len(odd) + 1)
+    for k, v in enumerate(odd):
+        values[0, k + 1] = values[k + 1, 0] = v
+        values[k + 1, (k + 2) % len(odd) + 1] = values[(k + 2) % len(odd) + 1, k + 1] = v
+    # Doc ids that CSV must quote, among ones it need not.
+    ids = ["", "a,b", 'q"t', "new\nline", "cr\rid", " pad", "é"] + [f"d{k}" for k in range(2)]
+    matrices.append(SimilarityMatrix("m", ids, values))
+    rng = np.random.default_rng(3)
+    for n in (3, 17, 60):
+        upper = np.triu(rng.random((n, n)), 1)
+        matrices.append(SimilarityMatrix("m", [f"d{k}" for k in range(n)], upper + upper.T + np.eye(n)))
+    for matrix in matrices:
+        assert matrix.to_csv() == _per_cell_csv(matrix)
+
+
+@pytest.mark.parametrize("low, high", [(0.4, 0.5), (0.0, -0.0)])
+def test_to_csv_refuses_an_asymmetric_matrix(low, high):
+    # 0.0 and -0.0 compare equal but print differently: mirroring would hide it.
+    bad = SimilarityMatrix("m", ["a", "b"], np.array([[1.0, low], [high, 1.0]]))
+    with pytest.raises(ValidationError, match="symmetric"):
+        bad.to_csv()
 
 
 def test_matrix_validate_rejects_asymmetry_and_range():

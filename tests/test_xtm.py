@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from tmclust.xtm import (
     derive_forest,
     dump_tree,
     forest_from_json,
+    forest_json_text,
     forest_to_json,
     iter_bfs,
     normalize_label,
@@ -232,6 +234,41 @@ def test_forest_json_roundtrip():
     forest = make_forest("d", node("b", node("x")), node("a"))
     loaded = forest_from_json("d", forest_to_json(forest))
     assert forest_to_json(loaded) == forest_to_json(forest)
+
+
+def _json_dumps_oracle(forest) -> str:
+    return json.dumps(forest_to_json(forest), sort_keys=True, indent=2) + "\n"
+
+
+def test_forest_json_text_escapes_labels_like_json_dumps():
+    awkward = ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "café ünï", "⟨DOC⟩", "", "🌲"]
+    forest = make_forest(
+        "d",
+        node(awkward[0], node(awkward[1]), node(awkward[2], node(awkward[3]))),
+        *(node(label) for label in awkward[3:]),
+    )
+    assert forest_json_text(forest) == _json_dumps_oracle(forest)
+
+
+def test_forest_json_text_of_a_root_only_forest():
+    forest = make_forest("d")
+    assert forest_json_text(forest) == _json_dumps_oracle(forest)
+    assert forest_json_text(forest) == (
+        '{\n  "children": [],\n  "label": "\\u27e8DOC\\u27e9"\n}\n'
+    )
+
+
+def test_forest_json_text_of_deep_and_random_forests():
+    # The oracle, json.dumps with indent, recurses; 300 levels stay well inside
+    # the recursion limit.
+    chain = node("c299")
+    for depth in range(298, -1, -1):
+        chain = node(f"c{depth}", chain, node("leaf"))
+    forests = [make_forest("deep", chain, node("z"))]
+    rng = random.Random(5)
+    forests += [random_forest(rng, max_nodes=rng.randint(1, 40)) for _ in range(200)]
+    for forest in forests:
+        assert forest_json_text(forest) == _json_dumps_oracle(forest)
 
 
 def test_forest_from_json_requires_doc_root():
