@@ -264,14 +264,17 @@ def _cluster_stage(
 ) -> _cluster.ClusterAssignment:
     """Cluster one matrix, write the dendrogram and the cut, return the cut."""
     dendrogram = _cluster.hac(matrix, linkage)
-    _write_json(out / f"dendrogram_{matrix.measure}.json", dendrogram.to_json())
+    (out / f"dendrogram_{matrix.measure}.json").write_text(
+        dendrogram.to_json_text(), encoding="utf-8"
+    )
     assignment = _cluster.cut(dendrogram, k)
-    path = out / f"assignment_{matrix.measure}.csv"
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["doc_id", "cluster"])
-        for doc_id, cluster in zip(matrix.doc_ids, assignment.labels):
-            writer.writerow([doc_id, cluster])
+    rows = [
+        f"{doc_id},{cluster}\n"
+        for doc_id, cluster in zip(treesim.csv_fields(matrix.doc_ids), assignment.labels)
+    ]
+    (out / f"assignment_{matrix.measure}.csv").write_text(
+        "doc_id,cluster\n" + "".join(rows), encoding="utf-8", newline=""
+    )
     return assignment
 
 
@@ -283,8 +286,10 @@ def cmd_cluster(config: ExperimentConfig, measure: str) -> Path:
     if not matrix_path.exists():
         raise ValidationError(f"missing matrix {matrix_path}; run simmatrix first")
     try:
-        matrix = treesim.SimilarityMatrix.from_csv(matrix_path.read_text("utf-8"), measure)
-    except ValidationError as exc:
+        # Decoded without newline translation, which would turn a quoted CR into LF.
+        text = matrix_path.read_bytes().decode("utf-8")
+        matrix = treesim.SimilarityMatrix.from_csv(text, measure)
+    except (UnicodeDecodeError, ValidationError) as exc:
         raise ValidationError(f"{matrix_path}: {exc}") from exc
     _cluster_stage(out, matrix, config.linkage, _resolve_k(config, manifest))
     return out / f"assignment_{measure}.csv"
@@ -308,12 +313,12 @@ def cmd_evaluate(config: ExperimentConfig, measure: str) -> evalx.EvalReport:
     path = out / f"assignment_{measure}.csv"
     if not path.exists():
         raise ValidationError(f"missing assignment {path}; run cluster first")
-    with path.open(newline="", encoding="utf-8") as handle:
-        rows = [row for row in csv.reader(handle) if row and row != ["doc_id", "cluster"]]
     try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            rows = [row for row in csv.reader(handle) if row and row != ["doc_id", "cluster"]]
         doc_ids = [row[0] for row in rows]
         labels = [int(row[1]) for row in rows]
-    except (IndexError, ValueError) as exc:
+    except (csv.Error, IndexError, ValueError) as exc:
         raise ValidationError(f"bad row in {path}: {exc}") from exc
     assignment = _cluster.ClusterAssignment(k=len(set(labels)), labels=labels)
     return _evaluate_stage(out, measure, manifest, doc_ids, assignment)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,10 +27,19 @@ class Dendrogram:
             "merges": [[a, b, sim, new] for a, b, sim, new in self.merges],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Dendrogram":
-        merges = [(int(a), int(b), float(s), int(n)) for a, b, s, n in obj["merges"]]
-        return cls(n_leaves=int(obj["n_leaves"]), merges=merges)
+    def to_json_text(self) -> str:
+        """`json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"`,
+        built without the pure-Python encoder that `indent` selects."""
+        if not self.merges:
+            merges = "[]"
+        else:
+            # One C-encoder call formats every height exactly as json.dumps does.
+            heights = json.dumps([sim for _, _, sim, _ in self.merges])[1:-1].split(", ")
+            merges = "[\n    " + ",\n    ".join(
+                f"[\n      {a},\n      {b},\n      {height},\n      {new}\n    ]"
+                for (a, b, _, new), height in zip(self.merges, heights)
+            ) + "\n  ]"
+        return '{\n  "merges": ' + merges + ',\n  "n_leaves": ' + str(self.n_leaves) + "\n}\n"
 
 
 @dataclass
@@ -46,6 +56,24 @@ def hac(matrix: SimilarityMatrix, linkage: str = "average") -> Dendrogram:
     Ties are broken by the smallest (cluster id, cluster id) pair.  Merged
     similarities are maintained in place: single keeps the max, complete
     the min, average the size-weighted mean.
+
+    Each active row caches its best similarity (`top`) and its partner:
+    the column of smallest cluster id among those that reach it (the
+    "generic" algorithm of Müllner, arXiv:1109.2378).  The tie-break then
+    needs no scan over pairs.  If (p, q) is the smallest tied pair, p has
+    the smallest id of all rows whose `top` is the maximum, and its partner
+    is q, since a tied partner of smaller id would give a smaller pair.
+
+    A merge writes the merged row into the lower slot a and retires the
+    other slot b.  Only the rows whose partner was a or b are scanned
+    again; slot a is one of them, as its partner was b.  Every other row
+    compares its cache with the new column a.  The merged cluster's id is
+    larger than every other, so an equal value keeps the cached partner.
+    The merged row is computed by the same float expression as in a full
+    scan, and the cache holds entries of that working matrix unchanged,
+    so merge heights are the same bits.  A step costs O(N) plus O(N) per
+    row scanned again, a handful on typical matrices; the worst case
+    stays O(N^3).
     """
     if linkage not in LINKAGES:
         raise ValidationError(f"unknown linkage {linkage!r}")
@@ -54,23 +82,27 @@ def hac(matrix: SimilarityMatrix, linkage: str = "average") -> Dendrogram:
     if n < 2:
         raise ValidationError("need at least 2 documents to cluster")
 
-    sims = matrix.values.astype(float).copy()
+    # Retired slots and the diagonal hold -inf, so no max ever picks them.
+    sims = matrix.values.astype(float)
     np.fill_diagonal(sims, -np.inf)
-    active = list(range(n))
-    cluster_id = list(range(n))
+    cluster_id = np.arange(n)
+    # Larger for a smaller cluster id: the argmax of `tied * rank` over a
+    # row picks the tied column of smallest id.
+    rank = 2 * n - cluster_id
     sizes = [1] * n
+    # Cluster ids start in slot order, so argmax's first maximum is the
+    # partner of smallest id.
+    partner = sims.argmax(axis=1)
+    top = sims.max(axis=1)
     merges: list[tuple[int, int, float, int]] = []
 
     for step in range(n - 1):
-        sub = sims[np.ix_(active, active)]
-        best = float(sub.max())
-        ii, jj = np.nonzero(sub == best)
-        pick = min(
-            (tuple(sorted((cluster_id[active[x]], cluster_id[active[y]]))), active[x], active[y])
-            for x, y in zip(ii, jj)
-            if x < y
-        )
-        (left, right), slot_a, slot_b = pick
+        tied = (top == top.max()).nonzero()[0]
+        slot = tied[cluster_id[tied].argmin()]
+        other = partner[slot]
+        new_id = n + step
+        merges.append((int(cluster_id[slot]), int(cluster_id[other]), float(top[slot]), new_id))
+        slot_a, slot_b = (slot, other) if slot < other else (other, slot)
 
         if linkage == "single":
             row = np.maximum(sims[slot_a], sims[slot_b])
@@ -84,12 +116,27 @@ def hac(matrix: SimilarityMatrix, linkage: str = "average") -> Dendrogram:
         sims[slot_a, slot_a] = -np.inf
         sims[slot_b, :] = -np.inf
         sims[:, slot_b] = -np.inf
-
-        new_id = n + step
-        merges.append((left, right, best, new_id))
         sizes[slot_a] += sizes[slot_b]
         cluster_id[slot_a] = new_id
-        active.remove(slot_b)
+        rank[slot_a] = 2 * n - new_id
+
+        # Rows whose partner took part in the merge are scanned again below,
+        # and the retired slot leaves the cache.
+        stale = partner == slot_a
+        stale |= partner == slot_b
+        stale[slot_b] = False
+        top[slot_b] = -np.inf
+        partner[slot_b] = -1
+        # Every other row compares with the new column; a tie keeps its partner.
+        merged = sims[slot_a]
+        gain = merged > top
+        partner[gain] = slot_a
+        top[gain] = merged[gain]
+        rows = stale.nonzero()[0]
+        block = sims[rows]
+        best = block.max(axis=1)
+        top[rows] = best
+        partner[rows] = ((block == best[:, None]) * rank).argmax(axis=1)
 
     return Dendrogram(n_leaves=n, merges=merges)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ from .errors import ValidationError
 from .xtm import TopicForest, TopicNode, iter_bfs, number_nodes
 
 TM_MEASURE = "tm-sim"
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,20 @@ class Mapping:
 
     def __len__(self) -> int:
         return len(self.pairs)
+
+
+def csv_fields(texts: list[str]) -> list[str]:
+    """Each text as one CSV field: quoted, with each quote doubled, when it
+    holds a comma, a quote, a CR or an LF; as it is otherwise.
+
+    csv.writer with lineterminator "\\n" leaves a CR unquoted before Python
+    3.13, and a reader then splits the row there.  On text without a CR
+    this gives what csv.writer writes.
+    """
+    return [
+        '"' + text.replace('"', '""') + '"' if _CSV_SPECIAL.search(text) else text
+        for text in texts
+    ]
 
 
 @dataclass
@@ -65,35 +81,33 @@ class SimilarityMatrix:
 
     def to_csv(self) -> str:
         """One `repr(float(v))` per cell; each entry above the diagonal is
-        formatted once and mirrored, so the matrix must be symmetric bit for bit."""
+        formatted once and mirrored, so the matrix must be symmetric bit for bit.
+        Doc ids are written by `csv_fields`."""
         values = np.asarray(self.values, dtype=float)
         if not np.array_equal(values.view(np.int64), values.T.view(np.int64)):
             raise ValidationError(f"{self.measure} matrix is not symmetric")
         cells: list[list[str]] = []
         for i, row in enumerate(values.tolist()):
             cells.append([above[i] for above in cells] + [repr(v) for v in row[i:]])
-        buf, lead = io.StringIO(), io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow(["doc_id"] + self.doc_ids)
-        # A doc id may need CSV quoting; the repr of a float never does.  So
-        # csv writes each row as "<doc id>,\n" and the numbers replace the "\n".
-        lead_writer = csv.writer(lead, lineterminator="\n")
-        for doc_id, row in zip(self.doc_ids, cells):
-            lead.seek(0)
-            lead.truncate()
-            lead_writer.writerow([doc_id, ""])
-            buf.write(lead.getvalue()[:-1] + ",".join(row) + "\n")
-        return buf.getvalue()
+        ids = csv_fields(self.doc_ids)
+        lines = [",".join(["doc_id"] + ids)]
+        lines += [doc_id + "," + ",".join(row) for doc_id, row in zip(ids, cells)]
+        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_csv(cls, text: str, measure: str) -> "SimilarityMatrix":
-        rows = list(csv.reader(io.StringIO(text)))
+        """Parse `to_csv` output.  `text` must keep its line endings as
+        written: a quoted doc id may hold a CR."""
+        try:
+            rows = list(csv.reader(io.StringIO(text)))
+        except csv.Error as exc:
+            raise ValidationError(f"matrix CSV is malformed: {exc}") from exc
         if not rows or rows[0][:1] != ["doc_id"]:
             raise ValidationError("matrix CSV must start with a doc_id header row")
         doc_ids = rows[0][1:]
         try:
-            values = np.array(
-                [[float(cell) for cell in row[1:]] for row in rows[1:]], dtype=float
-            )
+            # One call for every cell; numpy converts a str as float() does.
+            values = np.array([row[1:] for row in rows[1:]], dtype=float)
         except ValueError as exc:
             raise ValidationError(f"matrix CSV has a ragged or non-numeric row: {exc}") from exc
         matrix = cls(measure=measure, doc_ids=doc_ids, values=values)

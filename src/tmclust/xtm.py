@@ -303,15 +303,16 @@ def derive_forest(
         child_ids.setdefault(parent_of.get(topic.id), []).append(topic.id)
 
     root = TopicNode(label=DOC_ROOT_LABEL)
-
-    def attach(parent_node: TopicNode, key: str | None) -> None:
-        ids = sorted(child_ids.get(key, []), key=lambda i: (names[i], i))
-        for topic_id in ids:
+    # An explicit stack, so that a hierarchy of any depth can be built.
+    # Each node gets its whole sorted child list at once, so the order in
+    # which nodes are visited does not change the forest.
+    stack: list[tuple[TopicNode, str | None]] = [(root, None)]
+    while stack:
+        parent_node, key = stack.pop()
+        for topic_id in sorted(child_ids.get(key, []), key=lambda i: (names[i], i)):
             node = nodes[topic_id]
             parent_node.children.append(node)
-            attach(node, topic_id)
-
-    attach(root, None)
+            stack.append((node, topic_id))
     return TopicForest(doc_id=doc.doc_id, root=root)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -58,6 +59,9 @@ def write_xtm_corpus(base: Path) -> Path:
 def write_planted_jsonl(base: Path) -> Path:
     base.mkdir(parents=True, exist_ok=True)
     docs = make_planted_corpus(n_clusters=2, docs_per_cluster=4, seed=7)
+    # Ids that a CSV field must quote, a bare CR among them.
+    for k, doc_id in enumerate(["cr\rid", 'a,"b"']):
+        docs[k] = dataclasses.replace(docs[k], doc_id=doc_id)
     return write_jsonl(docs, base / "planted.jsonl")
 
 
@@ -400,11 +404,11 @@ def test_corrupt_stage_input_exits_2_naming_the_file(tmp_path, capsys, name, cor
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_experiment_writes_a_700_deep_xtm_hierarchy(tmp_path):
+def test_experiment_writes_a_1000_deep_xtm_hierarchy(tmp_path):
     corpus = tmp_path / "deep"
     corpus.mkdir()
     # Alphabetic names, so that the documents' term vectors are not empty.
-    chain = ["t" + "".join(chr(97 + i // 26**p % 26) for p in (2, 1, 0)) for i in range(700)]
+    chain = ["t" + "".join(chr(97 + i // 26**p % 26) for p in (2, 1, 0)) for i in range(1000)]
     for doc_id, names in (("deep", chain), ("shallow", chain[:3])):
         doc = TopicMapDoc(
             doc_id=doc_id,

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import json
 import random
 
 import numpy as np
 import pytest
 
-from tmclust.cluster import Dendrogram, LINKAGES, cut, hac
+from tmclust.cluster import LINKAGES, Dendrogram, cut, hac
 from tmclust.errors import ValidationError
 from tmclust.treesim import SimilarityMatrix
 
@@ -156,7 +157,108 @@ def test_hac_validates_matrix_and_linkage():
         hac(good, "ward")
 
 
-def test_dendrogram_json_roundtrip():
-    dendrogram = hac(three_doc_matrix(), "average")
-    again = Dendrogram.from_json(dendrogram.to_json())
-    assert again == dendrogram
+def _reference_hac(matrix: SimilarityMatrix, linkage: str) -> Dendrogram:
+    """The cubic HAC: copy the active block and scan it whole at each step."""
+    sims = matrix.values.astype(float).copy()
+    n = len(matrix.doc_ids)
+    np.fill_diagonal(sims, -np.inf)
+    active = list(range(n))
+    cluster_id = list(range(n))
+    sizes = [1] * n
+    merges: list[tuple[int, int, float, int]] = []
+
+    for step in range(n - 1):
+        sub = sims[np.ix_(active, active)]
+        best = float(sub.max())
+        ii, jj = np.nonzero(sub == best)
+        pick = min(
+            (tuple(sorted((cluster_id[active[x]], cluster_id[active[y]]))), active[x], active[y])
+            for x, y in zip(ii, jj)
+            if x < y
+        )
+        (left, right), slot_a, slot_b = pick
+
+        if linkage == "single":
+            row = np.maximum(sims[slot_a], sims[slot_b])
+        elif linkage == "complete":
+            row = np.minimum(sims[slot_a], sims[slot_b])
+        else:
+            size_a, size_b = sizes[slot_a], sizes[slot_b]
+            row = (size_a * sims[slot_a] + size_b * sims[slot_b]) / (size_a + size_b)
+        sims[slot_a, :] = row
+        sims[:, slot_a] = row
+        sims[slot_a, slot_a] = -np.inf
+        sims[slot_b, :] = -np.inf
+        sims[:, slot_b] = -np.inf
+
+        new_id = n + step
+        merges.append((left, right, best, new_id))
+        sizes[slot_a] += sizes[slot_b]
+        cluster_id[slot_a] = new_id
+        active.remove(slot_b)
+
+    return Dendrogram(n_leaves=n, merges=merges)
+
+
+def _random_matrix(rng: np.random.Generator, n: int, levels: int | None) -> SimilarityMatrix:
+    """Symmetric, unit diagonal; entries k/levels (many ties) or, with
+    levels None, uniform draws."""
+    if levels is None:
+        upper = rng.random((n, n))
+    else:
+        upper = rng.integers(0, levels, (n, n)) / levels
+    upper = np.triu(upper, 1)
+    return SimilarityMatrix("t", [f"d{i}" for i in range(n)], upper + upper.T + np.eye(n))
+
+
+def _assert_same_merges(got: Dendrogram, want: Dendrogram) -> None:
+    assert got.n_leaves == want.n_leaves
+    # The tuples compare heights with ==; repr also tells 0.0 from -0.0.
+    assert got.merges == want.merges
+    for (*_, height, _), (*_, expected, _) in zip(got.merges, want.merges):
+        assert type(height) is float and repr(height) == repr(expected)
+
+
+@pytest.mark.parametrize("linkage", LINKAGES)
+def test_hac_matches_the_reference_on_tie_heavy_matrices(linkage):
+    rng = np.random.default_rng(2024)
+    for n in range(2, 61):
+        # Every level count up to N = 30, then one per N, to keep the test fast.
+        for levels in range(1, 6) if n <= 30 else [1 + n % 5]:
+            matrix = _random_matrix(rng, n, levels)
+            _assert_same_merges(hac(matrix, linkage), _reference_hac(matrix, linkage))
+
+
+@pytest.mark.parametrize("linkage", LINKAGES)
+def test_hac_matches_the_reference_on_a_tie_free_matrix(linkage):
+    matrix = _random_matrix(np.random.default_rng(120), 120, None)
+    upper = matrix.values[np.triu_indices(120, 1)]
+    assert len(set(upper.tolist())) == len(upper)
+    _assert_same_merges(hac(matrix, linkage), _reference_hac(matrix, linkage))
+
+
+def _dendrogram_json(dendrogram: Dendrogram) -> str:
+    return json.dumps(dendrogram.to_json(), sort_keys=True, indent=2) + "\n"
+
+
+def test_dendrogram_json_text_matches_json_dumps():
+    odd = matrix_from(
+        [
+            [1.0, 5e-324, 1 / 3, 5e-324],
+            [5e-324, 1.0, 0.5, 1 / 3],
+            [1 / 3, 0.5, 1.0, 0.5],
+            [5e-324, 1 / 3, 0.5, 1.0],
+        ]
+    )
+    dendrograms = [
+        hac(matrix_from([[1.0, 0.42], [0.42, 1.0]]), "average"),
+        Dendrogram(n_leaves=1, merges=[]),
+        Dendrogram(n_leaves=3, merges=[(0, 1, 0.0, 3), (2, 3, -0.0, 4)]),
+    ]
+    random_matrix = _random_matrix(np.random.default_rng(5), 9, None)
+    for linkage in LINKAGES:
+        dendrograms += [hac(odd, linkage), hac(random_matrix, linkage)]
+    heights = {m[2] for d in dendrograms for m in d.merges}
+    assert {5e-324, 1 / 3, 0.5}.issubset(heights)
+    for dendrogram in dendrograms:
+        assert dendrogram.to_json_text() == _dendrogram_json(dendrogram)

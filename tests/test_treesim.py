@@ -194,12 +194,16 @@ def test_matrix_csv_roundtrip():
 
 
 def _per_cell_csv(matrix: SimilarityMatrix) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["doc_id"] + matrix.doc_ids)
-    for doc_id, row in zip(matrix.doc_ids, matrix.values):
-        writer.writerow([doc_id] + [repr(float(v)) for v in row])
-    return buf.getvalue()
+    # With "\r\n" as the terminator, csv.writer quotes a field that holds a
+    # CR or an LF on every Python version; each row then ends in "\n".
+    rows = [["doc_id"] + matrix.doc_ids]
+    rows += [[doc_id] + [repr(float(v)) for v in row] for doc_id, row in zip(matrix.doc_ids, matrix.values)]
+    lines = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines)
 
 
 def test_to_csv_matches_the_per_cell_repr_csv():
@@ -218,6 +222,28 @@ def test_to_csv_matches_the_per_cell_repr_csv():
         matrices.append(SimilarityMatrix("m", [f"d{k}" for k in range(n)], upper + upper.T + np.eye(n)))
     for matrix in matrices:
         assert matrix.to_csv() == _per_cell_csv(matrix)
+
+
+ODD_IDS = ["", "a,b", 'q"t', "new\nline", "cr\rid", "crlf\r\nid", '"', " pad", "é"]
+
+
+def test_from_csv_reads_back_what_to_csv_writes():
+    rng = np.random.default_rng(11)
+    n = len(ODD_IDS)
+    # Uniform draws scaled down into the subnormals, and the odd values.
+    upper = rng.random((n, n)) * 2.0 ** rng.integers(-1074, 1, (n, n)).astype(float)
+    upper[0, 1:6] = [5e-324, 1e-05, 0.1 + 0.2, 2.5e-300, 0.9999999999999999]
+    upper = np.triu(upper, 1)
+    matrix = SimilarityMatrix("m", ODD_IDS, upper + upper.T + np.eye(n))
+    again = SimilarityMatrix.from_csv(matrix.to_csv(), "m")
+    assert again.doc_ids == ODD_IDS
+    assert np.array_equal(again.values.view(np.int64), matrix.values.view(np.int64))
+
+
+def test_from_csv_refuses_a_bare_cr_in_an_id():
+    text = "doc_id,cr\rid,b\ncr\rid,1.0,0.5\nb,0.5,1.0\n"
+    with pytest.raises(ValidationError, match="malformed"):
+        SimilarityMatrix.from_csv(text, "m")
 
 
 @pytest.mark.parametrize("low, high", [(0.4, 0.5), (0.0, -0.0)])
