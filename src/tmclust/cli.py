@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -379,7 +380,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, help="cluster count (default: gold classes)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by every later `main` call."""
     parser = _Parser(prog="tmclust", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -3,21 +3,26 @@
 A mapping between two forests is a set of node-number pairs that is
 one-to-one, label-preserving, ancestor-preserving in both directions,
 sibling-order-preserving in both directions, and contains the root pair
-whenever it is non-empty.  `max_common_subtree` finds a maximum mapping
-with a memoized dynamic program over ordered forests (a node may be left
-unmatched, which promotes its children into its sibling position, so
-matches can skip levels).  `brute_force_common_subtree` is an exhaustive
-oracle for small trees and shares no code with the DP beyond node
-numbering.
+whenever it is non-empty.  A node may be left unmatched, which promotes
+its children into its sibling position, so matches can skip levels.  This
+is a tree edit mapping with unit insert and delete and no relabelling: a
+maximum mapping M gives the edit distance n1 + n2 - 2|M|.  So
+`max_common_subtree` fills Zhang and Shasha's keyroot table (SIAM J.
+Comput. 18(6), 1989) over postorder arrays, with no recursion at any
+depth, and reads its mapping back from that table.
+`brute_force_common_subtree` is an exhaustive oracle for small trees and
+shares no code with the table beyond node numbering.
 
 Every entry point goes through one pair routine, and `build_matrix`
-builds each forest's arrays once.  Before the DP, both forests are
+builds each forest's arrays once.  Before the table, both forests are
 contracted: each non-root node whose label does not occur among the other
 forest's non-root nodes is deleted and its children are promoted into its
-place.  A pair that shares no non-root label skips the DP and scores
-exactly 0.  Both are exact because a mapping preserves labels, so it can
-only use shared labels, and contraction keeps ancestry and left-to-right
-order among the nodes that remain.
+place.  A pair that shares no non-root label scores exactly 0, and two
+contracted trees that are equal map whole; neither fills a table.  All
+this is exact because a mapping can only use shared labels, and
+contraction keeps ancestry and left-to-right order among the nodes that
+remain.  On pinned and XTM-derived forests nearly every pair that shares
+a label contracts to two equal trees, so the equal-tree test pays there.
 """
 
 from __future__ import annotations
@@ -97,7 +102,8 @@ class SimilarityMatrix:
     @classmethod
     def from_csv(cls, text: str, measure: str) -> "SimilarityMatrix":
         """Parse `to_csv` output.  `text` must keep its line endings as
-        written: a quoted doc id may hold a CR."""
+        written: a quoted doc id may hold a CR.  Row i must carry the
+        header's i-th doc id."""
         try:
             rows = list(csv.reader(io.StringIO(text)))
         except csv.Error as exc:
@@ -110,6 +116,12 @@ class SimilarityMatrix:
             values = np.array([row[1:] for row in rows[1:]], dtype=float)
         except ValueError as exc:
             raise ValidationError(f"matrix CSV has a ragged or non-numeric row: {exc}") from exc
+        for doc_id, row in zip(doc_ids, rows[1:]):
+            row_id = row[0] if row else ""
+            if row_id != doc_id:
+                raise ValidationError(
+                    f"matrix CSV row {row_id!r} is where the header has {doc_id!r}"
+                )
         matrix = cls(measure=measure, doc_ids=doc_ids, values=values)
         matrix.validate()
         return matrix
@@ -132,128 +144,108 @@ class _Form:
         self.nonroot = frozenset(self.labels[1:])
 
 
-class _Tree:
-    """A form contracted to the non-root labels in `keep`.
+def _postorder(form: _Form, keep: frozenset[int]) -> tuple[tuple[int, ...], list[int], list[int]]:
+    """`form` contracted to the non-root labels in `keep`, in postorder.
 
     Every other non-root node is deleted and its children take its place
-    among its siblings.  Kept nodes keep their BFS index, so traced pairs
-    are in the original numbering; entries of deleted nodes are unused.
-    Shape ids come from `shapes`, shared by both trees of a pair.
+    among its siblings.  Returns the BFS index, label and leftmost-leaf
+    position of each kept node, so traced pairs are in the BFS numbering.
     """
-
-    __slots__ = ("labels", "children", "sizes", "shapes")
-
-    def __init__(self, form: _Form, keep: frozenset[int], shapes: dict[tuple, int]) -> None:
-        labels = self.labels = form.labels
-        n = len(labels)
-        self.children: list[tuple[int, ...]] = [()] * n
-        self.sizes = [0] * n
-        self.shapes = [0] * n
-        # lifted[k]: what node k contributes to its parent's child list.
-        lifted: list[tuple[int, ...]] = [()] * n
-        for k in range(n - 1, -1, -1):
-            kids = tuple(x for c in form.children[k] for x in lifted[c])
-            if k and labels[k] not in keep:
-                lifted[k] = kids
-                continue
-            lifted[k] = (k,)
-            self.children[k] = kids
-            self.sizes[k] = 1 + sum(self.sizes[c] for c in kids)
-            key = (labels[k], tuple(self.shapes[c] for c in kids))
-            self.shapes[k] = shapes.setdefault(key, len(shapes))
+    labels = form.labels
+    # lifted[k]: the kept nodes of k's subtree in postorder, which is what
+    # k contributes to its parent's postorder.
+    lifted: list[tuple[int, ...]] = [()] * len(labels)
+    for k in range(len(labels) - 1, -1, -1):
+        below = tuple(x for c in form.children[k] for x in lifted[c])
+        lifted[k] = below + (k,) if k == 0 or labels[k] in keep else below
+    order = lifted[0]
+    return order, [labels[k] for k in order], [p + 1 - len(lifted[k]) for p, k in enumerate(order)]
 
 
-def _forest_lcs(
-    f1: tuple[int, ...],
-    f2: tuple[int, ...],
-    t1: _Tree,
-    t2: _Tree,
-    memo: dict,
-) -> int:
-    if not f1 or not f2:
-        return 0
-    key = (f1, f2)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    if tuple(t1.shapes[i] for i in f1) == tuple(t2.shapes[j] for j in f2):
-        value = sum(t1.sizes[i] for i in f1)
-        memo[key] = value
-        return value
-    v, rest1 = f1[0], f1[1:]
-    w, rest2 = f2[0], f2[1:]
-    value = max(
-        _forest_lcs(t1.children[v] + rest1, f2, t1, t2, memo),
-        _forest_lcs(f1, t2.children[w] + rest2, t1, t2, memo),
-    )
-    if t1.labels[v] == t2.labels[w]:
-        matched = (
-            1
-            + _forest_lcs(t1.children[v], t2.children[w], t1, t2, memo)
-            + _forest_lcs(rest1, rest2, t1, t2, memo)
-        )
-        if matched > value:
-            value = matched
-    memo[key] = value
-    return value
+def _forest_table(
+    x: int, y: int, t1: tuple[list[int], list[int]], t2: tuple[list[int], list[int]], td: list[list[int]]
+) -> list[list[int]]:
+    """Zhang-Shasha forest table for the subtrees rooted at postorder
+    positions x and y, and the subtree entries of `td` it reaches.
 
-
-def _trace(
-    f1: tuple[int, ...],
-    f2: tuple[int, ...],
-    t1: _Tree,
-    t2: _Tree,
-    memo: dict,
-    out: list[tuple[int, int]],
-) -> None:
-    while f1 and f2:
-        if tuple(t1.shapes[i] for i in f1) == tuple(t2.shapes[j] for j in f2):
-            stack = list(zip(f1, f2))
-            while stack:
-                v, w = stack.pop()
-                out.append((v, w))
-                stack.extend(zip(t1.children[v], t2.children[w]))
-            return
-        target = _forest_lcs(f1, f2, t1, t2, memo)
-        v, rest1 = f1[0], f1[1:]
-        w, rest2 = f2[0], f2[1:]
-        if t1.labels[v] == t2.labels[w]:
-            inner = _forest_lcs(t1.children[v], t2.children[w], t1, t2, memo)
-            outer = _forest_lcs(rest1, rest2, t1, t2, memo)
-            if 1 + inner + outer == target:
-                out.append((v, w))
-                _trace(t1.children[v], t2.children[w], t1, t2, memo, out)
-                f1, f2 = rest1, rest2
-                continue
-        promoted1 = t1.children[v] + rest1
-        if _forest_lcs(promoted1, f2, t1, t2, memo) == target:
-            f1 = promoted1
-            continue
-        f2 = t2.children[w] + rest2
+    fd[a][b] is the largest mapping between the postorder forests
+    l1[x] .. l1[x]+a-1 and l2[y] .. l2[y]+b-1.  Where both forests are whole
+    subtrees (rooted at i and j) the entry is also td[i][j]; elsewhere it
+    reads td of the last subtree pair, which an earlier call has filled.
+    """
+    labels1, leftmost1 = t1
+    labels2, leftmost2 = t2
+    lx, ly = leftmost1[x], leftmost2[y]
+    cols = range(1, y - ly + 2)
+    fd = [[0] * (y - ly + 2) for _ in range(x - lx + 2)]
+    for a in range(1, x - lx + 2):
+        i = lx + a - 1
+        li, label, tdi, row, prev = leftmost1[i], labels1[i], td[i], fd[a], fd[a - 1]
+        before = fd[li - lx]
+        for b in cols:
+            j = ly + b - 1
+            best = prev[b] if prev[b] > row[b - 1] else row[b - 1]
+            lj = leftmost2[j]
+            if li == lx and lj == ly:
+                if label == labels2[j] and prev[b - 1] >= best:
+                    best = prev[b - 1] + 1
+                tdi[j] = best
+            else:
+                joined = before[lj - ly] + tdi[j]
+                if joined > best:
+                    best = joined
+            row[b] = best
+    return fd
 
 
 def _pair(a: _Form, b: _Form, pairs: list[tuple[int, int]] | None = None) -> int:
-    """Size of a maximum mapping; its index pairs go to `pairs` if given.
-
-    A mapping preserves labels, so only non-root labels found in both
-    forests can occur in it beyond the root pair.  The DP therefore runs
-    on both forests contracted to those labels, and not at all when there
-    are none.
-    """
+    """Size of a maximum mapping; its index pairs go to `pairs` if given."""
     if a.labels[0] != b.labels[0]:
         return 0
-    if pairs is not None:
-        pairs.append((0, 0))
     keep = a.nonroot & b.nonroot
     if not keep:
+        if pairs is not None:
+            pairs.append((0, 0))
         return 1
-    shapes: dict[tuple, int] = {}
-    t1, t2 = _Tree(a, keep, shapes), _Tree(b, keep, shapes)
-    memo: dict = {}
-    size = 1 + _forest_lcs(t1.children[0], t2.children[0], t1, t2, memo)
+    order1, labels1, leftmost1 = _postorder(a, keep)
+    order2, labels2, leftmost2 = _postorder(b, keep)
+    n1, n2 = len(order1), len(order2)
+    if labels1 == labels2 and leftmost1 == leftmost2:
+        if pairs is not None:
+            pairs.extend(zip(order1, order2))
+        return n1
+    t1, t2 = (labels1, leftmost1), (labels2, leftmost2)
+    td = [[0] * n2 for _ in range(n1)]
+    # A keyroot is the highest node of each leftmost leaf; the last is the root.
+    keyroots1, keyroots2 = (sorted({l: p for p, l in enumerate(lm)}.values()) for lm in (leftmost1, leftmost2))
+    for x in keyroots1:
+        for y in keyroots2:
+            _forest_table(x, y, t1, t2, td)
     if pairs is not None:
-        _trace(t1.children[0], t2.children[0], t1, t2, memo, pairs)
-    return size
+        # Walk each subtree pair's table back from its corner; a subtree
+        # pair whose best mapping the walk takes is walked in its turn.
+        # The roots share a label, so the root pair is always matched.
+        stack = [(n1 - 1, n2 - 1)]
+        while stack:
+            x, y = stack.pop()
+            fd = _forest_table(x, y, t1, t2, td)
+            lx, ly = leftmost1[x], leftmost2[y]
+            i, j = x, y
+            while i >= lx and j >= ly:
+                a, b = i - lx + 1, j - ly + 1
+                value = fd[a][b]
+                whole = leftmost1[i] == lx and leftmost2[j] == ly
+                if whole and labels1[i] == labels2[j] and value == fd[a - 1][b - 1] + 1:
+                    pairs.append((order1[i], order2[j]))
+                    i, j = i - 1, j - 1
+                elif value == fd[a - 1][b]:
+                    i -= 1
+                elif value == fd[a][b - 1]:
+                    j -= 1
+                else:
+                    stack.append((i, j))
+                    i, j = leftmost1[i] - 1, leftmost2[j] - 1
+    return td[n1 - 1][n2 - 1]
 
 
 def _similarity(a: _Form, b: _Form) -> float:

@@ -42,10 +42,11 @@ def random_forest(
     max_nodes: int = 10,
     alphabet: str = "abcde",
     doc_id: str = "rnd",
+    min_nodes: int = 1,
 ) -> TopicForest:
     root = TopicNode(label=DOC_ROOT_LABEL)
     nodes = [root]
-    for _ in range(rng.randint(1, max_nodes) - 1):
+    for _ in range(rng.randint(min_nodes, max_nodes) - 1):
         parent = rng.choice(nodes)
         child = TopicNode(label=rng.choice(alphabet))
         parent.children.append(child)

@@ -15,6 +15,7 @@ from tmclust.synth import make_planted_corpus
 from tmclust.textpipe import build_fallback_forest
 from tmclust.treesim import (
     SimilarityMatrix,
+    _forms,
     brute_force_common_subtree,
     build_matrix,
     common_subtree_size,
@@ -22,7 +23,7 @@ from tmclust.treesim import (
     max_common_subtree,
     tm_similarity,
 )
-from tmclust.xtm import TopicForest, TopicNode, iter_bfs, sort_forest
+from tmclust.xtm import DOC_ROOT_LABEL, TopicForest, TopicNode, iter_bfs, sort_forest
 
 
 def test_identical_trees_map_completely():
@@ -240,6 +241,19 @@ def test_from_csv_reads_back_what_to_csv_writes():
     assert np.array_equal(again.values.view(np.int64), matrix.values.view(np.int64))
 
 
+@pytest.mark.parametrize(
+    "text, row",
+    [
+        ("doc_id,a,b\nx,1.0,0.5\ny,0.5,1.0\n", "x"),
+        ("doc_id,a,b,c\na,1.0,0.5,0.2\nc,0.2,0.3,1.0\nb,0.5,1.0,0.3\n", "c"),
+    ],
+    ids=["relabelled", "reordered"],
+)
+def test_from_csv_refuses_a_row_id_that_differs_from_the_header(text, row):
+    with pytest.raises(ValidationError, match=f"row {row!r}"):
+        SimilarityMatrix.from_csv(text, "m")
+
+
 def test_from_csv_refuses_a_bare_cr_in_an_id():
     text = "doc_id,cr\rid,b\ncr\rid,1.0,0.5\nb,0.5,1.0\n"
     with pytest.raises(ValidationError, match="malformed"):
@@ -359,3 +373,122 @@ def test_build_matrix_equals_pairwise_similarity_bitwise():
                 assert matrix.values[i, j] == tm_similarity(a, b)
     off_diagonal = matrix.values[~np.eye(len(forests), dtype=bool)]
     assert (off_diagonal == 0.0).any() and (off_diagonal > 0.0).any()
+
+
+class _Tree:
+    """A form contracted to the non-root labels in `keep`, with shape ids
+    from `shapes`, shared by both trees of a pair."""
+
+    def __init__(self, form, keep: frozenset[int], shapes: dict[tuple, int]) -> None:
+        labels = self.labels = form.labels
+        n = len(labels)
+        self.children: list[tuple[int, ...]] = [()] * n
+        self.sizes = [0] * n
+        self.shapes = [0] * n
+        lifted: list[tuple[int, ...]] = [()] * n
+        for k in range(n - 1, -1, -1):
+            kids = tuple(x for c in form.children[k] for x in lifted[c])
+            if k and labels[k] not in keep:
+                lifted[k] = kids
+                continue
+            lifted[k] = (k,)
+            self.children[k] = kids
+            self.sizes[k] = 1 + sum(self.sizes[c] for c in kids)
+            key = (labels[k], tuple(self.shapes[c] for c in kids))
+            self.shapes[k] = shapes.setdefault(key, len(shapes))
+
+
+def _forest_lcs(f1: tuple[int, ...], f2: tuple[int, ...], t1: _Tree, t2: _Tree, memo: dict) -> int:
+    """Largest mapping between two forests, by their leftmost roots."""
+    if not f1 or not f2:
+        return 0
+    key = (f1, f2)
+    if key in memo:
+        return memo[key]
+    if tuple(t1.shapes[i] for i in f1) == tuple(t2.shapes[j] for j in f2):
+        value = sum(t1.sizes[i] for i in f1)
+    else:
+        v, rest1 = f1[0], f1[1:]
+        w, rest2 = f2[0], f2[1:]
+        value = max(
+            _forest_lcs(t1.children[v] + rest1, f2, t1, t2, memo),
+            _forest_lcs(f1, t2.children[w] + rest2, t1, t2, memo),
+        )
+        if t1.labels[v] == t2.labels[w]:
+            matched = 1 + _forest_lcs(t1.children[v], t2.children[w], t1, t2, memo)
+            value = max(value, matched + _forest_lcs(rest1, rest2, t1, t2, memo))
+    memo[key] = value
+    return value
+
+
+def _reference_pair(a: TopicForest, b: TopicForest) -> int:
+    """The recursive memo DP that the keyroot table replaced."""
+    form1, form2 = _forms(a, b)
+    if form1.labels[0] != form2.labels[0]:
+        return 0
+    shapes: dict[tuple, int] = {}
+    keep = form1.nonroot & form2.nonroot
+    t1, t2 = _Tree(form1, keep, shapes), _Tree(form2, keep, shapes)
+    return 1 + _forest_lcs(t1.children[0], t2.children[0], t1, t2, {})
+
+
+def _chain(doc_id: str, labels: list[str]) -> TopicForest:
+    """A forest whose nodes form one parent-child chain, root first."""
+    root = TopicNode(label=DOC_ROOT_LABEL)
+    tip = root
+    for label in labels:
+        tip.children.append(TopicNode(label=label))
+        tip = tip.children[0]
+    return TopicForest(doc_id=doc_id, root=root)
+
+
+def test_differently_ordered_600_label_chains_compare_without_recursion():
+    labels = [f"t{k}" for k in range(600)]
+    a = _chain("a", labels)
+    b = _chain("b", labels[::2] + labels[1::2])
+    # The longest common subsequence is the evens up to t2k, then the odds.
+    assert tm_similarity(a, b) == 602 / 1200
+    assert len(max_common_subtree(a, b)) == 302
+
+
+WORDS = "amber cedar comet harbor lantern maple orbit river stone violet".split()
+
+
+def _fallback_forests(seed: int, count: int) -> list[TopicForest]:
+    rng = random.Random(seed)
+    forests = []
+    for k in range(count):
+        sentences = [
+            " ".join(rng.choice(WORDS) for _ in range(rng.randint(3, 7)))
+            for _ in range(rng.randint(3, 6))
+        ]
+        forests.append(build_fallback_forest(f"t{k}", ". ".join(sentences) + "."))
+    return forests
+
+
+def _larger_pairs(seed: int):
+    """Random pairs of 20-80 nodes over small alphabets, then every pair of
+    a few fallback forests."""
+    rng = random.Random(seed)
+    for alphabet in ("abc", "aabbc", "abcdefgh"):
+        for _ in range(12):
+            yield tuple(
+                random_forest(rng, min_nodes=20, max_nodes=80, alphabet=alphabet)
+                for _ in range(2)
+            )
+    forests = _fallback_forests(seed, 8)
+    for i, a in enumerate(forests):
+        for b in forests[i + 1 :]:
+            yield a, b
+
+
+def test_table_matches_the_memo_reference_on_larger_forests():
+    sizes = set()
+    for a, b in _larger_pairs(21):
+        expected = _reference_pair(a, b)
+        assert common_subtree_size(a, b) == expected
+        mapping = max_common_subtree(a, b)
+        assert len(mapping) == expected
+        assert mapping_violations(a, b, mapping) == []
+        sizes.add(expected)
+    assert len(sizes) > 20
