@@ -9,6 +9,7 @@ clustering and purity/entropy scoring close the loop.
 from .cluster import ClusterAssignment, Dendrogram, cut, hac
 from .errors import TmclustError, ValidationError, XtmParseError
 from .evalx import ContingencyTable, EvalReport, contingency, entropy, evaluate, purity
+from .matrix import SimilarityMatrix
 from .simbase import (
     build_matrix_base,
     cosine_sim,
@@ -27,7 +28,6 @@ from .textpipe import (
 )
 from .treesim import (
     Mapping,
-    SimilarityMatrix,
     brute_force_common_subtree,
     build_matrix,
     mapping_violations,

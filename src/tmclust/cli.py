@@ -1,10 +1,11 @@
 """Command-line pipeline: ingest, simmatrix, cluster, evaluate, experiment.
 
 Every stage writes plain JSON/CSV artifacts to the output directory.  Run
-separately, each stage after ingest reads its inputs from those artifacts;
-`experiment` passes each stage's result to the next in memory, so it writes
-every artifact once and reads none back.  Outputs are byte-identical across
-runs given the same inputs.
+separately, each stage after ingest reads its inputs from those artifacts,
+and a missing one names the stage to run first; `experiment` passes each
+stage's result to the next in memory, so it writes every artifact once and
+reads none back.  Outputs are byte-identical across runs given the same
+inputs.  One function writes every artifact and one reads each back.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import sys
 import time
@@ -21,6 +23,7 @@ from pathlib import Path
 from . import cluster as _cluster
 from . import evalx, simbase, textpipe, treesim, xtm
 from .errors import TmclustError, ValidationError
+from .matrix import SimilarityMatrix, csv_fields
 
 MEASURE_CHOICES = ("euclidean", "cosine", "jaccard", "kld", "tm-sim")
 MODE_CHOICES = ("xtm-dir", "text-dir", "jsonl")
@@ -76,19 +79,14 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             if key not in known:
                 raise UsageError(f"unknown config key {key!r}")
             values[key] = value
-    for name in (
-        "corpus", "mode", "linkage", "k", "out_dir", "seed",
-        "dataset", "stopwords",
-    ):
+    for name in (f.name for f in fields(ExperimentConfig)):
+        # An unset flag is None, or False for a switch; the file's value stands.
         flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
-    if getattr(args, "measures", None) is not None:
-        values["measures"] = [m.strip() for m in args.measures.split(",") if m.strip()]
-    if getattr(args, "stem", False):
-        values["stem"] = True
-    if getattr(args, "timing", False):
-        values["timing"] = True
+        if flag is None or flag is False:
+            continue
+        if name == "measures":
+            flag = [m.strip() for m in flag.split(",") if m.strip()]
+        values[name] = flag
     config = ExperimentConfig(**values)
     if not config.dataset:
         config.dataset = Path(config.corpus).stem if config.corpus else ""
@@ -128,8 +126,18 @@ def _load_xtm_dir(base: Path, name: str) -> tuple[textpipe.Corpus, dict[str, xtm
     return corpus, trees
 
 
+def _write(path: Path, text: str) -> None:
+    """The one artifact write: UTF-8, with line endings as `text` has them."""
+    path.write_text(text, encoding="utf-8", newline="")
+
+
 def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def _csv_text(rows: list[tuple[str, ...]]) -> str:
+    """Rows of text fields as CSV lines, each field written by `csv_fields`."""
+    return "".join(",".join(csv_fields(row)) + "\n" for row in rows)
 
 
 def _flat_json(obj: dict, inner: str) -> str:
@@ -169,9 +177,7 @@ def _ingest_stage(config: ExperimentConfig) -> tuple[Path, dict, list, list]:
         forest = trees.get(doc.doc_id)
         if forest is None:
             forest = textpipe.build_fallback_forest(doc.doc_id, doc.text, stopwords, config.stem)
-        (out / "forests" / f"{doc.doc_id}.json").write_text(
-            xtm.forest_json_text(forest), encoding="utf-8"
-        )
+        _write(out / "forests" / f"{doc.doc_id}.json", xtm.forest_json_text(forest))
         # Only tm-sim reads forests; without it each one is dropped once written.
         if treesim.TM_MEASURE in config.measures:
             forests.append(forest)
@@ -180,7 +186,7 @@ def _ingest_stage(config: ExperimentConfig) -> tuple[Path, dict, list, list]:
     empty = [v.doc_id for v in vectors if v.is_zero]
     for doc_id in empty:
         print(f"warning: document {doc_id!r} has an empty term vector", file=sys.stderr)
-    (out / "vectors.json").write_text(_vectors_json(vocab, vectors), encoding="utf-8")
+    _write(out / "vectors.json", _vectors_json(vocab, vectors))
     manifest = {
         "dataset": corpus.name,
         "mode": config.mode,
@@ -199,35 +205,37 @@ def cmd_ingest(config: ExperimentConfig) -> Path:
     return _ingest_stage(config)[0]
 
 
-def _read_json(path: Path):
+def _read(path: Path, stage: str) -> str:
+    """The one artifact read: UTF-8 with no newline translation, which would
+    turn a quoted CR into LF.  `stage` is the stage that writes `path`."""
     try:
-        return json.loads(path.read_text("utf-8"))
+        return path.read_bytes().decode("utf-8")
+    except FileNotFoundError:
+        raise ValidationError(f"missing {path}; run {stage} first") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _read_json(path: Path, stage: str):
+    try:
+        return json.loads(_read(path, stage))
     except ValueError as exc:
         raise ValidationError(f"bad JSON in {path}: {exc}") from exc
 
 
 def _read_manifest(out: Path) -> dict:
-    path = out / "manifest.json"
-    if not path.exists():
-        raise ValidationError(f"no manifest at {path}; run ingest first")
-    return _read_json(path)
+    return _read_json(out / "manifest.json", "ingest")
 
 
 def _read_forests(out: Path, doc_ids: list[str]) -> list[xtm.TopicForest]:
-    forests = []
-    for doc_id in doc_ids:
-        path = out / "forests" / f"{doc_id}.json"
-        if not path.exists():
-            raise ValidationError(f"missing forest file {path}")
-        forests.append(xtm.forest_from_json(doc_id, _read_json(path)))
-    return forests
+    return [
+        xtm.forest_from_json(doc_id, _read_json(out / "forests" / f"{doc_id}.json", "ingest"))
+        for doc_id in doc_ids
+    ]
 
 
 def _read_vectors(out: Path, doc_ids: list[str]) -> list[textpipe.TermVector]:
-    path = out / "vectors.json"
-    if not path.exists():
-        raise ValidationError(f"no vectors at {path}; run ingest first")
-    stored = _read_json(path)["vectors"]
+    stored = _read_json(out / "vectors.json", "ingest")["vectors"]
     vectors = []
     for doc_id in doc_ids:
         if doc_id not in stored:
@@ -237,13 +245,13 @@ def _read_vectors(out: Path, doc_ids: list[str]) -> list[textpipe.TermVector]:
     return vectors
 
 
-def _matrix_stage(out: Path, measure: str, items: list) -> treesim.SimilarityMatrix:
+def _matrix_stage(out: Path, measure: str, items: list) -> SimilarityMatrix:
     """Build one measure's matrix from forests (tm-sim) or vectors and write it."""
     if measure == treesim.TM_MEASURE:
         matrix = treesim.build_matrix(items)
     else:
         matrix = simbase.build_matrix_base(measure, items)
-    (out / f"matrix_{measure}.csv").write_text(matrix.to_csv(), encoding="utf-8")
+    _write(out / f"matrix_{measure}.csv", matrix.to_csv())
     return matrix
 
 
@@ -261,21 +269,14 @@ def _resolve_k(config: ExperimentConfig, manifest: dict) -> int:
 
 
 def _cluster_stage(
-    out: Path, matrix: treesim.SimilarityMatrix, linkage: str, k: int
+    out: Path, matrix: SimilarityMatrix, linkage: str, k: int
 ) -> _cluster.ClusterAssignment:
     """Cluster one matrix, write the dendrogram and the cut, return the cut."""
     dendrogram = _cluster.hac(matrix, linkage)
-    (out / f"dendrogram_{matrix.measure}.json").write_text(
-        dendrogram.to_json_text(), encoding="utf-8"
-    )
+    _write(out / f"dendrogram_{matrix.measure}.json", dendrogram.to_json_text())
     assignment = _cluster.cut(dendrogram, k)
-    rows = [
-        f"{doc_id},{cluster}\n"
-        for doc_id, cluster in zip(treesim.csv_fields(matrix.doc_ids), assignment.labels)
-    ]
-    (out / f"assignment_{matrix.measure}.csv").write_text(
-        "doc_id,cluster\n" + "".join(rows), encoding="utf-8", newline=""
-    )
+    rows = zip(matrix.doc_ids, map(str, assignment.labels))
+    _write(out / f"assignment_{matrix.measure}.csv", _csv_text([("doc_id", "cluster"), *rows]))
     return assignment
 
 
@@ -283,15 +284,12 @@ def cmd_cluster(config: ExperimentConfig, measure: str) -> Path:
     """Cluster one measure's matrix and persist the dendrogram and cut."""
     out = Path(config.out_dir)
     manifest = _read_manifest(out)
-    matrix_path = out / f"matrix_{measure}.csv"
-    if not matrix_path.exists():
-        raise ValidationError(f"missing matrix {matrix_path}; run simmatrix first")
+    path = out / f"matrix_{measure}.csv"
+    text = _read(path, "simmatrix")
     try:
-        # Decoded without newline translation, which would turn a quoted CR into LF.
-        text = matrix_path.read_bytes().decode("utf-8")
-        matrix = treesim.SimilarityMatrix.from_csv(text, measure)
-    except (UnicodeDecodeError, ValidationError) as exc:
-        raise ValidationError(f"{matrix_path}: {exc}") from exc
+        matrix = SimilarityMatrix.from_csv(text, measure)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     _cluster_stage(out, matrix, config.linkage, _resolve_k(config, manifest))
     return out / f"assignment_{measure}.csv"
 
@@ -312,11 +310,10 @@ def cmd_evaluate(config: ExperimentConfig, measure: str) -> evalx.EvalReport:
     out = Path(config.out_dir)
     manifest = _read_manifest(out)
     path = out / f"assignment_{measure}.csv"
-    if not path.exists():
-        raise ValidationError(f"missing assignment {path}; run cluster first")
+    text = _read(path, "cluster")
     try:
-        with path.open(newline="", encoding="utf-8") as handle:
-            rows = [row for row in csv.reader(handle) if row and row != ["doc_id", "cluster"]]
+        lines = csv.reader(io.StringIO(text, newline=""))
+        rows = [row for row in lines if row and row != ["doc_id", "cluster"]]
         doc_ids = [row[0] for row in rows]
         labels = [int(row[1]) for row in rows]
     except (csv.Error, IndexError, ValueError) as exc:
@@ -329,29 +326,25 @@ def cmd_experiment(config: ExperimentConfig) -> Path:
     """Run every configured measure end to end, passing results in memory."""
     out, manifest, forests, vectors = _ingest_stage(config)
     k = _resolve_k(config, manifest)
-    rows = []
+    rows = [REPORT_COLUMNS]
     for measure in config.measures:
         started = time.perf_counter()
         items = forests if measure == treesim.TM_MEASURE else vectors
         matrix = _matrix_stage(out, measure, items)
         assignment = _cluster_stage(out, matrix, config.linkage, k)
         report = _evaluate_stage(out, measure, manifest, matrix.doc_ids, assignment)
-        rows.append((report, time.perf_counter() - started if config.timing else 0.0))
+        secs = time.perf_counter() - started if config.timing else 0.0
+        rows.append((
+            report.dataset, report.measure, config.linkage, str(k),
+            repr(report.purity), repr(report.entropy), f"{secs:.3f}",
+        ))
+        print(
+            f"{report.dataset} {report.measure} linkage={config.linkage} k={k} "
+            f"purity={report.purity:.4f} entropy={report.entropy:.4f}"
+        )
     _write_json(out / "run_config.json", asdict(config))
-    report_path = out / "report.csv"
-    with report_path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        for report, secs in rows:
-            writer.writerow([
-                report.dataset, report.measure, config.linkage, k,
-                repr(report.purity), repr(report.entropy), f"{secs:.3f}",
-            ])
-            print(
-                f"{report.dataset} {report.measure} linkage={config.linkage} k={k} "
-                f"purity={report.purity:.4f} entropy={report.entropy:.4f}"
-            )
-    return report_path
+    _write(out / "report.csv", _csv_text(rows))
+    return out / "report.csv"
 
 
 def _print_report(report: evalx.EvalReport) -> None:
@@ -366,18 +359,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", "-c", help="JSON config file (flags override it)")
-    parser.add_argument("--corpus", help="corpus path")
-    parser.add_argument("--mode", choices=MODE_CHOICES, help="corpus input mode")
-    parser.add_argument("--out-dir", dest="out_dir", help="artifact output directory")
-    parser.add_argument("--dataset", help="dataset name used in reports")
-    parser.add_argument("--stopwords", help="override stopword list file")
-    parser.add_argument(
-        "--stem", action="store_true", help="apply the light suffix stripper"
-    )
-    parser.add_argument("--linkage", choices=_cluster.LINKAGES, help="HAC linkage")
-    parser.add_argument("--k", type=int, help="cluster count (default: gold classes)")
+# Each subcommand's help and action; all but ingest and experiment take --measure.
+_SUBCOMMANDS = {
+    "ingest": ("parse the corpus into forests and vectors", lambda c, a: cmd_ingest(c)),
+    "simmatrix": ("build one similarity matrix", lambda c, a: cmd_simmatrix(c, a.measure)),
+    "cluster": ("cluster a similarity matrix", lambda c, a: cmd_cluster(c, a.measure)),
+    "evaluate": (
+        "score an assignment against gold labels",
+        lambda c, a: _print_report(cmd_evaluate(c, a.measure)),
+    ),
+    "experiment": ("run every measure end to end", lambda c, a: cmd_experiment(c)),
+}
 
 
 @functools.cache
@@ -385,37 +377,30 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built on first use and shared by every later `main` call."""
     parser = _Parser(prog="tmclust", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_ingest = sub.add_parser("ingest", help="parse the corpus into forests and vectors")
-    _add_common(p_ingest)
-    p_ingest.set_defaults(func=lambda cfg, args: cmd_ingest(cfg))
-
-    p_matrix = sub.add_parser("simmatrix", help="build one similarity matrix")
-    _add_common(p_matrix)
-    p_matrix.add_argument("--measure", required=True, choices=MEASURE_CHOICES)
-    p_matrix.set_defaults(func=lambda cfg, args: cmd_simmatrix(cfg, args.measure))
-
-    p_cluster = sub.add_parser("cluster", help="cluster a similarity matrix")
-    _add_common(p_cluster)
-    p_cluster.add_argument("--measure", required=True, choices=MEASURE_CHOICES)
-    p_cluster.set_defaults(func=lambda cfg, args: cmd_cluster(cfg, args.measure))
-
-    p_eval = sub.add_parser("evaluate", help="score an assignment against gold labels")
-    _add_common(p_eval)
-    p_eval.add_argument("--measure", required=True, choices=MEASURE_CHOICES)
-    p_eval.set_defaults(func=lambda cfg, args: _print_report(cmd_evaluate(cfg, args.measure)))
-
-    p_exp = sub.add_parser("experiment", help="run every measure end to end")
-    _add_common(p_exp)
-    p_exp.add_argument("--seed", type=int, help="seed echoed into run_config.json")
-    p_exp.add_argument("--measures", help="comma-separated measure list")
-    p_exp.add_argument(
-        "--timing",
-        action="store_true",
-        help="record wall-clock seconds in the report (breaks byte-identical reruns)",
-    )
-    p_exp.set_defaults(func=lambda cfg, args: cmd_experiment(cfg))
-
+    for name, (help_text, run) in _SUBCOMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("--config", "-c", help="JSON config file (flags override it)")
+        command.add_argument("--corpus", help="corpus path")
+        command.add_argument("--mode", choices=MODE_CHOICES, help="corpus input mode")
+        command.add_argument("--out-dir", dest="out_dir", help="artifact output directory")
+        command.add_argument("--dataset", help="dataset name used in reports")
+        command.add_argument("--stopwords", help="override stopword list file")
+        command.add_argument(
+            "--stem", action="store_true", help="apply the light suffix stripper"
+        )
+        command.add_argument("--linkage", choices=_cluster.LINKAGES, help="HAC linkage")
+        command.add_argument("--k", type=int, help="cluster count (default: gold classes)")
+        if name == "experiment":
+            command.add_argument("--seed", type=int, help="seed echoed into run_config.json")
+            command.add_argument("--measures", help="comma-separated measure list")
+            command.add_argument(
+                "--timing",
+                action="store_true",
+                help="record wall-clock seconds in the report (breaks byte-identical reruns)",
+            )
+        elif name != "ingest":
+            command.add_argument("--measure", required=True, choices=MEASURE_CHOICES)
+        command.set_defaults(func=run)
     return parser
 
 

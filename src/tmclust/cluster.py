@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .treesim import SimilarityMatrix
+from .matrix import SimilarityMatrix
 
 LINKAGES = ("single", "complete", "average")
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .textpipe import TermVector
-from .treesim import SimilarityMatrix
+from .matrix import SimilarityMatrix
 
 
 def _rowsum(x: np.ndarray) -> np.ndarray:

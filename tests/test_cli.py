@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 from pathlib import Path
 
@@ -206,6 +207,24 @@ def test_experiment_writes_report_and_config_echo(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("dataset", ["a\rb", "a\rb,c", 'x,"y"', "plain"])
+def test_report_csv_reads_back_the_dataset_name(tmp_path, dataset):
+    corpus = write_text_corpus(tmp_path / "corpus")
+    out = tmp_path / "out"
+    argv = ["experiment", "--corpus", str(corpus), "--mode", "text-dir", "--out-dir", str(out)]
+    assert main([*argv, "--measures", "cosine,tm-sim", "--dataset", dataset]) == 0
+    data = (out / "report.csv").read_bytes()
+    rows = list(csv.DictReader(io.StringIO(data.decode("utf-8"), newline="")))
+    assert [row["dataset"] for row in rows] == [dataset, dataset]
+    if "\r" not in dataset:
+        # Without a CR in the name, the bytes are what csv.writer writes.
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(rows[0].keys())
+        writer.writerows(row.values() for row in rows)
+        assert data == expected.getvalue().encode("utf-8")
+
+
 def test_experiment_jsonl_with_trees(tmp_path):
     path = write_jsonl(
         make_planted_corpus(n_clusters=2, docs_per_cluster=4, seed=7),
@@ -298,6 +317,17 @@ def test_seed_is_an_experiment_flag_echoed_into_run_config(tmp_path):
     ]
 
 
+def test_zero_valued_flags_are_set_flags(tmp_path):
+    corpus = write_text_corpus(tmp_path / "corpus")
+    out = tmp_path / "out"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"seed": 5, "measures": ["cosine"]}), encoding="utf-8")
+    common = ["experiment", "--config", str(config_path), "--corpus", str(corpus)]
+    assert main([*common, "--out-dir", str(out), "--k", "0"]) == 1
+    assert main([*common, "--out-dir", str(out), "--seed", "0"]) == 0
+    assert json.loads((out / "run_config.json").read_text())["seed"] == 0
+
+
 def test_cli_rejects_unknown_config_key(tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"corpus": "x", "bogus": 1}), encoding="utf-8")
@@ -333,7 +363,7 @@ def test_experiment_reads_no_artifact_back(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("experiment read an artifact back")
 
-    for name in ("_read_manifest", "_read_forests", "_read_vectors"):
+    for name in ("_read", "_read_manifest", "_read_forests", "_read_vectors"):
         monkeypatch.setattr(cli, name, refuse)
     monkeypatch.setattr(SimilarityMatrix, "from_csv", refuse)
     assert main([*common, "--out-dir", str(second)]) == 0
@@ -379,6 +409,24 @@ def _no_cluster_column(path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _not_utf8(path: Path) -> None:
+    path.write_bytes(b"\xff" + path.read_bytes())
+
+
+def _delete(path: Path) -> None:
+    path.unlink()
+
+
+# The stage whose run writes each stage input.
+WRITTEN_BY = {
+    "manifest.json": "ingest",
+    "forests/d1.json": "ingest",
+    "vectors.json": "ingest",
+    "matrix_cosine.csv": "simmatrix",
+    "assignment_cosine.csv": "cluster",
+}
+
+
 @pytest.mark.parametrize(
     "name, corrupt, stage, measure",
     [
@@ -388,8 +436,19 @@ def _no_cluster_column(path: Path) -> None:
         ("matrix_cosine.csv", _ragged_row, "cluster", "cosine"),
         ("matrix_cosine.csv", _non_numeric_cell, "cluster", "cosine"),
         ("assignment_cosine.csv", _no_cluster_column, "evaluate", "cosine"),
+        ("vectors.json", _not_utf8, "simmatrix", "cosine"),
+        ("matrix_cosine.csv", _not_utf8, "cluster", "cosine"),
+        ("manifest.json", _delete, "simmatrix", "cosine"),
+        ("forests/d1.json", _delete, "simmatrix", "tm-sim"),
+        ("vectors.json", _delete, "simmatrix", "cosine"),
+        ("matrix_cosine.csv", _delete, "cluster", "cosine"),
+        ("assignment_cosine.csv", _delete, "evaluate", "cosine"),
     ],
-    ids=["manifest", "forest", "vectors", "matrix-ragged", "matrix-text", "assignment"],
+    ids=[
+        "manifest", "forest", "vectors", "matrix-ragged", "matrix-text", "assignment",
+        "vectors-not-utf8", "matrix-not-utf8", "manifest-missing", "forest-missing",
+        "vectors-missing", "matrix-missing", "assignment-missing",
+    ],
 )
 def test_corrupt_stage_input_exits_2_naming_the_file(tmp_path, capsys, name, corrupt, stage, measure):
     corpus = write_text_corpus(tmp_path / "corpus")
@@ -402,6 +461,8 @@ def test_corrupt_stage_input_exits_2_naming_the_file(tmp_path, capsys, name, cor
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out / name) in err
     assert err.count("\n") == 1 and "Traceback" not in err
+    if corrupt is _delete:
+        assert err == f"error: missing {out / name}; run {WRITTEN_BY[name]} first\n"
 
 
 def test_experiment_writes_a_1000_deep_xtm_hierarchy(tmp_path):
