@@ -14,6 +14,10 @@ from pathlib import Path
 
 from .xtm import DOC_ROOT_LABEL, TopicForest, TopicNode, forest_to_json, sort_forest
 
+# Term ids spell their digits as letters, because `tokenize` keeps only
+# [a-z]+: "common03" would reach the vectors as "common".
+_DIGIT_LETTERS = str.maketrans("0123456789", "abcdefghij")
+
 
 @dataclass
 class PlantedDoc:
@@ -42,9 +46,10 @@ def make_planted_corpus(
     seed: int = 0,
 ) -> list[PlantedDoc]:
     rng = random.Random(seed)
-    shared_pool = [f"common{i:02d}" for i in range(30)]
+    shared_pool = [f"common{i:02d}".translate(_DIGIT_LETTERS) for i in range(30)]
     cluster_pools = [
-        [f"c{c}word{i:02d}" for i in range(30)] for c in range(n_clusters)
+        [f"c{c}word{i:02d}".translate(_DIGIT_LETTERS) for i in range(30)]
+        for c in range(n_clusters)
     ]
 
     docs: list[PlantedDoc] = []

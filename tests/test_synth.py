@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from tmclust.synth import make_planted_corpus, write_jsonl
-from tmclust.textpipe import load_jsonl
+from tmclust.textpipe import load_jsonl, tokenize
 from tmclust.xtm import validate_forest
 
 
@@ -14,6 +14,16 @@ def test_planted_corpus_shape_and_validity():
         validate_forest(doc.forest)
         assert doc.forest.n >= 2
         assert doc.text
+
+
+def test_planted_words_survive_tokenize():
+    docs = make_planted_corpus(n_clusters=4, docs_per_cluster=25, seed=0)
+    words = {word for doc in docs for word in doc.text.split()}
+    # 1000 draws from each 30-word pool reach every word of the shared pool
+    # and of the four cluster pools.
+    assert len(words) == 30 + 4 * 30
+    for word in sorted(words):
+        assert tokenize(word) == [word]
 
 
 def test_planted_corpus_deterministic_for_seed(tmp_path):
