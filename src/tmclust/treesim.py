@@ -170,6 +170,8 @@ def _pair(a: _Form, b: _Form, pairs: list[tuple[int, int]] | None = None) -> int
 
 
 def _similarity(a: _Form, b: _Form) -> float:
+    if a.labels[0] != b.labels[0]:
+        return 0.0
     n1, n2 = len(a.labels), len(b.labels)
     if n1 == 1 and n2 == 1:
         return 1.0
@@ -197,7 +199,8 @@ def tm_similarity(a: TopicForest, b: TopicForest) -> float:
     """Dice-style similarity over non-root nodes, in [0, 1].
 
     sim = (2*|mapping| - 2) / (n1 + n2 - 2); the shared synthetic root is
-    discounted.  Two root-only forests are defined as identical (1.0).
+    discounted.  Forests whose roots differ have an empty mapping and
+    score 0.0; two root-only forests with one root label score 1.0.
     """
     return _similarity(*_forms(a, b))
 

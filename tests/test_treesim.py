@@ -61,6 +61,22 @@ def test_root_only_forests_are_identical():
     assert tm_similarity(make_forest("a"), make_forest("b")) == 1.0
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (node("x", node("p")), node("y", node("p"))),
+        (node("x"), node("y")),
+        (node("x", node("p")), node("y")),
+    ],
+    ids=["shared-child", "root-only", "one-root-only"],
+)
+def test_forests_with_different_roots_score_zero(a, b):
+    t1, t2 = TopicForest("d1", a), TopicForest("d2", b)
+    assert len(brute_force_common_subtree(t1, t2)) == 0
+    assert tm_similarity(t1, t2) == 0.0
+    assert tm_similarity(t2, t1) == 0.0
+
+
 def test_identity_similarity_is_one():
     rng = random.Random(2)
     for _ in range(20):
