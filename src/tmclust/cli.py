@@ -17,6 +17,7 @@ import io
 import json
 import sys
 import time
+import typing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -64,6 +65,16 @@ class ExperimentConfig:
             raise UsageError("k must be >= 1")
 
 
+def _fits(value, hint) -> bool:
+    """Whether a config file's JSON value has the field type `hint`."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        return type(value) is list and all(_fits(v, args[0]) for v in value)
+    if args:  # a union such as `int | None`
+        return any(_fits(value, arg) for arg in args)
+    return type(value) is hint
+
+
 def load_config(args: argparse.Namespace) -> ExperimentConfig:
     values: dict = {}
     if getattr(args, "config", None):
@@ -71,13 +82,18 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         if not path.exists():
             raise UsageError(f"config file not found: {path}")
         try:
-            loaded = json.loads(path.read_text("utf-8"))
-        except json.JSONDecodeError as exc:
+            loaded = json.loads(path.read_bytes().decode("utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
             raise UsageError(f"bad config JSON in {path}: {exc}") from exc
-        known = {f.name for f in fields(ExperimentConfig)}
+        if not isinstance(loaded, dict):
+            raise UsageError(f"config file {path} must hold a JSON object")
+        hints = typing.get_type_hints(ExperimentConfig)
         for key, value in loaded.items():
-            if key not in known:
+            if key not in hints:
                 raise UsageError(f"unknown config key {key!r}")
+            if not _fits(value, hints[key]):
+                wanted = next(f.type for f in fields(ExperimentConfig) if f.name == key)
+                raise UsageError(f"config key {key!r} must be {wanted}, got {value!r}")
             values[key] = value
     for name in (f.name for f in fields(ExperimentConfig)):
         # An unset flag is None, or False for a switch; the file's value stands.

@@ -334,6 +334,30 @@ def test_cli_rejects_unknown_config_key(tmp_path):
     assert main(["ingest", "--config", str(config_path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "content, named",
+    [
+        (b"[1]", "config.json"),
+        (b'{"corpus": "\xff"}', "config.json"),
+        (b'{"corpus": "x", "k": "3"}', "'k'"),
+        (b'{"corpus": "x", "k": true}', "'k'"),
+        (b'{"corpus": 5}', "'corpus'"),
+        (b'{"corpus": "x", "measures": "cosine"}', "'measures'"),
+        (b'{"corpus": "x", "measures": ["cosine", 3]}', "'measures'"),
+        (b'{"corpus": "x", "stem": "yes"}', "'stem'"),
+    ],
+    ids=["array", "not-utf8", "k-string", "k-bool", "corpus-number",
+         "measures-string", "measures-number", "stem-string"],
+)
+def test_malformed_config_file_is_a_usage_error(tmp_path, capsys, content, named):
+    config_path = tmp_path / "config.json"
+    config_path.write_bytes(content)
+    assert main(["ingest", "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert named in err
+
+
 def test_cli_requires_corpus():
     assert main(["ingest"]) == 1
 
