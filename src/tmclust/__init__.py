@@ -43,7 +43,6 @@ from .xtm import (
     TopicMapDoc,
     TopicNode,
     derive_forest,
-    dump_tree,
     forest_from_json,
     forest_to_json,
     number_nodes,

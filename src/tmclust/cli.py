@@ -27,7 +27,7 @@ from .errors import TmclustError, ValidationError
 from .matrix import SimilarityMatrix, csv_fields
 
 MEASURE_CHOICES = ("euclidean", "cosine", "jaccard", "kld", "tm-sim")
-MODE_CHOICES = ("xtm-dir", "text-dir", "jsonl")
+MODE_CHOICES = textpipe.MODES
 REPORT_COLUMNS = ("dataset", "measure", "linkage", "k", "purity", "entropy", "seconds")
 
 
@@ -79,12 +79,10 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     values: dict = {}
     if getattr(args, "config", None):
         path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
         try:
             loaded = json.loads(path.read_bytes().decode("utf-8"))
-        except ValueError as exc:  # not UTF-8, or not JSON
-            raise UsageError(f"bad config JSON in {path}: {exc}") from exc
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+            raise UsageError(f"bad config file {path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise UsageError(f"config file {path} must hold a JSON object")
         hints = typing.get_type_hints(ExperimentConfig)
@@ -92,7 +90,7 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             if key not in hints:
                 raise UsageError(f"unknown config key {key!r}")
             if not _fits(value, hints[key]):
-                wanted = next(f.type for f in fields(ExperimentConfig) if f.name == key)
+                wanted = ExperimentConfig.__annotations__[key]
                 raise UsageError(f"config key {key!r} must be {wanted}, got {value!r}")
             values[key] = value
     for name in (f.name for f in fields(ExperimentConfig)):
@@ -104,42 +102,9 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             flag = [m.strip() for m in flag.split(",") if m.strip()]
         values[name] = flag
     config = ExperimentConfig(**values)
-    if not config.dataset:
-        config.dataset = Path(config.corpus).stem if config.corpus else ""
     config.validate()
+    config.dataset = config.dataset or Path(config.corpus).stem
     return config
-
-
-def _load_corpus(config: ExperimentConfig) -> tuple[textpipe.Corpus, dict[str, xtm.TopicForest]]:
-    base = Path(config.corpus)
-    if not base.exists():
-        raise ValidationError(f"corpus path not found: {base}")
-    if config.mode == "jsonl":
-        return textpipe.load_jsonl(base, name=config.dataset)
-    if config.mode == "text-dir":
-        return textpipe.load_text_dir(base, name=config.dataset), {}
-    return _load_xtm_dir(base, config.dataset)
-
-
-def _load_xtm_dir(base: Path, name: str) -> tuple[textpipe.Corpus, dict[str, xtm.TopicForest]]:
-    paths = sorted(base.glob("*.xtm"))
-    if not paths:
-        raise ValidationError(f"no documents found under {base}")
-    labels = textpipe.read_labels(base / "labels.csv", [path.stem for path in paths])
-    docs = []
-    trees: dict[str, xtm.TopicForest] = {}
-    for path in paths:
-        doc_id = path.stem
-        parsed = xtm.parse_xtm(path.read_bytes(), doc_id=doc_id)
-        trees[doc_id] = xtm.derive_forest(parsed)
-        # Vector text for XTM input: topic names plus occurrence values.
-        words = [t.name for t in parsed.topics] + [o.value for o in parsed.occurrences]
-        docs.append(
-            textpipe.CorpusDoc(doc_id=doc_id, text=" ".join(words), label=labels[doc_id])
-        )
-    corpus = textpipe.Corpus(docs=docs, name=name)
-    corpus.validate()
-    return corpus, trees
 
 
 def _write(path: Path, text: str) -> None:
@@ -183,7 +148,7 @@ def _vectors_json(vocab: textpipe.Vocabulary, vectors: list[textpipe.TermVector]
 def _ingest_stage(config: ExperimentConfig) -> tuple[Path, dict, list, list]:
     """Write forests, vectors and the manifest; return the out dir, the manifest,
     the forests (none unless tm-sim is measured) and the vectors, in doc order."""
-    corpus, trees = _load_corpus(config)
+    corpus, trees = textpipe.load_corpus(config.corpus, config.mode, config.dataset)
     stopwords = None if config.stopwords is None else textpipe.load_stopwords(config.stopwords)
     out = Path(config.out_dir)
     (out / "forests").mkdir(parents=True, exist_ok=True)
@@ -280,10 +245,6 @@ def cmd_simmatrix(config: ExperimentConfig, measure: str) -> Path:
     return out / f"matrix_{measure}.csv"
 
 
-def _resolve_k(config: ExperimentConfig, manifest: dict) -> int:
-    return config.k if config.k is not None else len(manifest["classes"])
-
-
 def _cluster_stage(
     out: Path, matrix: SimilarityMatrix, linkage: str, k: int
 ) -> _cluster.ClusterAssignment:
@@ -306,7 +267,7 @@ def cmd_cluster(config: ExperimentConfig, measure: str) -> Path:
         matrix = SimilarityMatrix.from_csv(text, measure)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-    _cluster_stage(out, matrix, config.linkage, _resolve_k(config, manifest))
+    _cluster_stage(out, matrix, config.linkage, config.k or len(manifest["classes"]))
     return out / f"assignment_{measure}.csv"
 
 
@@ -322,7 +283,7 @@ def _evaluate_stage(
 
 
 def cmd_evaluate(config: ExperimentConfig, measure: str) -> evalx.EvalReport:
-    """Score one measure's assignment against the gold labels."""
+    """Score one measure's assignment against the gold labels and print the scores."""
     out = Path(config.out_dir)
     manifest = _read_manifest(out)
     path = out / f"assignment_{measure}.csv"
@@ -335,13 +296,18 @@ def cmd_evaluate(config: ExperimentConfig, measure: str) -> evalx.EvalReport:
     except (csv.Error, IndexError, ValueError) as exc:
         raise ValidationError(f"bad row in {path}: {exc}") from exc
     assignment = _cluster.ClusterAssignment(k=len(set(labels)), labels=labels)
-    return _evaluate_stage(out, measure, manifest, doc_ids, assignment)
+    report = _evaluate_stage(out, measure, manifest, doc_ids, assignment)
+    print(
+        f"{report.dataset} {report.measure} k={report.k} "
+        f"purity={report.purity:.4f} entropy={report.entropy:.4f}"
+    )
+    return report
 
 
 def cmd_experiment(config: ExperimentConfig) -> Path:
     """Run every configured measure end to end, passing results in memory."""
     out, manifest, forests, vectors = _ingest_stage(config)
-    k = _resolve_k(config, manifest)
+    k = config.k or len(manifest["classes"])
     rows = [REPORT_COLUMNS]
     for measure in config.measures:
         started = time.perf_counter()
@@ -363,13 +329,6 @@ def cmd_experiment(config: ExperimentConfig) -> Path:
     return out / "report.csv"
 
 
-def _print_report(report: evalx.EvalReport) -> None:
-    print(
-        f"{report.dataset} {report.measure} k={report.k} "
-        f"purity={report.purity:.4f} entropy={report.entropy:.4f}"
-    )
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit code 1 for usage errors
         raise UsageError(message)
@@ -380,10 +339,7 @@ _SUBCOMMANDS = {
     "ingest": ("parse the corpus into forests and vectors", lambda c, a: cmd_ingest(c)),
     "simmatrix": ("build one similarity matrix", lambda c, a: cmd_simmatrix(c, a.measure)),
     "cluster": ("cluster a similarity matrix", lambda c, a: cmd_cluster(c, a.measure)),
-    "evaluate": (
-        "score an assignment against gold labels",
-        lambda c, a: _print_report(cmd_evaluate(c, a.measure)),
-    ),
+    "evaluate": ("score an assignment against gold labels", lambda c, a: cmd_evaluate(c, a.measure)),
     "experiment": ("run every measure end to end", lambda c, a: cmd_experiment(c)),
 }
 

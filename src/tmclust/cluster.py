@@ -21,14 +21,9 @@ class Dendrogram:
     n_leaves: int
     merges: list[tuple[int, int, float, int]]
 
-    def to_json(self) -> dict:
-        return {
-            "n_leaves": self.n_leaves,
-            "merges": [[a, b, sim, new] for a, b, sim, new in self.merges],
-        }
-
     def to_json_text(self) -> str:
-        """`json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"`,
+        """The dendrogram as `json.dumps(..., sort_keys=True, indent=2) + "\n"`
+        formats `{"merges": [[left, right, sim, new], ...], "n_leaves": n}`,
         built without the pure-Python encoder that `indent` selects."""
         if not self.merges:
             merges = "[]"

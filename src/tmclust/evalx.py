@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from .cluster import ClusterAssignment
@@ -19,12 +19,8 @@ class ContingencyTable:
     counts: list[list[int]]
 
     @property
-    def cluster_sizes(self) -> list[int]:
-        return [sum(row) for row in self.counts]
-
-    @property
     def total(self) -> int:
-        return sum(self.cluster_sizes)
+        return sum(map(sum, self.counts))
 
 
 @dataclass
@@ -37,14 +33,7 @@ class EvalReport:
     per_cluster: list[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "measure": self.measure,
-            "dataset": self.dataset,
-            "k": self.k,
-            "purity": self.purity,
-            "entropy": self.entropy,
-            "per_cluster": self.per_cluster,
-        }
+        return asdict(self)
 
 
 def contingency(

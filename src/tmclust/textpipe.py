@@ -18,8 +18,13 @@ from .xtm import (
     DOC_ROOT_LABEL,
     TopicForest,
     TopicNode,
+    derive_forest,
     forest_from_json,
+    parse_xtm,
 )
+
+# Corpus input modes, as `load_corpus` takes them.
+MODES = ("xtm-dir", "text-dir", "jsonl")
 
 _TOKEN_RE = re.compile(r"[a-z]+")
 _SENTENCE_RE = re.compile(r"[.!?]+")
@@ -153,10 +158,6 @@ def vectorize(
     return vocab, vectors
 
 
-def split_sentences(text: str) -> list[str]:
-    return [part for part in _SENTENCE_RE.split(text) if part.strip()]
-
-
 def build_fallback_forest(
     doc_id: str, text: str, stopwords: frozenset[str] | None = None, stem: bool = False
 ) -> TopicForest:
@@ -167,7 +168,7 @@ def build_fallback_forest(
     smallest).  The sentence's remaining distinct tokens become that topic's
     children; repeated topics merge and their child sets union.
     """
-    sentence_tokens = [tokenize(s, stopwords, stem) for s in split_sentences(text)]
+    sentence_tokens = [tokenize(s, stopwords, stem) for s in _SENTENCE_RE.split(text)]
     doc_counts: Counter[str] = Counter()
     for tokens in sentence_tokens:
         doc_counts.update(tokens)
@@ -186,22 +187,6 @@ def build_fallback_forest(
         node.children = [TopicNode(label=c) for c in sorted(children_of[topic])]
         root.children.append(node)
     return TopicForest(doc_id=doc_id, root=root)
-
-
-def load_text_dir(path: str | Path, name: str = "") -> Corpus:
-    """Load a directory of .txt files plus a labels.csv (doc_id,label)."""
-    base = Path(path)
-    paths = sorted(base.glob("*.txt"))
-    if not paths:
-        raise ValidationError(f"no documents found under {base}")
-    labels = read_labels(base / "labels.csv", [txt.stem for txt in paths])
-    docs = [
-        CorpusDoc(doc_id=txt.stem, text=txt.read_text("utf-8"), label=labels[txt.stem])
-        for txt in paths
-    ]
-    corpus = Corpus(docs=docs, name=name or base.name)
-    corpus.validate()
-    return corpus
 
 
 def read_labels(path: Path, doc_ids: list[str]) -> dict[str, str]:
@@ -270,6 +255,45 @@ def load_jsonl(path: str | Path, name: str = "") -> tuple[Corpus, dict[str, Topi
                 trees[doc_id] = forest_from_json(doc_id, record["tree"])
     if not docs:
         raise ValidationError(f"no documents found in {base}")
+    corpus = Corpus(docs=docs, name=name or base.stem)
+    corpus.validate()
+    return corpus, trees
+
+
+def load_corpus(
+    path: str | Path, mode: str, name: str = ""
+) -> tuple[Corpus, dict[str, TopicForest]]:
+    """Load a corpus in one of `MODES`, with the forests its input pins.
+
+    `jsonl` is one file, read by `load_jsonl`.  `text-dir` and `xtm-dir` are
+    a directory of `*.txt` or `*.xtm` files plus labels.csv, read by
+    `read_labels`; a document's id is its file stem.  An XTM document's
+    forest is derived from its topic map, and its vector text is its topic
+    names plus its occurrence values.  `name` defaults to the path's stem.
+    """
+    if mode not in MODES:
+        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
+    base = Path(path)
+    if not base.exists():
+        raise ValidationError(f"corpus path not found: {base}")
+    if mode == "jsonl":
+        return load_jsonl(base, name)
+    paths = sorted(base.glob("*.xtm" if mode == "xtm-dir" else "*.txt"))
+    if not paths:
+        raise ValidationError(f"no documents found under {base}")
+    labels = read_labels(base / "labels.csv", [p.stem for p in paths])
+    docs: list[CorpusDoc] = []
+    trees: dict[str, TopicForest] = {}
+    for doc_path in paths:
+        doc_id = doc_path.stem
+        if mode == "xtm-dir":
+            parsed = parse_xtm(doc_path.read_bytes(), doc_id=doc_id)
+            trees[doc_id] = derive_forest(parsed)
+            words = [t.name for t in parsed.topics] + [o.value for o in parsed.occurrences]
+            text = " ".join(words)
+        else:
+            text = doc_path.read_text("utf-8")
+        docs.append(CorpusDoc(doc_id=doc_id, text=text, label=labels[doc_id]))
     corpus = Corpus(docs=docs, name=name or base.stem)
     corpus.validate()
     return corpus, trees

@@ -299,13 +299,13 @@ def mapping_violations(a: TopicForest, b: TopicForest, mapping: Mapping) -> list
 
 def brute_force_common_subtree(a: TopicForest, b: TopicForest) -> Mapping:
     """Exhaustive maximum-mapping search; refuses trees above 10 nodes."""
-    n1, n2 = a.n, b.n
+    labels1, rel1 = _relation_table(a)
+    labels2, rel2 = _relation_table(b)
+    n1, n2 = len(labels1), len(labels2)
     if n1 > 10 or n2 > 10:
         raise ValueError(
             f"brute force oracle limited to 10 nodes per tree, got {n1} and {n2}"
         )
-    labels1, rel1 = _relation_table(a)
-    labels2, rel2 = _relation_table(b)
     candidates = {
         i: [j for j in range(1, n2 + 1) if labels2[j] == labels1[i]]
         for i in range(1, n1 + 1)

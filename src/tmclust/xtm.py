@@ -58,9 +58,6 @@ class TopicMapDoc:
     associations: list[Association] = field(default_factory=list)
     occurrences: list[Occurrence] = field(default_factory=list)
 
-    def topic_names(self) -> dict[str, str]:
-        return {t.id: t.name for t in self.topics}
-
 
 @dataclass(eq=False)
 class TopicNode:
@@ -76,11 +73,6 @@ class TopicForest:
 
     doc_id: str
     root: TopicNode
-
-    @property
-    def n(self) -> int:
-        """Node count, synthetic root included."""
-        return sum(1 for _ in iter_bfs(self.root))
 
 
 def iter_bfs(root: TopicNode) -> Iterator[TopicNode]:
@@ -256,24 +248,22 @@ def serialize_xtm(doc: TopicMapDoc) -> bytes:
     return ET.tostring(root, encoding="utf-8", xml_declaration=True)
 
 
-def derive_forest(
-    doc: TopicMapDoc,
-    hierarchical_types: frozenset[str] | set[str] = DEFAULT_HIERARCHICAL_TYPES,
-) -> TopicForest:
+def derive_forest(doc: TopicMapDoc) -> TopicForest:
     """Build the document's ordered topic forest.
 
-    Associations whose type is in `hierarchical_types` induce parent->child
-    edges.  A child keeps only the edge from its lexicographically smallest
-    parent label; remaining edges are applied in sorted (parent, child)
-    label order and any edge that would close a cycle is skipped.  Topics
-    left without a parent hang off the synthetic root.  Sibling lists are
-    sorted by label.
+    Associations whose type is in `DEFAULT_HIERARCHICAL_TYPES` induce
+    parent->child edges.  A child keeps only the edge from its
+    lexicographically smallest parent label; remaining edges are applied in
+    sorted (parent, child) label order and any edge that would close a
+    cycle is skipped.  Topics left without a parent hang off the synthetic
+    root.  Sibling lists are sorted by (label, topic id).
     """
-    names = doc.topic_names()
-    edges: set[tuple[str, str]] = set()
-    for assoc in doc.associations:
-        if assoc.assoc_type in hierarchical_types:
-            edges.add((assoc.parent_role, assoc.child_role))
+    names = {t.id: t.name for t in doc.topics}
+    edges = {
+        (assoc.parent_role, assoc.child_role)
+        for assoc in doc.associations
+        if assoc.assoc_type in DEFAULT_HIERARCHICAL_TYPES
+    }
 
     # One parent per child: smallest (parent label, parent id) wins.
     by_child: dict[str, list[tuple[str, str]]] = {}
@@ -288,31 +278,18 @@ def derive_forest(
     parent_of: dict[str, str] = {}
     for parent, child in chosen:
         ancestor = parent
-        cyclic = False
-        while ancestor is not None:
-            if ancestor == child:
-                cyclic = True
-                break
+        while ancestor is not None and ancestor != child:
             ancestor = parent_of.get(ancestor)
-        if not cyclic:
+        if ancestor is None:  # the edge closes no cycle
             parent_of[child] = parent
 
     nodes = {t.id: TopicNode(label=t.name) for t in doc.topics}
-    child_ids: dict[str | None, list[str]] = {}
-    for topic in doc.topics:
-        child_ids.setdefault(parent_of.get(topic.id), []).append(topic.id)
-
     root = TopicNode(label=DOC_ROOT_LABEL)
-    # An explicit stack, so that a hierarchy of any depth can be built.
-    # Each node gets its whole sorted child list at once, so the order in
-    # which nodes are visited does not change the forest.
-    stack: list[tuple[TopicNode, str | None]] = [(root, None)]
-    while stack:
-        parent_node, key = stack.pop()
-        for topic_id in sorted(child_ids.get(key, []), key=lambda i: (names[i], i)):
-            node = nodes[topic_id]
-            parent_node.children.append(node)
-            stack.append((node, topic_id))
+    # Each topic joins its parent's list in (label, id) order, which leaves
+    # every sibling list sorted; no walk, so a hierarchy of any depth works.
+    for topic in sorted(doc.topics, key=lambda t: (t.name, t.id)):
+        parent = parent_of.get(topic.id)
+        (root if parent is None else nodes[parent]).children.append(nodes[topic.id])
     return TopicForest(doc_id=doc.doc_id, root=root)
 
 
@@ -399,15 +376,3 @@ def forest_from_json(doc_id: str, obj: dict) -> TopicForest:
         )
     return sort_forest(TopicForest(doc_id=doc_id, root=root))
 
-
-def dump_tree(forest: TopicForest) -> str:
-    """Indented debug dump, one `depth*2 spaces + label` line per node."""
-    lines: list[str] = []
-
-    def walk(node: TopicNode, depth: int) -> None:
-        lines.append(" " * (2 * depth) + node.label)
-        for child in node.children:
-            walk(child, depth + 1)
-
-    walk(forest.root, 0)
-    return "\n".join(lines) + "\n"

@@ -4,6 +4,9 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -257,6 +260,49 @@ def test_cli_exit_codes(tmp_path):
     assert missing == 2
 
 
+def _forest_labels(out: Path) -> set[str]:
+    labels: set[str] = set()
+    for path in (out / "forests").glob("*.json"):
+        stack = [json.loads(path.read_text("utf-8"))]
+        while stack:
+            item = stack.pop()
+            labels.add(item["label"])
+            stack.extend(item["children"])
+    return labels
+
+
+def test_stopwords_file_removes_its_words_from_vectors_and_forests(tmp_path):
+    corpus = write_text_corpus(tmp_path / "corpus")
+    stopwords = tmp_path / "stop.txt"
+    stopwords.write_text("Soup\nred\n", encoding="utf-8")
+    common = ["ingest", "--corpus", str(corpus), "--mode", "text-dir"]
+    for out, flags, kept in (
+        (tmp_path / "default", [], True),
+        (tmp_path / "custom", ["--stopwords", str(stopwords)], False),
+    ):
+        assert main([*common, "--out-dir", str(out), *flags]) == 0
+        vectors = json.loads((out / "vectors.json").read_text("utf-8"))
+        terms = set(vectors["index"]).union(*vectors["vectors"].values())
+        labels = _forest_labels(out)
+        for word in ("soup", "red"):
+            assert (word in terms) is kept and (word in labels) is kept
+        assert "cars" in terms and "cars" in labels
+
+
+def test_process_exit_status(tmp_path):
+    corpus = write_text_corpus(tmp_path / "corpus")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    common = [sys.executable, "-m", "tmclust.cli", "ingest", "--out-dir", str(tmp_path / "out")]
+    for flags, status in (
+        (["--corpus", str(corpus), "--mode", "text-dir"], 0),
+        (["--corpus", str(corpus), "--mode", "bogus"], 1),
+        (["--corpus", str(tmp_path / "nowhere"), "--mode", "text-dir"], 2),
+    ):
+        done = subprocess.run([*common, *flags], env=env, capture_output=True, text=True)
+        assert done.returncode == status, done.stderr
+        assert "Traceback" not in done.stderr
+
+
 def test_deeply_nested_tree_exits_2_without_traceback(tmp_path, capsys):
     # json.dumps cannot encode a 1000-deep chain either, so build the line by hand.
     depth = 1000
@@ -356,6 +402,12 @@ def test_malformed_config_file_is_a_usage_error(tmp_path, capsys, content, named
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert named in err
+
+
+def test_config_path_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
+    assert main(["ingest", "--config", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and str(tmp_path) in err
 
 
 def test_cli_requires_corpus():

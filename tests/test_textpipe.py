@@ -13,12 +13,12 @@ from tmclust.textpipe import (
     CorpusDoc,
     TermVector,
     build_fallback_forest,
+    load_corpus,
     load_jsonl,
-    load_text_dir,
     tokenize,
     vectorize,
 )
-from tmclust.xtm import DOC_ROOT_LABEL, forest_to_json, validate_forest
+from tmclust.xtm import DOC_ROOT_LABEL, forest_to_json, number_nodes, validate_forest
 
 
 def test_tokenize_basic():
@@ -132,7 +132,7 @@ def test_fallback_forest_modal_topic_merging():
 
 def test_fallback_forest_single_word():
     forest = build_fallback_forest("d", "alpha")
-    assert forest.n == 2
+    assert len(number_nodes(forest)) == 2
     assert forest.root.children[0].label == "alpha"
 
 
@@ -144,7 +144,7 @@ def test_fallback_forest_deterministic():
 
 def test_fallback_forest_empty_text_gives_root_only():
     forest = build_fallback_forest("d", "the of and.")
-    assert forest.n == 1
+    assert len(number_nodes(forest)) == 1
     assert forest.root.label == DOC_ROOT_LABEL
 
 
@@ -164,7 +164,7 @@ def test_load_text_dir(tmp_path):
     (tmp_path / "a.txt").write_text("cat dog", encoding="utf-8")
     (tmp_path / "b.txt").write_text("bird fish", encoding="utf-8")
     (tmp_path / "labels.csv").write_text("doc_id,label\na,pets\nb,wild\n", encoding="utf-8")
-    corpus = load_text_dir(tmp_path)
+    corpus = load_corpus(tmp_path, "text-dir")[0]
     assert [d.doc_id for d in corpus.docs] == ["a", "b"]
     assert corpus.classes == ["pets", "wild"]
 
@@ -173,13 +173,13 @@ def test_load_text_dir_missing_label(tmp_path):
     (tmp_path / "a.txt").write_text("cat", encoding="utf-8")
     (tmp_path / "labels.csv").write_text("doc_id,label\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="'a'"):
-        load_text_dir(tmp_path)
+        load_corpus(tmp_path, "text-dir")
 
 
 def test_load_text_dir_empty(tmp_path):
     (tmp_path / "labels.csv").write_text("doc_id,label\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="no documents"):
-        load_text_dir(tmp_path)
+        load_corpus(tmp_path, "text-dir")
 
 
 def test_load_jsonl_with_tree_fixture(tmp_path):

@@ -13,7 +13,6 @@ from tmclust.xtm import (
     Topic,
     TopicMapDoc,
     derive_forest,
-    dump_tree,
     forest_from_json,
     forest_json_text,
     forest_to_json,
@@ -119,7 +118,7 @@ def _doc(topics: list[str], edges: list[tuple[str, str]]) -> TopicMapDoc:
 
 def test_derive_forest_basic_hierarchy():
     forest = derive_forest(_doc(["a", "b", "c"], [("a", "b"), ("a", "c")]))
-    assert forest.n == 4
+    assert len(number_nodes(forest)) == 4
     assert forest_to_json(forest) == {
         "label": DOC_ROOT_LABEL,
         "children": [
@@ -136,7 +135,7 @@ def test_derive_forest_basic_hierarchy():
 
 def test_derive_forest_flat_when_no_associations():
     forest = derive_forest(_doc(["x", "y"], []))
-    assert forest.n == 3
+    assert len(number_nodes(forest)) == 3
     assert [c.label for c in forest.root.children] == ["x", "y"]
 
 
@@ -193,7 +192,7 @@ def test_derive_forest_node_count_is_topics_plus_root():
                 edges.append((topics[rng.randrange(i)], topics[i]))
         forest = derive_forest(_doc(topics, edges))
         validate_forest(forest)
-        assert forest.n == n + 1
+        assert len(number_nodes(forest)) == n + 1
 
 
 def test_number_nodes_two_children():
@@ -219,7 +218,7 @@ def test_number_nodes_bijective_and_depth_monotone():
         forest = random_forest(rng, max_nodes=12)
         numbered = number_nodes(forest)
         values = sorted(numbered.values())
-        assert values == list(range(1, forest.n + 1))
+        assert values == list(range(1, len(list(iter_bfs(forest.root))) + 1))
         depth = {id(forest.root): 0}
         for parent in iter_bfs(forest.root):
             for child in parent.children:
@@ -274,11 +273,6 @@ def test_forest_json_text_of_deep_and_random_forests():
 def test_forest_from_json_requires_doc_root():
     with pytest.raises(ValidationError, match="rooted"):
         forest_from_json("d", {"label": "nope", "children": []})
-
-
-def test_dump_tree_indentation():
-    forest = make_forest("d", node("a", node("b")), node("c"))
-    assert dump_tree(forest) == f"{DOC_ROOT_LABEL}\n  a\n    b\n  c\n"
 
 
 def test_validate_forest_rejects_unsorted_siblings():
