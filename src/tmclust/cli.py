@@ -339,7 +339,9 @@ _SUBCOMMANDS = {
     "ingest": ("parse the corpus into forests and vectors", lambda c, a: cmd_ingest(c)),
     "simmatrix": ("build one similarity matrix", lambda c, a: cmd_simmatrix(c, a.measure)),
     "cluster": ("cluster a similarity matrix", lambda c, a: cmd_cluster(c, a.measure)),
-    "evaluate": ("score an assignment against gold labels", lambda c, a: cmd_evaluate(c, a.measure)),
+    "evaluate": (
+        "score an assignment against gold labels", lambda c, a: cmd_evaluate(c, a.measure)
+    ),
     "experiment": ("run every measure end to end", lambda c, a: cmd_experiment(c)),
 }
 

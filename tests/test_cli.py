@@ -383,6 +383,7 @@ def test_cli_rejects_unknown_config_key(tmp_path):
 @pytest.mark.parametrize(
     "content, named",
     [
+        (None, "config.json"),
         (b"[1]", "config.json"),
         (b'{"corpus": "\xff"}', "config.json"),
         (b'{"corpus": "x", "k": "3"}', "'k'"),
@@ -392,22 +393,19 @@ def test_cli_rejects_unknown_config_key(tmp_path):
         (b'{"corpus": "x", "measures": ["cosine", 3]}', "'measures'"),
         (b'{"corpus": "x", "stem": "yes"}', "'stem'"),
     ],
-    ids=["array", "not-utf8", "k-string", "k-bool", "corpus-number",
+    ids=["directory", "array", "not-utf8", "k-string", "k-bool", "corpus-number",
          "measures-string", "measures-number", "stem-string"],
 )
 def test_malformed_config_file_is_a_usage_error(tmp_path, capsys, content, named):
     config_path = tmp_path / "config.json"
-    config_path.write_bytes(content)
+    if content is None:
+        config_path.mkdir()
+    else:
+        config_path.write_bytes(content)
     assert main(["ingest", "--config", str(config_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert named in err
-
-
-def test_config_path_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
-    assert main(["ingest", "--config", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("usage error: ") and str(tmp_path) in err
 
 
 def test_cli_requires_corpus():

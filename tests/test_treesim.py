@@ -305,11 +305,10 @@ def test_matrix_validate_rejects_asymmetry_and_range():
         out_of_range.validate()
 
 
-# Matrix CSV digests for make_planted_corpus(4, 10, seed=0), recorded with the
-# DP on uncontracted forests: the zero shortcut and contraction must not move
-# a byte of them.  The fallback digest was re-recorded when the planted term
-# ids became alphabetic (forests of 40-51 nodes instead of 3); the keyroot
-# table and `_reference_pair` below both give it.
+# Matrix CSV digests for make_planted_corpus(4, 10, seed=0).  The pinned one
+# was recorded with the DP on uncontracted forests; the fallback one (forests
+# of 40-51 nodes) with the keyroot table, and `_reference_pair` below gives it
+# too.  The zero shortcut and contraction must not move a byte of either.
 GOLDEN_PINNED_SHA256 = "1612083753ae6adceebc35fccc39a0fb2d215e9f52545e52d6970f6b2c946d72"
 GOLDEN_FALLBACK_SHA256 = "b637ca61c36b487772253bdfd3f926e9edf97b7c8b695893ef396efa378d44c0"
 
