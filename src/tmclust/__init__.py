@@ -21,7 +21,6 @@ from .textpipe import (
     Corpus,
     CorpusDoc,
     TermVector,
-    Vocabulary,
     build_fallback_forest,
     tokenize,
     vectorize,
@@ -44,7 +43,6 @@ from .xtm import (
     TopicNode,
     derive_forest,
     forest_from_json,
-    forest_to_json,
     number_nodes,
     parse_xtm,
     serialize_xtm,

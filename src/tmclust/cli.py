@@ -131,16 +131,17 @@ def _flat_json(obj: dict, inner: str) -> str:
     return "{" + inner + text[1:-1] + inner[:-2] + "}"
 
 
-def _vectors_json(vocab: textpipe.Vocabulary, vectors: list[textpipe.TermVector]) -> str:
-    """The vectors.json text, byte for byte what `_write_json` would write."""
+def _vectors_json(df: dict[str, int], vectors: list[textpipe.TermVector]) -> str:
+    """The vectors.json text, byte for byte what `_write_json` would write,
+    with each term's index in the sorted `df` and the document count."""
     stored = ",\n    ".join(
         json.dumps(v.doc_id) + ": " + _flat_json(v.entries, "\n      ")
         for v in sorted(vectors, key=lambda v: v.doc_id)
     )
     return (
-        '{\n  "df": ' + _flat_json(vocab.df, "\n    ")
-        + ',\n  "index": ' + _flat_json(vocab.index, "\n    ")
-        + ',\n  "n_docs": ' + json.dumps(vocab.n_docs)
+        '{\n  "df": ' + _flat_json(df, "\n    ")
+        + ',\n  "index": ' + _flat_json({t: i for i, t in enumerate(df)}, "\n    ")
+        + ',\n  "n_docs": ' + json.dumps(len(vectors))
         + ',\n  "vectors": {\n    ' + stored + "\n  }\n}\n"
     )
 
@@ -163,11 +164,11 @@ def _ingest_stage(config: ExperimentConfig) -> tuple[Path, dict, list, list]:
         if treesim.TM_MEASURE in config.measures:
             forests.append(forest)
 
-    vocab, vectors = textpipe.vectorize(corpus, stopwords, config.stem)
+    df, vectors = textpipe.vectorize(corpus, stopwords, config.stem)
     empty = [v.doc_id for v in vectors if v.is_zero]
     for doc_id in empty:
         print(f"warning: document {doc_id!r} has an empty term vector", file=sys.stderr)
-    _write(out / "vectors.json", _vectors_json(vocab, vectors))
+    _write(out / "vectors.json", _vectors_json(df, vectors))
     manifest = {
         "dataset": corpus.name,
         "mode": config.mode,
@@ -187,14 +188,8 @@ def cmd_ingest(config: ExperimentConfig) -> Path:
 
 
 def _read(path: Path, stage: str) -> str:
-    """The one artifact read: UTF-8 with no newline translation, which would
-    turn a quoted CR into LF.  `stage` is the stage that writes `path`."""
-    try:
-        return path.read_bytes().decode("utf-8")
-    except FileNotFoundError:
-        raise ValidationError(f"missing {path}; run {stage} first") from None
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    """The one artifact read; `stage` is the stage that writes `path`."""
+    return textpipe.read_text(path, f"missing {path}; run {stage} first")
 
 
 def _read_json(path: Path, stage: str):
@@ -222,7 +217,7 @@ def _read_vectors(out: Path, doc_ids: list[str]) -> list[textpipe.TermVector]:
         if doc_id not in stored:
             raise ValidationError(f"no vector stored for document {doc_id!r}")
         entries = {t: float(w) for t, w in stored[doc_id].items()}
-        vectors.append(textpipe.TermVector.make(doc_id, entries))
+        vectors.append(textpipe.TermVector(doc_id, entries))
     return vectors
 
 

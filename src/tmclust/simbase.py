@@ -30,7 +30,7 @@ def _pairwise(measure: str, vectors: list[TermVector]) -> np.ndarray:
         terms = sorted(v.entries)
         ids[r, : len(terms)] = [code[t] for t in terms]
         w[r, : len(terms)] = [v.entries[t] for t in terms]
-    norm = np.array([v.norm for v in vectors])
+    norm = np.sqrt(_rowsum(np.square(w)))
     scale = norm if measure == "euclidean" else _rowsum(w) if measure == "kld" else np.ones(n)
     w = np.divide(w, scale[:, None], out=np.zeros_like(w), where=scale[:, None] > 0.0)
     # What a term adds to distance^2 or the JSD if the other vector lacks it (jaccard: w^2).

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .xtm import DOC_ROOT_LABEL, TopicForest, TopicNode, forest_to_json, sort_forest
+from .xtm import DOC_ROOT_LABEL, TopicForest, TopicNode, forest_json_text, sort_forest
 
 # Term ids spell their digits as letters, because `tokenize` keeps only
 # [a-z]+: "common03" would reach the vectors as "common".
@@ -104,7 +104,7 @@ def write_jsonl(docs: list[PlantedDoc], path: str | Path) -> Path:
                 "id": doc.doc_id,
                 "text": doc.text,
                 "label": doc.label,
-                "tree": forest_to_json(doc.forest),
+                "tree": json.loads(forest_json_text(doc.forest)),
             }
             handle.write(json.dumps(record, sort_keys=True) + "\n")
     return target

@@ -3,17 +3,18 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import TmclustError, ValidationError
 from .xtm import (
     DOC_ROOT_LABEL,
     TopicForest,
@@ -36,9 +37,21 @@ def default_stopwords() -> frozenset[str]:
     return frozenset(w.strip() for w in text.splitlines() if w.strip())
 
 
+def read_text(path: str | Path, missing: str) -> str:
+    """The one text-file read: UTF-8 with no newline translation, which would
+    turn a quoted CR into LF.  A missing file raises ValidationError(missing);
+    bytes that are not UTF-8 raise a ValidationError naming the file."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except FileNotFoundError:
+        raise ValidationError(missing) from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Load a one-word-per-line stopword file."""
-    words = Path(path).read_text("utf-8").splitlines()
+    words = read_text(path, f"stopwords file not found: {path}").splitlines()
     return frozenset(w.strip().lower() for w in words if w.strip())
 
 
@@ -69,24 +82,9 @@ class Corpus:
 
 
 @dataclass
-class Vocabulary:
-    """Term statistics for a corpus: index, document frequency, doc count."""
-
-    index: dict[str, int]
-    df: dict[str, int]
-    n_docs: int
-
-
-@dataclass
 class TermVector:
     doc_id: str
     entries: dict[str, float]
-    norm: float
-
-    @classmethod
-    def make(cls, doc_id: str, entries: dict[str, float]) -> "TermVector":
-        norm = math.sqrt(sum(w * w for _, w in sorted(entries.items())))
-        return cls(doc_id=doc_id, entries=entries, norm=norm)
 
     @property
     def is_zero(self) -> bool:
@@ -129,8 +127,9 @@ def tokenize(
 
 def vectorize(
     corpus: Corpus, stopwords: frozenset[str] | None = None, stem: bool = False
-) -> tuple[Vocabulary, list[TermVector]]:
-    """TF-IDF vectors with weight(t, d) = tf(t, d) * ln(1 + N / df(t)).
+) -> tuple[dict[str, int], list[TermVector]]:
+    """Document frequencies (sorted by term) and TF-IDF vectors, one per
+    document, with weight(t, d) = tf(t, d) * ln(1 + N / df(t)).
 
     Documents with no surviving tokens get empty (zero) vectors; callers
     can detect them via `TermVector.is_zero`.
@@ -142,20 +141,12 @@ def vectorize(
     for counts in doc_terms:
         df.update(counts.keys())
     n_docs = len(corpus.docs)
-    vocab = Vocabulary(
-        index={term: i for i, term in enumerate(sorted(df))},
-        df=dict(sorted(df.items())),
-        n_docs=n_docs,
-    )
     idf = {term: math.log(1.0 + n_docs / count) for term, count in df.items()}
     vectors = [
-        TermVector.make(
-            doc.doc_id,
-            {term: tf * idf[term] for term, tf in sorted(counts.items())},
-        )
+        TermVector(doc.doc_id, {term: tf * idf[term] for term, tf in sorted(counts.items())})
         for doc, counts in zip(corpus.docs, doc_terms)
     ]
-    return vocab, vectors
+    return dict(sorted(df.items())), vectors
 
 
 def build_fallback_forest(
@@ -196,22 +187,20 @@ def read_labels(path: Path, doc_ids: list[str]) -> dict[str, str]:
     last row and an id that names no document is ignored; each prints a
     `warning:` line on stderr.
     """
-    if not path.exists():
-        raise ValidationError(f"labels file not found: {path}")
+    text = read_text(path, f"labels file not found: {path}")
     labels: dict[str, str] = {}
-    with path.open(newline="", encoding="utf-8") as handle:
-        for row in csv.reader(handle):
-            if not row or row == ["doc_id", "label"]:
-                continue
-            if len(row) < 2:
-                raise ValidationError(f"bad labels.csv row: {row!r}")
-            if row[0] in labels:
-                print(
-                    f"warning: labels.csv lists document {row[0]!r} more than once; "
-                    "the last row wins",
-                    file=sys.stderr,
-                )
-            labels[row[0]] = row[1]
+    for row in csv.reader(io.StringIO(text, newline="")):
+        if not row or row == ["doc_id", "label"]:
+            continue
+        if len(row) < 2:
+            raise ValidationError(f"bad labels.csv row: {row!r}")
+        if row[0] in labels:
+            print(
+                f"warning: labels.csv lists document {row[0]!r} more than once; "
+                "the last row wins",
+                file=sys.stderr,
+            )
+        labels[row[0]] = row[1]
     for doc_id in doc_ids:
         if doc_id not in labels:
             raise ValidationError(f"document {doc_id!r} missing from labels.csv")
@@ -225,75 +214,70 @@ def read_labels(path: Path, doc_ids: list[str]) -> dict[str, str]:
     return labels
 
 
-def load_jsonl(path: str | Path, name: str = "") -> tuple[Corpus, dict[str, TopicForest]]:
-    """Load a JSONL corpus ({"id","text","label"} per line).
-
-    A record may carry an optional "tree" field in the JSON tree fixture
-    format; those become the document's forest instead of the fallback
-    builder's output.
-    """
-    base = Path(path)
-    docs: list[CorpusDoc] = []
-    trees: dict[str, TopicForest] = {}
-    with base.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{base}:{lineno}: bad JSON: {exc}") from exc
-            for key in ("id", "text", "label"):
-                if key not in record:
-                    raise ValidationError(f"{base}:{lineno}: record missing {key!r}")
-            doc_id = str(record["id"])
-            docs.append(
-                CorpusDoc(doc_id=doc_id, text=str(record["text"]), label=str(record["label"]))
-            )
-            if "tree" in record:
-                trees[doc_id] = forest_from_json(doc_id, record["tree"])
-    if not docs:
-        raise ValidationError(f"no documents found in {base}")
-    corpus = Corpus(docs=docs, name=name or base.stem)
-    corpus.validate()
-    return corpus, trees
-
-
 def load_corpus(
     path: str | Path, mode: str, name: str = ""
 ) -> tuple[Corpus, dict[str, TopicForest]]:
     """Load a corpus in one of `MODES`, with the forests its input pins.
 
-    `jsonl` is one file, read by `load_jsonl`.  `text-dir` and `xtm-dir` are
-    a directory of `*.txt` or `*.xtm` files plus labels.csv, read by
-    `read_labels`; a document's id is its file stem.  An XTM document's
-    forest is derived from its topic map, and its vector text is its topic
-    names plus its occurrence values.  `name` defaults to the path's stem.
+    `jsonl` is one file with one {"id", "text", "label"} object per line; an
+    optional "tree" field in the JSON tree fixture form pins the document's
+    forest.  `text-dir` and `xtm-dir` are a directory of `*.txt` or `*.xtm`
+    files plus labels.csv, read by `read_labels`; a document's id is its
+    file stem.  An XTM document's forest is derived from its topic map, and
+    its vector text is its topic names plus its occurrence values.  Every
+    text file is read by `read_text`, and a data error names the file at
+    fault.  `name` defaults to the path's stem.
     """
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     base = Path(path)
+    missing = f"corpus path not found: {base}"
     if not base.exists():
-        raise ValidationError(f"corpus path not found: {base}")
-    if mode == "jsonl":
-        return load_jsonl(base, name)
-    paths = sorted(base.glob("*.xtm" if mode == "xtm-dir" else "*.txt"))
-    if not paths:
-        raise ValidationError(f"no documents found under {base}")
-    labels = read_labels(base / "labels.csv", [p.stem for p in paths])
+        raise ValidationError(missing)
     docs: list[CorpusDoc] = []
     trees: dict[str, TopicForest] = {}
-    for doc_path in paths:
-        doc_id = doc_path.stem
-        if mode == "xtm-dir":
-            parsed = parse_xtm(doc_path.read_bytes(), doc_id=doc_id)
-            trees[doc_id] = derive_forest(parsed)
-            words = [t.name for t in parsed.topics] + [o.value for o in parsed.occurrences]
-            text = " ".join(words)
-        else:
-            text = doc_path.read_text("utf-8")
-        docs.append(CorpusDoc(doc_id=doc_id, text=text, label=labels[doc_id]))
+    if mode == "jsonl":
+        # newline=None splits lines as a file opened in text mode does.
+        lines = io.StringIO(read_text(base, missing), newline=None)
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{base}:{lineno}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"{where}: bad JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ValidationError(f"{where}: record is not a JSON object")
+            for key in ("id", "text", "label"):
+                if key not in record:
+                    raise ValidationError(f"{where}: record missing {key!r}")
+            doc_id = str(record["id"])
+            docs.append(CorpusDoc(doc_id, str(record["text"]), str(record["label"])))
+            if "tree" in record:
+                try:
+                    trees[doc_id] = forest_from_json(doc_id, record["tree"])
+                except ValidationError as exc:
+                    raise ValidationError(f"{where}: {exc}") from exc
+    else:
+        paths = sorted(base.glob("*.xtm" if mode == "xtm-dir" else "*.txt"))
+        labels = read_labels(base / "labels.csv", [p.stem for p in paths]) if paths else {}
+        for doc_path in paths:
+            doc_id = doc_path.stem
+            if mode == "xtm-dir":
+                try:
+                    parsed = parse_xtm(doc_path.read_bytes(), doc_id=doc_id)
+                except TmclustError as exc:
+                    raise ValidationError(f"{doc_path}: {exc}") from exc
+                trees[doc_id] = derive_forest(parsed)
+                words = [t.name for t in parsed.topics] + [o.value for o in parsed.occurrences]
+                text = " ".join(words)
+            else:
+                text = read_text(doc_path, f"document not found: {doc_path}")
+            docs.append(CorpusDoc(doc_id=doc_id, text=text, label=labels[doc_id]))
+    if not docs:
+        raise ValidationError(f"no documents found in {base}")
     corpus = Corpus(docs=docs, name=name or base.stem)
     corpus.validate()
     return corpus, trees

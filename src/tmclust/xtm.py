@@ -318,17 +318,10 @@ def validate_forest(forest: TopicForest) -> None:
             )
 
 
-def forest_to_json(forest: TopicForest) -> dict:
-    """JSON tree fixture form: {"label": str, "children": [...]}."""
-
-    def convert(node: TopicNode) -> dict:
-        return {"label": node.label, "children": [convert(c) for c in node.children]}
-
-    return convert(forest.root)
-
-
 def forest_json_text(forest: TopicForest) -> str:
-    """`json.dumps(forest_to_json(forest), sort_keys=True, indent=2) + "\\n"`.
+    """The forest in the JSON tree fixture form, each node
+    {"label": str, "children": [...]}, as `json.dumps(..., sort_keys=True,
+    indent=2) + "\\n"` writes it.
 
     One walk over the nodes with an explicit stack builds the text: no
     intermediate dict and no recursion, so a forest of any depth is written.
@@ -363,10 +356,10 @@ def forest_from_json(doc_id: str, obj: dict) -> TopicForest:
     """Load the JSON tree fixture form, canonicalizing sibling order."""
 
     def convert(item: dict) -> TopicNode:
-        if not isinstance(item, dict) or "label" not in item:
+        children = item.get("children", []) if isinstance(item, dict) else None
+        if not isinstance(children, list) or "label" not in item:
             raise ValidationError(f"bad tree node in fixture for {doc_id!r}: {item!r}")
-        children = [convert(c) for c in item.get("children", [])]
-        return TopicNode(label=str(item["label"]), children=children)
+        return TopicNode(label=str(item["label"]), children=[convert(c) for c in children])
 
     root = convert(obj)
     if root.label != DOC_ROOT_LABEL:

@@ -27,6 +27,15 @@ XTM_ZOO = b"""<?xml version="1.0" encoding="UTF-8"?>
 """
 
 
+def forest_dict(forest: TopicForest) -> dict:
+    """The JSON tree fixture form as a dict: {"label": str, "children": [...]}."""
+
+    def convert(node: TopicNode) -> dict:
+        return {"label": node.label, "children": [convert(c) for c in node.children]}
+
+    return convert(forest.root)
+
+
 def node(label: str, *children: TopicNode) -> TopicNode:
     return TopicNode(label=label, children=list(children))
 

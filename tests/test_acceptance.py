@@ -179,8 +179,8 @@ def test_criterion_6_measure_sanity(tmp_path):
     worst = 0.0
     for _ in range(100):
         terms = [f"t{i}" for i in range(rng.randint(2, 12))]
-        a = TermVector.make("a", {t: rng.uniform(0.01, 1.0) for t in terms if rng.random() < 0.7} or {terms[0]: 1.0})
-        b = TermVector.make("b", {t: rng.uniform(0.01, 1.0) for t in terms if rng.random() < 0.7} or {terms[-1]: 1.0})
+        a = TermVector("a", {t: rng.uniform(0.01, 1.0) for t in terms if rng.random() < 0.7} or {terms[0]: 1.0})
+        b = TermVector("b", {t: rng.uniform(0.01, 1.0) for t in terms if rng.random() < 0.7} or {terms[-1]: 1.0})
         total_a = sum(a.entries.values())
         total_b = sum(b.entries.values())
         union = sorted(set(a.entries) | set(b.entries))

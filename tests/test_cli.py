@@ -539,6 +539,75 @@ def test_corrupt_stage_input_exits_2_naming_the_file(tmp_path, capsys, name, cor
         assert err == f"error: missing {out / name}; run {WRITTEN_BY[name]} first\n"
 
 
+def _corpus_file(name: str, corrupt=_not_utf8):
+    """Corrupt one file of a corpus directory; the error must name it."""
+
+    def apply(corpus: Path) -> tuple[str, list[str]]:
+        corrupt(corpus / name)
+        return str(corpus / name), []
+
+    return apply
+
+
+def _stopwords_not_utf8(corpus: Path) -> tuple[str, list[str]]:
+    path = corpus.parent / "stop.txt"
+    path.write_bytes(b"red\n\xff\n")
+    return str(path), ["--stopwords", str(path)]
+
+
+def _jsonl_not_utf8(corpus: Path) -> tuple[str, list[str]]:
+    _not_utf8(corpus)
+    return str(corpus), []
+
+
+def _jsonl_line(line: str):
+    """Append `line` to a JSONL corpus; the error must name its file and line."""
+
+    def apply(corpus: Path) -> tuple[str, list[str]]:
+        count = len(corpus.read_text("utf-8").splitlines())
+        with corpus.open("a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        return f"{corpus}:{count + 1}", []
+
+    return apply
+
+
+BAD_TREE = {"label": DOC_ROOT_LABEL, "children": [{"label": "t", "children": 5}]}
+
+
+@pytest.mark.parametrize(
+    "mode, corrupt",
+    [
+        ("text-dir", _corpus_file("d1.txt")),
+        ("text-dir", _corpus_file("labels.csv")),
+        ("text-dir", _stopwords_not_utf8),
+        ("jsonl", _jsonl_not_utf8),
+        ("jsonl", _jsonl_line("5")),
+        ("jsonl", _jsonl_line("null")),
+        ("jsonl", _jsonl_line('"idtextlabel"')),
+        ("jsonl", _jsonl_line(json.dumps({"id": "t", "text": "a", "label": "x", "tree": BAD_TREE}))),
+        ("xtm-dir", _corpus_file("zoo_a.xtm", lambda p: p.write_bytes(XTM_ZOO[:-12]))),
+        (
+            "xtm-dir",
+            _corpus_file("zoo_b.xtm", lambda p: p.write_bytes(XTM_ZOO.replace(b'"dogs"', b'"cats"'))),
+        ),
+    ],
+    ids=[
+        "txt-not-utf8", "labels-not-utf8", "stopwords-not-utf8", "jsonl-not-utf8",
+        "jsonl-number", "jsonl-null", "jsonl-string", "jsonl-tree-children",
+        "xtm-malformed", "xtm-duplicate-topic",
+    ],
+)
+def test_bad_corpus_input_exits_2_naming_the_file(tmp_path, capsys, mode, corrupt):
+    corpus = CORPUS_WRITERS[mode](tmp_path / "corpus")
+    named, flags = corrupt(corpus)
+    argv = ["ingest", "--corpus", str(corpus), "--mode", mode, "--out-dir", str(tmp_path / "out")]
+    assert main([*argv, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_experiment_writes_a_1000_deep_xtm_hierarchy(tmp_path):
     corpus = tmp_path / "deep"
     corpus.mkdir()
@@ -574,14 +643,14 @@ def test_vectors_json_matches_json_dumps_with_an_empty_vector():
             textpipe.CorpusDoc("é", "red soup wins.", "x"),
         ]
     )
-    vocab, vectors = textpipe.vectorize(corpus)
+    df, vectors = textpipe.vectorize(corpus)
     assert vectors[2].entries == {}
     expected = {
-        "n_docs": vocab.n_docs,
-        "df": vocab.df,
-        "index": vocab.index,
+        "n_docs": len(corpus.docs),
+        "df": df,
+        "index": {term: i for i, term in enumerate(sorted(df))},
         "vectors": {v.doc_id: v.entries for v in vectors},
     }
-    text = cli._vectors_json(vocab, vectors)
+    text = cli._vectors_json(df, vectors)
     assert text == json.dumps(expected, sort_keys=True, indent=2) + "\n"
     assert '"stop": {}' in text

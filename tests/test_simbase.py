@@ -20,7 +20,7 @@ from tmclust.textpipe import TermVector
 
 
 def vec(doc_id: str, **entries: float) -> TermVector:
-    return TermVector.make(doc_id, dict(entries))
+    return TermVector(doc_id, dict(entries))
 
 
 def test_cosine_examples():
@@ -81,7 +81,7 @@ def _random_vec(rng: random.Random, doc_id: str, vocab: list[str]) -> TermVector
     }
     if not entries:
         entries = {vocab[0]: 1.0}
-    return TermVector.make(doc_id, entries)
+    return TermVector(doc_id, entries)
 
 
 def test_all_measures_symmetric_in_range_and_self_one():
@@ -156,7 +156,7 @@ def _vector_set(rng: random.Random, n: int) -> list[TermVector]:
         if kind == 0:
             terms = []
         elif kind == 1 and vectors:
-            vectors.append(TermVector.make(f"d{k}", dict(rng.choice(vectors).entries)))
+            vectors.append(TermVector(f"d{k}", dict(rng.choice(vectors).entries)))
             continue
         elif kind == 2 and vectors:
             base = sorted(rng.choice(vectors).entries)
@@ -167,7 +167,7 @@ def _vector_set(rng: random.Random, n: int) -> list[TermVector]:
             terms = rng.sample(vocab, rng.randint(1, len(vocab)))
         rng.shuffle(terms)
         entries = {t: rng.uniform(0.05, 1.0) * 10 ** rng.uniform(-3, 3) for t in terms}
-        vectors.append(TermVector.make(f"d{k}", entries))
+        vectors.append(TermVector(f"d{k}", entries))
     return vectors
 
 
@@ -187,9 +187,10 @@ def _loop_sum_squares(a: TermVector) -> float:
 
 
 def _loop_cosine(a: TermVector, b: TermVector) -> float:
-    if a.norm == 0.0 or b.norm == 0.0:
+    norm_a, norm_b = math.sqrt(_loop_sum_squares(a)), math.sqrt(_loop_sum_squares(b))
+    if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
-    return min(1.0, _loop_dot(a, b) / (a.norm * b.norm))
+    return min(1.0, _loop_dot(a, b) / (norm_a * norm_b))
 
 
 def _loop_jaccard(a: TermVector, b: TermVector) -> float:

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from tmclust.synth import make_planted_corpus, write_jsonl
-from tmclust.textpipe import load_jsonl, tokenize
+from tmclust.textpipe import load_corpus, tokenize
 from tmclust.xtm import number_nodes, validate_forest
 
 
@@ -36,6 +36,6 @@ def test_planted_corpus_deterministic_for_seed(tmp_path):
 
 def test_planted_corpus_loads_with_trees(tmp_path):
     path = write_jsonl(make_planted_corpus(n_clusters=2, docs_per_cluster=3, seed=1), tmp_path / "p.jsonl")
-    corpus, trees = load_jsonl(path)
+    corpus, trees = load_corpus(path, "jsonl")
     assert len(corpus.docs) == 6
     assert set(trees) == {d.doc_id for d in corpus.docs}

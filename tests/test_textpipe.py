@@ -5,20 +5,18 @@ import math
 import random
 
 import pytest
-from conftest import make_forest, node
+from conftest import forest_dict, make_forest, node
 
 from tmclust.errors import ValidationError
 from tmclust.textpipe import (
     Corpus,
     CorpusDoc,
-    TermVector,
     build_fallback_forest,
     load_corpus,
-    load_jsonl,
     tokenize,
     vectorize,
 )
-from tmclust.xtm import DOC_ROOT_LABEL, forest_to_json, number_nodes, validate_forest
+from tmclust.xtm import DOC_ROOT_LABEL, number_nodes, validate_forest
 
 
 def test_tokenize_basic():
@@ -65,13 +63,12 @@ def test_vectorize_absent_term_has_no_entry():
 def test_vectorize_identical_docs_identical_vectors():
     _, vectors = vectorize(_corpus("tree map tree", "tree map tree"))
     assert vectors[0].entries == vectors[1].entries
-    assert vectors[0].norm == vectors[1].norm
 
 
 def test_vectorize_formula_uses_df_across_corpus():
-    vocab, vectors = vectorize(_corpus("cat dog", "cat bird"))
+    df, vectors = vectorize(_corpus("cat dog", "cat bird"))
     n, df_cat = 2, 2
-    assert vocab.df == {"bird": 1, "cat": 2, "dog": 1}
+    assert df == {"bird": 1, "cat": 2, "dog": 1}
     assert vectors[0].entries["cat"] == pytest.approx(math.log(1 + n / df_cat))
     assert vectors[0].entries["dog"] == pytest.approx(math.log(1 + n / 1))
 
@@ -99,7 +96,6 @@ def test_vectorize_tf_scales_linearly():
 def test_vectorize_empty_doc_flagged_as_zero_vector():
     _, vectors = vectorize(_corpus("the a of", "cat dog"))
     assert vectors[0].is_zero
-    assert vectors[0].norm == 0.0
     assert not vectors[1].is_zero
 
 
@@ -108,14 +104,9 @@ def test_vectorize_rejects_empty_corpus():
         vectorize(Corpus(docs=[]))
 
 
-def test_term_vector_norm_consistent():
-    vec = TermVector.make("d", {"a": 3.0, "b": 4.0})
-    assert vec.norm == pytest.approx(5.0, rel=1e-9)
-
-
 def test_fallback_forest_modal_topic_merging():
     forest = build_fallback_forest("d", "red cars race. red wins.")
-    assert forest_to_json(forest) == {
+    assert forest_dict(forest) == {
         "label": DOC_ROOT_LABEL,
         "children": [
             {
@@ -139,7 +130,7 @@ def test_fallback_forest_single_word():
 def test_fallback_forest_deterministic():
     a = build_fallback_forest("d1", "blue moon rises. blue star fades.")
     b = build_fallback_forest("d2", "blue moon rises. blue star fades.")
-    assert forest_to_json(a) == forest_to_json(b)
+    assert forest_dict(a) == forest_dict(b)
 
 
 def test_fallback_forest_empty_text_gives_root_only():
@@ -183,24 +174,24 @@ def test_load_text_dir_empty(tmp_path):
 
 
 def test_load_jsonl_with_tree_fixture(tmp_path):
-    tree = forest_to_json(make_forest("x", node("topic", node("leaf"))))
+    tree = forest_dict(make_forest("x", node("topic", node("leaf"))))
     path = tmp_path / "corpus.jsonl"
     lines = [
         json.dumps({"id": "x", "text": "some text", "label": "l1", "tree": tree}),
         json.dumps({"id": "y", "text": "other text", "label": "l2"}),
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    corpus, trees = load_jsonl(path)
+    corpus, trees = load_corpus(path, "jsonl")
     assert [d.doc_id for d in corpus.docs] == ["x", "y"]
     assert set(trees) == {"x"}
-    assert forest_to_json(trees["x"]) == tree
+    assert forest_dict(trees["x"]) == tree
 
 
 def test_load_jsonl_rejects_missing_fields(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps({"id": "x", "text": "t"}) + "\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="label"):
-        load_jsonl(path)
+        load_corpus(path, "jsonl")
 
 
 def test_corpus_rejects_duplicate_ids():

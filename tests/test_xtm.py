@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from conftest import XTM_ZOO, make_forest, node, random_forest
+from conftest import XTM_ZOO, forest_dict, make_forest, node, random_forest
 
 from tmclust.errors import ValidationError, XtmParseError
 from tmclust.xtm import (
@@ -15,7 +15,6 @@ from tmclust.xtm import (
     derive_forest,
     forest_from_json,
     forest_json_text,
-    forest_to_json,
     iter_bfs,
     normalize_label,
     number_nodes,
@@ -119,7 +118,7 @@ def _doc(topics: list[str], edges: list[tuple[str, str]]) -> TopicMapDoc:
 def test_derive_forest_basic_hierarchy():
     forest = derive_forest(_doc(["a", "b", "c"], [("a", "b"), ("a", "c")]))
     assert len(number_nodes(forest)) == 4
-    assert forest_to_json(forest) == {
+    assert forest_dict(forest) == {
         "label": DOC_ROOT_LABEL,
         "children": [
             {
@@ -142,7 +141,7 @@ def test_derive_forest_flat_when_no_associations():
 def test_derive_forest_breaks_cycle_deterministically():
     forest = derive_forest(_doc(["a", "b"], [("a", "b"), ("b", "a")]))
     # Edge from the lexicographically larger parent (b) is dropped.
-    assert forest_to_json(forest) == {
+    assert forest_dict(forest) == {
         "label": DOC_ROOT_LABEL,
         "children": [
             {"label": "a", "children": [{"label": "b", "children": []}]}
@@ -171,14 +170,14 @@ def test_derive_forest_deterministic_under_permutation():
     rng = random.Random(7)
     topics = ["a", "b", "c", "d", "e"]
     edges = [("a", "b"), ("a", "c"), ("c", "d")]
-    reference = forest_to_json(derive_forest(_doc(topics, edges)))
+    reference = forest_dict(derive_forest(_doc(topics, edges)))
     for _ in range(10):
         shuffled_topics = topics[:]
         shuffled_edges = edges[:]
         rng.shuffle(shuffled_topics)
         rng.shuffle(shuffled_edges)
         again = derive_forest(_doc(shuffled_topics, shuffled_edges))
-        assert forest_to_json(again) == reference
+        assert forest_dict(again) == reference
 
 
 def test_derive_forest_node_count_is_topics_plus_root():
@@ -231,12 +230,12 @@ def test_number_nodes_bijective_and_depth_monotone():
 
 def test_forest_json_roundtrip():
     forest = make_forest("d", node("b", node("x")), node("a"))
-    loaded = forest_from_json("d", forest_to_json(forest))
-    assert forest_to_json(loaded) == forest_to_json(forest)
+    loaded = forest_from_json("d", forest_dict(forest))
+    assert forest_dict(loaded) == forest_dict(forest)
 
 
 def _json_dumps_oracle(forest) -> str:
-    return json.dumps(forest_to_json(forest), sort_keys=True, indent=2) + "\n"
+    return json.dumps(forest_dict(forest), sort_keys=True, indent=2) + "\n"
 
 
 def test_forest_json_text_escapes_labels_like_json_dumps():
@@ -273,6 +272,13 @@ def test_forest_json_text_of_deep_and_random_forests():
 def test_forest_from_json_requires_doc_root():
     with pytest.raises(ValidationError, match="rooted"):
         forest_from_json("d", {"label": "nope", "children": []})
+
+
+@pytest.mark.parametrize("children", [5, None, {"label": "t"}])
+def test_forest_from_json_rejects_children_that_are_not_a_list(children):
+    tree = {"label": DOC_ROOT_LABEL, "children": [{"label": "t", "children": children}]}
+    with pytest.raises(ValidationError, match="bad tree node in fixture for 'd'"):
+        forest_from_json("d", tree)
 
 
 def test_validate_forest_rejects_unsorted_siblings():
