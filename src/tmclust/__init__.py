@@ -27,9 +27,7 @@ from .textpipe import (
 )
 from .treesim import (
     Mapping,
-    brute_force_common_subtree,
     build_matrix,
-    mapping_violations,
     max_common_subtree,
     tm_similarity,
 )
@@ -45,7 +43,6 @@ from .xtm import (
     forest_from_json,
     number_nodes,
     parse_xtm,
-    serialize_xtm,
 )
 
 __version__ = "0.1.0"

@@ -387,6 +387,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
+        # A staged simmatrix reading back a forests/*.json nested too deeply.
         print("error: input is nested too deeply", file=sys.stderr)
         return 2
     return 0

@@ -214,6 +214,24 @@ def read_labels(path: Path, doc_ids: list[str]) -> dict[str, str]:
     return labels
 
 
+def _jsonl_record(line: str) -> tuple[CorpusDoc, TopicForest | None]:
+    """One JSONL corpus line: the document and the forest its "tree" pins."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"bad JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise ValidationError("record is not a JSON object")
+    for key in ("id", "text", "label"):
+        if key not in record:
+            raise ValidationError(f"record missing {key!r}")
+    doc_id = str(record["id"])
+    if "/" in doc_id or "\0" in doc_id:
+        raise ValidationError(f"doc id {doc_id!r} holds '/' or NUL, so it cannot be a file name")
+    doc = CorpusDoc(doc_id, str(record["text"]), str(record["label"]))
+    return doc, forest_from_json(doc_id, record["tree"]) if "tree" in record else None
+
+
 def load_corpus(
     path: str | Path, mode: str, name: str = ""
 ) -> tuple[Corpus, dict[str, TopicForest]]:
@@ -221,12 +239,14 @@ def load_corpus(
 
     `jsonl` is one file with one {"id", "text", "label"} object per line; an
     optional "tree" field in the JSON tree fixture form pins the document's
-    forest.  `text-dir` and `xtm-dir` are a directory of `*.txt` or `*.xtm`
-    files plus labels.csv, read by `read_labels`; a document's id is its
-    file stem.  An XTM document's forest is derived from its topic map, and
+    forest.  An id names the document's forest file, so it may hold neither
+    '/' nor NUL.  `text-dir` and `xtm-dir` are a directory of `*.txt` or
+    `*.xtm` files plus labels.csv, read by `read_labels`; a document's id is
+    its file stem.  An XTM document's forest is derived from its topic map, and
     its vector text is its topic names plus its occurrence values.  Every
     text file is read by `read_text`, and a data error names the file at
-    fault.  `name` defaults to the path's stem.
+    fault (a JSONL error names its line too, and so does a JSONL line nested
+    too deeply to parse).  `name` defaults to the path's stem.
     """
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
@@ -243,23 +263,15 @@ def load_corpus(
             line = line.strip()
             if not line:
                 continue
-            where = f"{base}:{lineno}"
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{where}: bad JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ValidationError(f"{where}: record is not a JSON object")
-            for key in ("id", "text", "label"):
-                if key not in record:
-                    raise ValidationError(f"{where}: record missing {key!r}")
-            doc_id = str(record["id"])
-            docs.append(CorpusDoc(doc_id, str(record["text"]), str(record["label"])))
-            if "tree" in record:
-                try:
-                    trees[doc_id] = forest_from_json(doc_id, record["tree"])
-                except ValidationError as exc:
-                    raise ValidationError(f"{where}: {exc}") from exc
+                doc, tree = _jsonl_record(line)
+            except RecursionError:
+                raise ValidationError(f"{base}:{lineno}: input is nested too deeply") from None
+            except ValidationError as exc:
+                raise ValidationError(f"{base}:{lineno}: {exc}") from exc
+            docs.append(doc)
+            if tree is not None:
+                trees[doc.doc_id] = tree
     else:
         paths = sorted(base.glob("*.xtm" if mode == "xtm-dir" else "*.txt"))
         labels = read_labels(base / "labels.csv", [p.stem for p in paths]) if paths else {}

@@ -10,30 +10,32 @@ maximum mapping M gives the edit distance n1 + n2 - 2|M|.  So
 `max_common_subtree` fills Zhang and Shasha's keyroot table (SIAM J.
 Comput. 18(6), 1989) over postorder arrays, with no recursion at any
 depth, and reads its mapping back from that table.
-`brute_force_common_subtree` is an exhaustive oracle for small trees and
-shares no code with the table beyond node numbering.
 
 Every entry point goes through one pair routine, and `build_matrix`
-builds each forest's arrays once.  Before the table, both forests are
-contracted: each non-root node whose label does not occur among the other
-forest's non-root nodes is deleted and its children are promoted into its
-place.  A pair that shares no non-root label scores exactly 0, and two
-contracted trees that are equal map whole; neither fills a table.  All
-this is exact because a mapping can only use shared labels, and
+builds each forest's full postorder once.  Before the table, both forests
+are contracted: each non-root node whose label does not occur among the
+other forest's non-root nodes is deleted and its children are promoted
+into its place.  A pair that shares no non-root label scores exactly 0,
+and two contracted trees that are equal map whole; neither fills a table.
+All this is exact because a mapping can only use shared labels, and
 contraction keeps ancestry and left-to-right order among the nodes that
-remain.  On pinned and XTM-derived forests nearly every pair that shares
-a label contracts to two equal trees, so the equal-tree test pays there.
+remain.  Since it keeps their relative postorder too, a contraction is
+the full postorder filtered to the kept nodes, with each leftmost
+position renumbered by a prefix count: one linear pass per forest and
+pair.  On pinned and XTM-derived forests nearly every pair that shares a
+label contracts to two equal trees, so the equal-tree test pays there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, compress
 
 import numpy as np
 
 from .errors import ValidationError
 from .matrix import SimilarityMatrix
-from .xtm import TopicForest, TopicNode, iter_bfs, number_nodes
+from .xtm import TopicForest, iter_bfs
 
 TM_MEASURE = "tm-sim"
 
@@ -49,38 +51,53 @@ class Mapping:
 
 
 class _Form:
-    """BFS arrays of one forest (index k <-> node number k + 1).
+    """One forest's full postorder, in which the root comes last.
 
-    Label ids come from a codec shared by every forest that is compared,
-    so ids compare across forests.
+    At position p: `bfs[p]` is the node's BFS index (its node number - 1),
+    `labels[p]` its label id and `leftmost[p]` the position of the first
+    node of its subtree.  Label ids come from a codec shared by every
+    forest that is compared, so ids compare across forests.
     """
 
-    __slots__ = ("labels", "children", "nonroot")
+    __slots__ = ("bfs", "labels", "leftmost", "nonroot")
 
     def __init__(self, forest: TopicForest, codec: dict[str, int]) -> None:
-        order = list(iter_bfs(forest.root))
-        index = {id(node): k for k, node in enumerate(order)}
-        self.labels = [codec.setdefault(node.label, len(codec)) for node in order]
-        self.children = [tuple(index[id(c)] for c in node.children) for node in order]
-        self.nonroot = frozenset(self.labels[1:])
+        nodes = list(iter_bfs(forest.root))
+        index = {id(node): k for k, node in enumerate(nodes)}
+        ids = [codec.setdefault(node.label, len(codec)) for node in nodes]
+        size = [1] * len(nodes)
+        for k in range(len(nodes) - 1, -1, -1):
+            for child in nodes[k].children:
+                size[k] += size[index[id(child)]]
+        # The postorder is a root-first, right-to-left preorder reversed.
+        post: list[int] = []
+        stack = [forest.root]
+        while stack:
+            node = stack.pop()
+            post.append(index[id(node)])
+            stack.extend(node.children)
+        post.reverse()
+        self.bfs = post
+        self.labels = [ids[k] for k in post]
+        self.leftmost = [p + 1 - size[k] for p, k in enumerate(post)]
+        self.nonroot = frozenset(self.labels[:-1])
 
 
-def _postorder(form: _Form, keep: frozenset[int]) -> tuple[tuple[int, ...], list[int], list[int]]:
+def _postorder(form: _Form, keep: frozenset[int]) -> tuple[list[bool], list[int], list[int]]:
     """`form` contracted to the non-root labels in `keep`, in postorder.
 
     Every other non-root node is deleted and its children take its place
-    among its siblings.  Returns the BFS index, label and leftmost-leaf
-    position of each kept node, so traced pairs are in the BFS numbering.
+    among its siblings, which keeps the relative postorder of the nodes
+    that remain.  A kept node's subtree then starts at the first kept node
+    at or after its old leftmost position.  Returns which positions of
+    `form` are kept, and the label and new leftmost position of each kept
+    node.
     """
-    labels = form.labels
-    # lifted[k]: the kept nodes of k's subtree in postorder, which is what
-    # k contributes to its parent's postorder.
-    lifted: list[tuple[int, ...]] = [()] * len(labels)
-    for k in range(len(labels) - 1, -1, -1):
-        below = tuple(x for c in form.children[k] for x in lifted[c])
-        lifted[k] = below + (k,) if k == 0 or labels[k] in keep else below
-    order = lifted[0]
-    return order, [labels[k] for k in order], [p + 1 - len(lifted[k]) for p, k in enumerate(order)]
+    kept = list(map(keep.__contains__, form.labels))
+    kept[-1] = True
+    # before[p]: how many kept nodes come before position p.
+    before = list(accumulate(kept, initial=0))
+    return kept, list(compress(form.labels, kept)), [before[p] for p in compress(form.leftmost, kept)]
 
 
 def _forest_table(
@@ -120,17 +137,19 @@ def _forest_table(
 
 
 def _pair(a: _Form, b: _Form, pairs: list[tuple[int, int]] | None = None) -> int:
-    """Size of a maximum mapping; its index pairs go to `pairs` if given."""
-    if a.labels[0] != b.labels[0]:
+    """Size of a maximum mapping; its BFS index pairs go to `pairs` if given."""
+    if a.labels[-1] != b.labels[-1]:
         return 0
     keep = a.nonroot & b.nonroot
     if not keep:
         if pairs is not None:
             pairs.append((0, 0))
         return 1
-    order1, labels1, leftmost1 = _postorder(a, keep)
-    order2, labels2, leftmost2 = _postorder(b, keep)
-    n1, n2 = len(order1), len(order2)
+    kept1, labels1, leftmost1 = _postorder(a, keep)
+    kept2, labels2, leftmost2 = _postorder(b, keep)
+    n1, n2 = len(labels1), len(labels2)
+    if pairs is not None:
+        order1, order2 = list(compress(a.bfs, kept1)), list(compress(b.bfs, kept2))
     if labels1 == labels2 and leftmost1 == leftmost2:
         if pairs is not None:
             pairs.extend(zip(order1, order2))
@@ -170,7 +189,7 @@ def _pair(a: _Form, b: _Form, pairs: list[tuple[int, int]] | None = None) -> int
 
 
 def _similarity(a: _Form, b: _Form) -> float:
-    if a.labels[0] != b.labels[0]:
+    if a.labels[-1] != b.labels[-1]:
         return 0.0
     n1, n2 = len(a.labels), len(b.labels)
     if n1 == 1 and n2 == 1:
@@ -181,11 +200,6 @@ def _similarity(a: _Form, b: _Form) -> float:
 def _forms(*forests: TopicForest) -> list[_Form]:
     codec: dict[str, int] = {}
     return [_Form(forest, codec) for forest in forests]
-
-
-def common_subtree_size(a: TopicForest, b: TopicForest) -> int:
-    """Cardinality of a maximum valid mapping between the two forests."""
-    return _pair(*_forms(a, b))
 
 
 def max_common_subtree(a: TopicForest, b: TopicForest) -> Mapping:
@@ -221,116 +235,3 @@ def build_matrix(forests: list[TopicForest]) -> SimilarityMatrix:
     matrix.validate()
     return matrix
 
-
-# Relation codes used by the oracle and the independent mapping checker.
-_SELF, _ANC, _DESC, _LEFT, _RIGHT = 0, 1, 2, 3, 4
-
-
-def _relation_table(forest: TopicForest) -> tuple[dict[int, str], list[list[int]]]:
-    """Full pairwise relation matrix over BFS node numbers, 1-based."""
-    numbers = number_nodes(forest)
-    labels = {k: node.label for node, k in numbers.items()}
-    parent: dict[int, int] = {}
-    preorder: dict[int, int] = {}
-
-    def walk(node: TopicNode, counter: list[int]) -> None:
-        preorder[numbers[node]] = counter[0]
-        counter[0] += 1
-        for child in node.children:
-            parent[numbers[child]] = numbers[node]
-            walk(child, counter)
-
-    walk(forest.root, [0])
-    n = len(numbers)
-    ancestors: dict[int, set[int]] = {}
-    for k in range(1, n + 1):
-        chain = set()
-        cur = k
-        while cur in parent:
-            cur = parent[cur]
-            chain.add(cur)
-        ancestors[k] = chain
-    rel = [[_SELF] * (n + 1) for _ in range(n + 1)]
-    for u in range(1, n + 1):
-        for v in range(1, n + 1):
-            if u == v:
-                rel[u][v] = _SELF
-            elif u in ancestors[v]:
-                rel[u][v] = _ANC
-            elif v in ancestors[u]:
-                rel[u][v] = _DESC
-            elif preorder[u] < preorder[v]:
-                rel[u][v] = _LEFT
-            else:
-                rel[u][v] = _RIGHT
-    return labels, rel
-
-
-def mapping_violations(a: TopicForest, b: TopicForest, mapping: Mapping) -> list[str]:
-    """Check a mapping against all five invariants, from first principles."""
-    labels1, rel1 = _relation_table(a)
-    labels2, rel2 = _relation_table(b)
-    pairs = sorted(mapping.pairs)
-    problems: list[str] = []
-    seen_i: set[int] = set()
-    seen_j: set[int] = set()
-    for i, j in pairs:
-        if i not in labels1 or j not in labels2:
-            problems.append(f"pair ({i},{j}) is out of range")
-            continue
-        if labels1[i] != labels2[j]:
-            problems.append(f"pair ({i},{j}) is not label-preserving")
-        if i in seen_i or j in seen_j:
-            problems.append(f"pair ({i},{j}) breaks one-to-one")
-        seen_i.add(i)
-        seen_j.add(j)
-    if pairs and (1, 1) not in mapping.pairs:
-        problems.append("non-empty mapping does not contain the root pair")
-    for x in range(len(pairs)):
-        i1, j1 = pairs[x]
-        for y in range(x + 1, len(pairs)):
-            i2, j2 = pairs[y]
-            if rel1[i1][i2] != rel2[j1][j2]:
-                problems.append(
-                    f"pairs ({i1},{j1}) and ({i2},{j2}) disagree on order/ancestry"
-                )
-    return problems
-
-
-def brute_force_common_subtree(a: TopicForest, b: TopicForest) -> Mapping:
-    """Exhaustive maximum-mapping search; refuses trees above 10 nodes."""
-    labels1, rel1 = _relation_table(a)
-    labels2, rel2 = _relation_table(b)
-    n1, n2 = len(labels1), len(labels2)
-    if n1 > 10 or n2 > 10:
-        raise ValueError(
-            f"brute force oracle limited to 10 nodes per tree, got {n1} and {n2}"
-        )
-    candidates = {
-        i: [j for j in range(1, n2 + 1) if labels2[j] == labels1[i]]
-        for i in range(1, n1 + 1)
-    }
-    best: list[tuple[int, int]] = []
-
-    def search(i: int, chosen: list[tuple[int, int]], used: set[int]) -> None:
-        nonlocal best
-        if len(chosen) + (n1 - i + 1) <= len(best):
-            return
-        if i > n1:
-            if len(chosen) > len(best):
-                best = list(chosen)
-            return
-        for j in candidates[i]:
-            if j in used:
-                continue
-            if all(rel1[pi][i] == rel2[pj][j] for pi, pj in chosen):
-                chosen.append((i, j))
-                used.add(j)
-                search(i + 1, chosen, used)
-                chosen.pop()
-                used.remove(j)
-        search(i + 1, chosen, used)
-
-    if labels1[1] == labels2[1]:
-        search(2, [(1, 1)], {1})
-    return Mapping(frozenset(best))

@@ -218,36 +218,6 @@ def _parse_association(elem: ET.Element, names: dict[str, str]) -> Association |
     return Association(assoc_type=assoc_type, parent_role=parent, child_role=child)
 
 
-def serialize_xtm(doc: TopicMapDoc) -> bytes:
-    """Emit the supported XTM subset; parse(serialize(d)) == d on retained fields."""
-    root = ET.Element("topicMap", {"xmlns": "http://www.topicmaps.org/xtm/", "version": "2.0"})
-    occs_by_topic: dict[str, list[Occurrence]] = {}
-    for occ in doc.occurrences:
-        occs_by_topic.setdefault(occ.topic, []).append(occ)
-    for topic in doc.topics:
-        t_el = ET.SubElement(root, "topic", {"id": topic.id})
-        name_el = ET.SubElement(t_el, "topicName")
-        ET.SubElement(name_el, "value").text = topic.name
-        for occ in occs_by_topic.get(topic.id, []):
-            o_el = ET.SubElement(t_el, "occurrence")
-            ET.SubElement(o_el, "resourceData").text = occ.value
-    for assoc in doc.associations:
-        a_el = ET.SubElement(root, "association")
-        type_el = ET.SubElement(a_el, "type")
-        ET.SubElement(type_el, "topicRef", {"href": f"#{assoc.assoc_type}"})
-        parts = assoc.assoc_type.split("-")
-        if len(parts) >= 2 and parts[0] != parts[-1]:
-            role_labels = (parts[0], parts[-1])
-        else:
-            role_labels = ("parent", "child")
-        for role_label, member in zip(role_labels, (assoc.parent_role, assoc.child_role)):
-            r_el = ET.SubElement(a_el, "role")
-            rt_el = ET.SubElement(r_el, "type")
-            ET.SubElement(rt_el, "topicRef", {"href": f"#{role_label}"})
-            ET.SubElement(r_el, "topicRef", {"href": f"#{member}"})
-    return ET.tostring(root, encoding="utf-8", xml_declaration=True)
-
-
 def derive_forest(doc: TopicMapDoc) -> TopicForest:
     """Build the document's ordered topic forest.
 
@@ -298,24 +268,6 @@ def sort_forest(forest: TopicForest) -> TopicForest:
     for node in iter_bfs(forest.root):
         node.children.sort(key=lambda c: c.label)
     return forest
-
-
-def validate_forest(forest: TopicForest) -> None:
-    """Raise ValidationError unless the forest meets its invariants."""
-    if forest.root.label != DOC_ROOT_LABEL:
-        raise ValidationError(
-            f"forest root of {forest.doc_id!r} is labeled {forest.root.label!r}"
-        )
-    seen: set[int] = set()
-    for node in iter_bfs(forest.root):
-        if id(node) in seen:
-            raise ValidationError(f"forest of {forest.doc_id!r} is not a tree")
-        seen.add(id(node))
-        labels = [c.label for c in node.children]
-        if labels != sorted(labels):
-            raise ValidationError(
-                f"unsorted sibling labels {labels!r} in forest of {forest.doc_id!r}"
-            )
 
 
 def forest_json_text(forest: TopicForest) -> str:

@@ -1,0 +1,220 @@
+"""Test oracles: code that only the tests call, kept out of the library.
+
+- `mapping_violations` checks a mapping against the five invariants from
+  first principles, and `brute_force_common_subtree` is an exhaustive
+  search for small trees.  Neither shares code with `treesim`'s table
+  beyond node numbering.
+- `bfs_arrays` and `lifted_postorder` are the contraction that
+  `treesim._postorder` replaced: each node lifts the tuple of the kept
+  nodes of its subtree into its parent's, which copies whole subtrees at
+  every level.
+- `serialize_xtm` writes the XTM subset that `parse_xtm` reads, and
+  `validate_forest` checks a forest's invariants.
+"""
+
+from __future__ import annotations
+
+import xml.etree.ElementTree as ET
+
+from tmclust.errors import ValidationError
+from tmclust.treesim import Mapping, _forms, _pair
+from tmclust.xtm import (
+    DOC_ROOT_LABEL,
+    Occurrence,
+    TopicForest,
+    TopicMapDoc,
+    TopicNode,
+    iter_bfs,
+    number_nodes,
+)
+
+
+def common_subtree_size(a: TopicForest, b: TopicForest) -> int:
+    """Cardinality of a maximum valid mapping, from the keyroot table."""
+    return _pair(*_forms(a, b))
+
+
+def bfs_arrays(forest: TopicForest, codec: dict[str, int]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """BFS label ids and child index tuples (index k <-> node number k + 1)."""
+    order = list(iter_bfs(forest.root))
+    index = {id(node): k for k, node in enumerate(order)}
+    labels = [codec.setdefault(node.label, len(codec)) for node in order]
+    children = [tuple(index[id(c)] for c in node.children) for node in order]
+    return labels, children
+
+
+def lifted_postorder(
+    labels: list[int], children: list[tuple[int, ...]], keep: frozenset[int]
+) -> tuple[tuple[int, ...], list[int], list[int]]:
+    """The BFS arrays contracted to the non-root labels in `keep`: the BFS
+    index, label and leftmost-leaf position of each kept node, in postorder."""
+    # lifted[k]: the kept nodes of k's subtree in postorder, which is what
+    # k contributes to its parent's postorder.
+    lifted: list[tuple[int, ...]] = [()] * len(labels)
+    for k in range(len(labels) - 1, -1, -1):
+        below = tuple(x for c in children[k] for x in lifted[c])
+        lifted[k] = below + (k,) if k == 0 or labels[k] in keep else below
+    order = lifted[0]
+    return order, [labels[k] for k in order], [p + 1 - len(lifted[k]) for p, k in enumerate(order)]
+
+
+# Relation codes used by the oracle and the independent mapping checker.
+_SELF, _ANC, _DESC, _LEFT, _RIGHT = 0, 1, 2, 3, 4
+
+
+def _relation_table(forest: TopicForest) -> tuple[dict[int, str], list[list[int]]]:
+    """Full pairwise relation matrix over BFS node numbers, 1-based."""
+    numbers = number_nodes(forest)
+    labels = {k: node.label for node, k in numbers.items()}
+    parent: dict[int, int] = {}
+    preorder: dict[int, int] = {}
+
+    def walk(node: TopicNode, counter: list[int]) -> None:
+        preorder[numbers[node]] = counter[0]
+        counter[0] += 1
+        for child in node.children:
+            parent[numbers[child]] = numbers[node]
+            walk(child, counter)
+
+    walk(forest.root, [0])
+    n = len(numbers)
+    ancestors: dict[int, set[int]] = {}
+    for k in range(1, n + 1):
+        chain = set()
+        cur = k
+        while cur in parent:
+            cur = parent[cur]
+            chain.add(cur)
+        ancestors[k] = chain
+    rel = [[_SELF] * (n + 1) for _ in range(n + 1)]
+    for u in range(1, n + 1):
+        for v in range(1, n + 1):
+            if u == v:
+                rel[u][v] = _SELF
+            elif u in ancestors[v]:
+                rel[u][v] = _ANC
+            elif v in ancestors[u]:
+                rel[u][v] = _DESC
+            elif preorder[u] < preorder[v]:
+                rel[u][v] = _LEFT
+            else:
+                rel[u][v] = _RIGHT
+    return labels, rel
+
+
+def mapping_violations(a: TopicForest, b: TopicForest, mapping: Mapping) -> list[str]:
+    """Check a mapping against all five invariants, from first principles."""
+    labels1, rel1 = _relation_table(a)
+    labels2, rel2 = _relation_table(b)
+    pairs = sorted(mapping.pairs)
+    problems: list[str] = []
+    seen_i: set[int] = set()
+    seen_j: set[int] = set()
+    for i, j in pairs:
+        if i not in labels1 or j not in labels2:
+            problems.append(f"pair ({i},{j}) is out of range")
+            continue
+        if labels1[i] != labels2[j]:
+            problems.append(f"pair ({i},{j}) is not label-preserving")
+        if i in seen_i or j in seen_j:
+            problems.append(f"pair ({i},{j}) breaks one-to-one")
+        seen_i.add(i)
+        seen_j.add(j)
+    if pairs and (1, 1) not in mapping.pairs:
+        problems.append("non-empty mapping does not contain the root pair")
+    for x in range(len(pairs)):
+        i1, j1 = pairs[x]
+        for y in range(x + 1, len(pairs)):
+            i2, j2 = pairs[y]
+            if rel1[i1][i2] != rel2[j1][j2]:
+                problems.append(
+                    f"pairs ({i1},{j1}) and ({i2},{j2}) disagree on order/ancestry"
+                )
+    return problems
+
+
+def brute_force_common_subtree(a: TopicForest, b: TopicForest) -> Mapping:
+    """Exhaustive maximum-mapping search; refuses trees above 10 nodes."""
+    labels1, rel1 = _relation_table(a)
+    labels2, rel2 = _relation_table(b)
+    n1, n2 = len(labels1), len(labels2)
+    if n1 > 10 or n2 > 10:
+        raise ValueError(
+            f"brute force oracle limited to 10 nodes per tree, got {n1} and {n2}"
+        )
+    candidates = {
+        i: [j for j in range(1, n2 + 1) if labels2[j] == labels1[i]]
+        for i in range(1, n1 + 1)
+    }
+    best: list[tuple[int, int]] = []
+
+    def search(i: int, chosen: list[tuple[int, int]], used: set[int]) -> None:
+        nonlocal best
+        if len(chosen) + (n1 - i + 1) <= len(best):
+            return
+        if i > n1:
+            if len(chosen) > len(best):
+                best = list(chosen)
+            return
+        for j in candidates[i]:
+            if j in used:
+                continue
+            if all(rel1[pi][i] == rel2[pj][j] for pi, pj in chosen):
+                chosen.append((i, j))
+                used.add(j)
+                search(i + 1, chosen, used)
+                chosen.pop()
+                used.remove(j)
+        search(i + 1, chosen, used)
+
+    if labels1[1] == labels2[1]:
+        search(2, [(1, 1)], {1})
+    return Mapping(frozenset(best))
+
+
+def serialize_xtm(doc: TopicMapDoc) -> bytes:
+    """Emit the supported XTM subset; parse(serialize(d)) == d on retained fields."""
+    root = ET.Element("topicMap", {"xmlns": "http://www.topicmaps.org/xtm/", "version": "2.0"})
+    occs_by_topic: dict[str, list[Occurrence]] = {}
+    for occ in doc.occurrences:
+        occs_by_topic.setdefault(occ.topic, []).append(occ)
+    for topic in doc.topics:
+        t_el = ET.SubElement(root, "topic", {"id": topic.id})
+        name_el = ET.SubElement(t_el, "topicName")
+        ET.SubElement(name_el, "value").text = topic.name
+        for occ in occs_by_topic.get(topic.id, []):
+            o_el = ET.SubElement(t_el, "occurrence")
+            ET.SubElement(o_el, "resourceData").text = occ.value
+    for assoc in doc.associations:
+        a_el = ET.SubElement(root, "association")
+        type_el = ET.SubElement(a_el, "type")
+        ET.SubElement(type_el, "topicRef", {"href": f"#{assoc.assoc_type}"})
+        parts = assoc.assoc_type.split("-")
+        if len(parts) >= 2 and parts[0] != parts[-1]:
+            role_labels = (parts[0], parts[-1])
+        else:
+            role_labels = ("parent", "child")
+        for role_label, member in zip(role_labels, (assoc.parent_role, assoc.child_role)):
+            r_el = ET.SubElement(a_el, "role")
+            rt_el = ET.SubElement(r_el, "type")
+            ET.SubElement(rt_el, "topicRef", {"href": f"#{role_label}"})
+            ET.SubElement(r_el, "topicRef", {"href": f"#{member}"})
+    return ET.tostring(root, encoding="utf-8", xml_declaration=True)
+
+
+def validate_forest(forest: TopicForest) -> None:
+    """Raise ValidationError unless the forest meets its invariants."""
+    if forest.root.label != DOC_ROOT_LABEL:
+        raise ValidationError(
+            f"forest root of {forest.doc_id!r} is labeled {forest.root.label!r}"
+        )
+    seen: set[int] = set()
+    for node in iter_bfs(forest.root):
+        if id(node) in seen:
+            raise ValidationError(f"forest of {forest.doc_id!r} is not a tree")
+        seen.add(id(node))
+        labels = [c.label for c in node.children]
+        if labels != sorted(labels):
+            raise ValidationError(
+                f"unsorted sibling labels {labels!r} in forest of {forest.doc_id!r}"
+            )

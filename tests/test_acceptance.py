@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 from conftest import random_forest
+from oracles import brute_force_common_subtree, common_subtree_size, mapping_violations
 
 from tmclust.cli import ExperimentConfig, cmd_experiment
 from tmclust.cluster import ClusterAssignment, cut, hac
@@ -22,10 +23,7 @@ from tmclust.synth import make_planted_corpus, write_jsonl
 from tmclust.textpipe import Corpus, CorpusDoc, TermVector, vectorize
 from tmclust.treesim import (
     SimilarityMatrix,
-    brute_force_common_subtree,
     build_matrix,
-    common_subtree_size,
-    mapping_violations,
     max_common_subtree,
 )
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 from conftest import XTM_ZOO
+from oracles import serialize_xtm
 
 from tmclust import cli, textpipe
 from tmclust.cli import (
@@ -25,7 +26,7 @@ from tmclust.cli import (
 )
 from tmclust.synth import make_planted_corpus, write_jsonl
 from tmclust.treesim import SimilarityMatrix
-from tmclust.xtm import DOC_ROOT_LABEL, Association, Topic, TopicMapDoc, serialize_xtm
+from tmclust.xtm import DOC_ROOT_LABEL, Association, Topic, TopicMapDoc
 
 TEXT_DOCS = {
     "d1": ("red cars race fast. red wins again.", "racing"),
@@ -320,8 +321,22 @@ def test_deeply_nested_tree_exits_2_without_traceback(tmp_path, capsys):
     )
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: ") and "nested too deeply" in err
+    assert err.startswith(f"error: {corpus}:1: ") and "nested too deeply" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc_id", ["../../escaped", "x/y", "a\x00b"], ids=["escape", "slash", "nul"])
+def test_jsonl_doc_id_that_cannot_be_a_file_name_exits_2(tmp_path, capsys, doc_id):
+    corpus = tmp_path / "ids.jsonl"
+    records = [{"id": "fine", "text": "alpha beta", "label": "x"}, {"id": doc_id, "text": "gamma", "label": "y"}]
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    out = tmp_path / "a" / "b" / "out"
+    assert main(["ingest", "--corpus", str(corpus), "--mode", "jsonl", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {corpus}:2: ") and repr(doc_id) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    written = [p for p in tmp_path.rglob("*") if p.is_file() and out not in p.parents]
+    assert written == [corpus]
 
 
 def test_cli_config_file_with_flag_override(tmp_path):
@@ -608,7 +623,7 @@ def test_bad_corpus_input_exits_2_naming_the_file(tmp_path, capsys, mode, corrup
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_experiment_writes_a_1000_deep_xtm_hierarchy(tmp_path):
+def test_experiment_writes_a_1000_deep_xtm_hierarchy(tmp_path, capsys):
     corpus = tmp_path / "deep"
     corpus.mkdir()
     # Alphabetic names, so that the documents' term vectors are not empty.
@@ -632,6 +647,11 @@ def test_experiment_writes_a_1000_deep_xtm_hierarchy(tmp_path):
     assert labels == chain[::-1] + [DOC_ROOT_LABEL]
     assert lines[-2] == '  "label": ' + json.dumps(DOC_ROOT_LABEL)
     assert (out / "report.csv").exists()
+    # A staged tm-sim matrix reads the forest back, which json.loads cannot.
+    capsys.readouterr()
+    staged = ["simmatrix", "--corpus", str(corpus), "--mode", "xtm-dir", "--out-dir", str(out)]
+    assert main([*staged, "--measure", "tm-sim"]) == 2
+    assert capsys.readouterr().err == "error: input is nested too deeply\n"
 
 
 def test_vectors_json_matches_json_dumps_with_an_empty_vector():

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+from oracles import validate_forest
+
 from tmclust.synth import make_planted_corpus, write_jsonl
 from tmclust.textpipe import load_corpus, tokenize
-from tmclust.xtm import number_nodes, validate_forest
+from tmclust.xtm import number_nodes
 
 
 def test_planted_corpus_shape_and_validity():

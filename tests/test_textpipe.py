@@ -6,6 +6,7 @@ import random
 
 import pytest
 from conftest import forest_dict, make_forest, node
+from oracles import validate_forest
 
 from tmclust.errors import ValidationError
 from tmclust.textpipe import (
@@ -16,7 +17,7 @@ from tmclust.textpipe import (
     tokenize,
     vectorize,
 )
-from tmclust.xtm import DOC_ROOT_LABEL, number_nodes, validate_forest
+from tmclust.xtm import DOC_ROOT_LABEL, number_nodes
 
 
 def test_tokenize_basic():

@@ -3,32 +3,46 @@ from __future__ import annotations
 import copy
 import csv
 import hashlib
+import inspect
 import io
 import random
+import sys
+from itertools import compress
 
 import numpy as np
 import pytest
 from conftest import make_forest, node, random_forest
+from oracles import (
+    bfs_arrays,
+    brute_force_common_subtree,
+    common_subtree_size,
+    lifted_postorder,
+    mapping_violations,
+    serialize_xtm,
+)
 
 from tmclust.errors import ValidationError
 from tmclust.synth import make_planted_corpus
 from tmclust.textpipe import build_fallback_forest
 from tmclust.treesim import (
     SimilarityMatrix,
-    _forms,
-    brute_force_common_subtree,
+    _Form,
+    _postorder,
     build_matrix,
-    common_subtree_size,
-    mapping_violations,
     max_common_subtree,
     tm_similarity,
 )
 from tmclust.xtm import (
     DOC_ROOT_LABEL,
+    Association,
+    Topic,
     TopicForest,
+    TopicMapDoc,
     TopicNode,
+    derive_forest,
     iter_bfs,
     number_nodes,
+    parse_xtm,
     sort_forest,
 )
 
@@ -401,18 +415,19 @@ def test_build_matrix_equals_pairwise_similarity_bitwise():
 
 
 class _Tree:
-    """A form contracted to the non-root labels in `keep`, with shape ids
-    from `shapes`, shared by both trees of a pair."""
+    """BFS arrays (`oracles.bfs_arrays`) contracted to the non-root labels in
+    `keep`, with shape ids from `shapes`, shared by both trees of a pair."""
 
-    def __init__(self, form, keep: frozenset[int], shapes: dict[tuple, int]) -> None:
-        labels = self.labels = form.labels
+    def __init__(self, arrays, keep: frozenset[int], shapes: dict[tuple, int]) -> None:
+        labels, children = arrays
+        self.labels = labels
         n = len(labels)
         self.children: list[tuple[int, ...]] = [()] * n
         self.sizes = [0] * n
         self.shapes = [0] * n
         lifted: list[tuple[int, ...]] = [()] * n
         for k in range(n - 1, -1, -1):
-            kids = tuple(x for c in form.children[k] for x in lifted[c])
+            kids = tuple(x for c in children[k] for x in lifted[c])
             if k and labels[k] not in keep:
                 lifted[k] = kids
                 continue
@@ -448,12 +463,13 @@ def _forest_lcs(f1: tuple[int, ...], f2: tuple[int, ...], t1: _Tree, t2: _Tree, 
 
 def _reference_pair(a: TopicForest, b: TopicForest) -> int:
     """The recursive memo DP that the keyroot table replaced."""
-    form1, form2 = _forms(a, b)
-    if form1.labels[0] != form2.labels[0]:
+    codec: dict[str, int] = {}
+    arrays1, arrays2 = bfs_arrays(a, codec), bfs_arrays(b, codec)
+    if arrays1[0][0] != arrays2[0][0]:
         return 0
     shapes: dict[tuple, int] = {}
-    keep = form1.nonroot & form2.nonroot
-    t1, t2 = _Tree(form1, keep, shapes), _Tree(form2, keep, shapes)
+    keep = frozenset(arrays1[0][1:]) & frozenset(arrays2[0][1:])
+    t1, t2 = _Tree(arrays1, keep, shapes), _Tree(arrays2, keep, shapes)
     return 1 + _forest_lcs(t1.children[0], t2.children[0], t1, t2, {})
 
 
@@ -517,3 +533,99 @@ def test_table_matches_the_memo_reference_on_larger_forests():
         assert mapping_violations(a, b, mapping) == []
         sizes.add(expected)
     assert len(sizes) > 20
+
+
+def test_contraction_filters_the_postorder_as_the_lifted_oracle_contracts():
+    rng = random.Random(31)
+    alphabets = ["aab", "aabbcd", ["a", "a", "b", DOC_ROOT_LABEL], "abcdefgh"]
+    for trial in range(400):
+        codec: dict[str, int] = {}
+        forest = random_forest(rng, max_nodes=40, alphabet=alphabets[trial % len(alphabets)])
+        form = _Form(forest, codec)
+        labels, children = bfs_arrays(forest, codec)
+        ids = sorted(codec.values())
+        for keep in (frozenset(), frozenset(ids), frozenset(i for i in ids if rng.random() < 0.5)):
+            kept, contracted, leftmost = _postorder(form, keep)
+            order, expected, expected_leftmost = lifted_postorder(labels, children, keep)
+            assert list(compress(form.bfs, kept)) == list(order)
+            assert contracted == expected
+            assert leftmost == expected_leftmost
+
+
+def _xtm_forests(seed: int, count: int) -> list[TopicForest]:
+    """Forests derived from XTM documents that each keep a random part of one
+    taxonomy of depth 3 and branching 3; a few topics take a shared name."""
+    rng = random.Random(seed)
+    parent: dict[str, str] = {}
+    level = [""]
+    for _ in range(3):
+        level = [p + str(c) for p in level for c in range(3)]
+        parent.update((child, child[:-1]) for child in level)
+    forests = []
+    for k in range(count):
+        chosen = [t for t in sorted(parent) if rng.random() < 0.6]
+        topics = [Topic(f"t{t}", rng.choice(WORDS) if rng.random() < 0.15 else f"n{t}") for t in chosen]
+        associations = [
+            Association("superclass-subclass", f"t{parent[t]}", f"t{t}")
+            for t in chosen
+            if parent[t] in chosen
+        ]
+        doc = TopicMapDoc(f"x{k}", topics, associations)
+        forests.append(derive_forest(parse_xtm(serialize_xtm(doc), doc_id=doc.doc_id)))
+    return forests
+
+
+def _oracle_matrix(forests: list[TopicForest]) -> SimilarityMatrix:
+    """The tm-sim matrix from the memo DP over the lifted contraction."""
+    n = len(forests)
+    values = np.eye(n)
+    for i, a in enumerate(forests):
+        for j in range(i + 1, n):
+            b = forests[j]
+            n1, n2 = len(number_nodes(a)), len(number_nodes(b))
+            if a.root.label != b.root.label:
+                sim = 0.0
+            elif n1 == 1 and n2 == 1:
+                sim = 1.0
+            else:
+                sim = (2.0 * _reference_pair(a, b) - 2.0) / (n1 + n2 - 2.0)
+            values[i, j] = values[j, i] = sim
+    return SimilarityMatrix("tm-sim", [f.doc_id for f in forests], values)
+
+
+@pytest.mark.parametrize("kind", ["planted", "xtm"])
+def test_build_matrix_csv_is_the_oracle_csv(kind):
+    if kind == "planted":
+        forests = [d.forest for d in make_planted_corpus(4, 10, seed=5)]
+    else:
+        forests = _xtm_forests(7, 24)
+    assert build_matrix(forests).to_csv() == _oracle_matrix(forests).to_csv()
+    # Both outcomes of the equal-tree test occur, so the table runs too.
+    codec: dict[str, int] = {}
+    forms = [_Form(f, codec) for f in forests]
+    equal = set()
+    for i, a in enumerate(forms):
+        for b in forms[i + 1 :]:
+            keep = a.nonroot & b.nonroot
+            if keep:
+                equal.add(_postorder(a, keep)[1:] == _postorder(b, keep)[1:])
+    assert equal == {True, False}
+
+
+def test_600_label_chain_contracts_without_recursion():
+    labels = [f"t{k}" for k in range(600)]
+    chain = _chain("a", labels)
+    codec: dict[str, int] = {}
+    keep = frozenset(codec.setdefault(label, len(codec)) for label in labels[::3])
+    limit = sys.getrecursionlimit()
+    # A walk that recursed once per level would need some 600 frames more.
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        form = _Form(chain, codec)
+        kept, contracted, leftmost = _postorder(form, keep)
+    finally:
+        sys.setrecursionlimit(limit)
+    order, expected, expected_leftmost = lifted_postorder(*bfs_arrays(chain, codec), keep)
+    assert list(compress(form.bfs, kept)) == list(order)
+    assert (contracted, leftmost) == (expected, expected_leftmost)
+    assert leftmost == [0] * 201

@@ -5,6 +5,7 @@ import random
 
 import pytest
 from conftest import XTM_ZOO, forest_dict, make_forest, node, random_forest
+from oracles import serialize_xtm, validate_forest
 
 from tmclust.errors import ValidationError, XtmParseError
 from tmclust.xtm import (
@@ -19,8 +20,6 @@ from tmclust.xtm import (
     normalize_label,
     number_nodes,
     parse_xtm,
-    serialize_xtm,
-    validate_forest,
 )
 
 
