@@ -113,37 +113,13 @@ def _write(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    _write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """The one JSON artifact form: one canonical line, written by the C encoder."""
+    _write(path, json.dumps(obj, sort_keys=True) + "\n")
 
 
 def _csv_text(rows: list[tuple[str, ...]]) -> str:
     """Rows of text fields as CSV lines, each field written by `csv_fields`."""
     return "".join(",".join(csv_fields(row)) + "\n" for row in rows)
-
-
-def _flat_json(obj: dict, inner: str) -> str:
-    """`obj`, a dict of scalars, as `json.dumps(..., sort_keys=True, indent=2)`
-    formats it where its items start at newline-and-indent `inner`."""
-    if not obj:
-        return "{}"
-    # Without `indent`, json.dumps runs the C encoder.
-    text = json.dumps(obj, sort_keys=True, separators=("," + inner, ": "))
-    return "{" + inner + text[1:-1] + inner[:-2] + "}"
-
-
-def _vectors_json(df: dict[str, int], vectors: list[textpipe.TermVector]) -> str:
-    """The vectors.json text, byte for byte what `_write_json` would write,
-    with each term's index in the sorted `df` and the document count."""
-    stored = ",\n    ".join(
-        json.dumps(v.doc_id) + ": " + _flat_json(v.entries, "\n      ")
-        for v in sorted(vectors, key=lambda v: v.doc_id)
-    )
-    return (
-        '{\n  "df": ' + _flat_json(df, "\n    ")
-        + ',\n  "index": ' + _flat_json({t: i for i, t in enumerate(df)}, "\n    ")
-        + ',\n  "n_docs": ' + json.dumps(len(vectors))
-        + ',\n  "vectors": {\n    ' + stored + "\n  }\n}\n"
-    )
 
 
 def _ingest_stage(config: ExperimentConfig) -> tuple[Path, dict, list, list]:
@@ -168,7 +144,12 @@ def _ingest_stage(config: ExperimentConfig) -> tuple[Path, dict, list, list]:
     empty = [v.doc_id for v in vectors if v.is_zero]
     for doc_id in empty:
         print(f"warning: document {doc_id!r} has an empty term vector", file=sys.stderr)
-    _write(out / "vectors.json", _vectors_json(df, vectors))
+    _write_json(out / "vectors.json", {
+        "df": df,
+        "index": {t: i for i, t in enumerate(df)},
+        "n_docs": len(vectors),
+        "vectors": {v.doc_id: v.entries for v in vectors},
+    })
     manifest = {
         "dataset": corpus.name,
         "mode": config.mode,
@@ -199,8 +180,21 @@ def _read_json(path: Path, stage: str):
         raise ValidationError(f"bad JSON in {path}: {exc}") from exc
 
 
+# The manifest keys that a later stage reads, with the type of each.
+_MANIFEST_TYPES = {"classes": list, "dataset": str, "doc_ids": list, "labels": dict}
+
+
 def _read_manifest(out: Path) -> dict:
-    return _read_json(out / "manifest.json", "ingest")
+    path = out / "manifest.json"
+    manifest = _read_json(path, "ingest")
+    if not isinstance(manifest, dict):
+        raise ValidationError(f"bad {path}: not a JSON object")
+    for key, kind in _MANIFEST_TYPES.items():
+        if not isinstance(manifest.get(key), kind):
+            raise ValidationError(f"bad {path}: {key!r} is not a {kind.__name__}")
+    if not all(isinstance(doc_id, str) for doc_id in manifest["doc_ids"]):
+        raise ValidationError(f"bad {path}: a doc id is not a str")
+    return manifest
 
 
 def _read_forests(out: Path, doc_ids: list[str]) -> list[xtm.TopicForest]:
@@ -211,12 +205,19 @@ def _read_forests(out: Path, doc_ids: list[str]) -> list[xtm.TopicForest]:
 
 
 def _read_vectors(out: Path, doc_ids: list[str]) -> list[textpipe.TermVector]:
-    stored = _read_json(out / "vectors.json", "ingest")["vectors"]
+    path = out / "vectors.json"
+    stored = _read_json(path, "ingest")
+    stored = stored.get("vectors") if isinstance(stored, dict) else None
+    if not isinstance(stored, dict):
+        raise ValidationError(f"bad {path}: no \"vectors\" object")
     vectors = []
     for doc_id in doc_ids:
         if doc_id not in stored:
-            raise ValidationError(f"no vector stored for document {doc_id!r}")
-        entries = {t: float(w) for t, w in stored[doc_id].items()}
+            raise ValidationError(f"bad {path}: no vector stored for document {doc_id!r}")
+        try:
+            entries = {t: float(w) for t, w in stored[doc_id].items()}
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValidationError(f"bad {path}: vector of {doc_id!r}: {exc}") from exc
         vectors.append(textpipe.TermVector(doc_id, entries))
     return vectors
 
@@ -245,7 +246,10 @@ def _cluster_stage(
 ) -> _cluster.ClusterAssignment:
     """Cluster one matrix, write the dendrogram and the cut, return the cut."""
     dendrogram = _cluster.hac(matrix, linkage)
-    _write(out / f"dendrogram_{matrix.measure}.json", dendrogram.to_json_text())
+    _write_json(
+        out / f"dendrogram_{matrix.measure}.json",
+        {"merges": dendrogram.merges, "n_leaves": dendrogram.n_leaves},
+    )
     assignment = _cluster.cut(dendrogram, k)
     rows = zip(matrix.doc_ids, map(str, assignment.labels))
     _write(out / f"assignment_{matrix.measure}.csv", _csv_text([("doc_id", "cluster"), *rows]))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,21 +19,6 @@ class Dendrogram:
 
     n_leaves: int
     merges: list[tuple[int, int, float, int]]
-
-    def to_json_text(self) -> str:
-        """The dendrogram as `json.dumps(..., sort_keys=True, indent=2) + "\n"`
-        formats `{"merges": [[left, right, sim, new], ...], "n_leaves": n}`,
-        built without the pure-Python encoder that `indent` selects."""
-        if not self.merges:
-            merges = "[]"
-        else:
-            # One C-encoder call formats every height exactly as json.dumps does.
-            heights = json.dumps([sim for _, _, sim, _ in self.merges])[1:-1].split(", ")
-            merges = "[\n    " + ",\n    ".join(
-                f"[\n      {a},\n      {b},\n      {height},\n      {new}\n    ]"
-                for (a, b, _, new), height in zip(self.merges, heights)
-            ) + "\n  ]"
-        return '{\n  "merges": ' + merges + ',\n  "n_leaves": ' + str(self.n_leaves) + "\n}\n"
 
 
 @dataclass

@@ -27,6 +27,10 @@ from .xtm import (
 # Corpus input modes, as `load_corpus` takes them.
 MODES = ("xtm-dir", "text-dir", "jsonl")
 
+# The longest id whose forest file name, id plus ".json", fits the 255-byte
+# name limit of common file systems.
+_MAX_ID_BYTES = 255 - len(".json")
+
 _TOKEN_RE = re.compile(r"[a-z]+")
 _SENTENCE_RE = re.compile(r"[.!?]+")
 
@@ -226,8 +230,15 @@ def _jsonl_record(line: str) -> tuple[CorpusDoc, TopicForest | None]:
         if key not in record:
             raise ValidationError(f"record missing {key!r}")
     doc_id = str(record["id"])
-    if "/" in doc_id or "\0" in doc_id:
-        raise ValidationError(f"doc id {doc_id!r} holds '/' or NUL, so it cannot be a file name")
+    try:
+        size = len(doc_id.encode("utf-8"))
+    except UnicodeEncodeError:  # a lone surrogate, which no file name holds
+        size = _MAX_ID_BYTES + 1
+    if "/" in doc_id or "\0" in doc_id or size > _MAX_ID_BYTES:
+        raise ValidationError(
+            f"doc id {doc_id!r} cannot be a file name: it holds '/', NUL or a lone "
+            f"surrogate, or is over {_MAX_ID_BYTES} UTF-8 bytes"
+        )
     doc = CorpusDoc(doc_id, str(record["text"]), str(record["label"]))
     return doc, forest_from_json(doc_id, record["tree"]) if "tree" in record else None
 
@@ -240,13 +251,14 @@ def load_corpus(
     `jsonl` is one file with one {"id", "text", "label"} object per line; an
     optional "tree" field in the JSON tree fixture form pins the document's
     forest.  An id names the document's forest file, so it may hold neither
-    '/' nor NUL.  `text-dir` and `xtm-dir` are a directory of `*.txt` or
-    `*.xtm` files plus labels.csv, read by `read_labels`; a document's id is
-    its file stem.  An XTM document's forest is derived from its topic map, and
-    its vector text is its topic names plus its occurrence values.  Every
-    text file is read by `read_text`, and a data error names the file at
-    fault (a JSONL error names its line too, and so does a JSONL line nested
-    too deeply to parse).  `name` defaults to the path's stem.
+    '/', NUL nor a lone surrogate, and its UTF-8 form is at most 250 bytes.
+    `text-dir` and `xtm-dir` are a directory of `*.txt` or `*.xtm` files plus
+    labels.csv, read by `read_labels`; a document's id is its file stem.  An
+    XTM document's forest is derived from its topic map, and its vector text
+    is its topic names plus its occurrence values.  Every text file is read
+    by `read_text`, and a data error names the file at fault (a JSONL error
+    names its line too, and so does a JSONL line nested too deeply to parse).
+    `name` defaults to the path's stem.
     """
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")

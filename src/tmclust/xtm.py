@@ -272,34 +272,28 @@ def sort_forest(forest: TopicForest) -> TopicForest:
 
 def forest_json_text(forest: TopicForest) -> str:
     """The forest in the JSON tree fixture form, each node
-    {"label": str, "children": [...]}, as `json.dumps(..., sort_keys=True,
-    indent=2) + "\\n"` writes it.
+    {"label": str, "children": [...]}, as one line the way
+    `json.dumps(..., sort_keys=True) + "\\n"` writes it.
 
     One walk over the nodes with an explicit stack builds the text: no
-    intermediate dict and no recursion, so a forest of any depth is written.
+    intermediate dict and no recursion, so a forest of any depth is written,
+    where `json.dumps` raises `RecursionError` at about 500 levels.
     """
     parts: list[str] = []
-    # A node with the newline and indent its own lines start with, or a
-    # closing text to emit as it is.
-    stack: list = [(forest.root, "\n")]
+    # A node still to write, or a text to emit as it is.
+    stack: list = [forest.root]
     while stack:
-        item = stack.pop()
-        if type(item) is str:
-            parts.append(item)
+        node = stack.pop()
+        if type(node) is str:
+            parts.append(node)
             continue
-        node, nl = item
-        tail = nl + '  "label": ' + encode_basestring_ascii(node.label) + nl + "}"
-        children = node.children
-        if not children:
-            parts.append("{" + nl + '  "children": [],' + tail)
-            continue
-        inner = nl + "    "
-        parts.append("{" + nl + '  "children": [' + inner)
-        stack.append(nl + "  ]," + tail)
-        for child in children[:0:-1]:
-            stack.append((child, inner))
-            stack.append("," + inner)
-        stack.append((children[0], inner))
+        parts.append('{"children": [')
+        stack.append('], "label": ' + encode_basestring_ascii(node.label) + "}")
+        for child in reversed(node.children):
+            stack.append(child)
+            stack.append(", ")
+        if node.children:
+            stack.pop()  # no separator before the first child
     parts.append("\n")
     return "".join(parts)
 

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 from conftest import XTM_ZOO
 from oracles import serialize_xtm
 
-from tmclust import cli, textpipe
+from tmclust import cli
 from tmclust.cli import (
     MEASURE_CHOICES,
     ExperimentConfig,
@@ -325,18 +326,33 @@ def test_deeply_nested_tree_exits_2_without_traceback(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("doc_id", ["../../escaped", "x/y", "a\x00b"], ids=["escape", "slash", "nul"])
+# The longest id a forest file name holds: 250 UTF-8 bytes, as "é" takes two.
+LONGEST_ID = "é" * 125
+
+
+@pytest.mark.parametrize(
+    "doc_id",
+    ["../../escaped", "x/y", "a\x00b", "a\ud800", LONGEST_ID + "a"],
+    ids=["escape", "slash", "nul", "surrogate", "251-bytes"],
+)
 def test_jsonl_doc_id_that_cannot_be_a_file_name_exits_2(tmp_path, capsys, doc_id):
     corpus = tmp_path / "ids.jsonl"
-    records = [{"id": "fine", "text": "alpha beta", "label": "x"}, {"id": doc_id, "text": "gamma", "label": "y"}]
+    records = [
+        {"id": LONGEST_ID, "text": "alpha beta", "label": "x"},
+        {"id": doc_id, "text": "gamma", "label": "y"},
+    ]
     corpus.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     out = tmp_path / "a" / "b" / "out"
-    assert main(["ingest", "--corpus", str(corpus), "--mode", "jsonl", "--out-dir", str(out)]) == 2
+    ingest = ["ingest", "--corpus", str(corpus), "--mode", "jsonl", "--out-dir", str(out)]
+    assert main(ingest) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {corpus}:2: ") and repr(doc_id) in err
     assert err.count("\n") == 1 and "Traceback" not in err
-    written = [p for p in tmp_path.rglob("*") if p.is_file() and out not in p.parents]
-    assert written == [corpus]
+    assert list(tmp_path.rglob("*")) == [corpus]
+    # Without the bad line, the 250-byte id names its forest file.
+    corpus.write_text(json.dumps(records[0]) + "\n", encoding="utf-8")
+    assert main(ingest) == 0
+    assert (out / "forests" / f"{LONGEST_ID}.json").is_file()
 
 
 def test_cli_config_file_with_flag_override(tmp_path):
@@ -554,6 +570,41 @@ def test_corrupt_stage_input_exits_2_naming_the_file(tmp_path, capsys, name, cor
         assert err == f"error: missing {out / name}; run {WRITTEN_BY[name]} first\n"
 
 
+def _weight_x(vectors: dict) -> dict:
+    entries = vectors["vectors"]["d1"]
+    entries[min(entries)] = "x"
+    return vectors
+
+
+def _without_classes(manifest: dict) -> dict:
+    del manifest["classes"]
+    return manifest
+
+
+@pytest.mark.parametrize(
+    "name, reshape, stage",
+    [
+        ("vectors.json", lambda vectors: {}, "simmatrix"),
+        ("vectors.json", _weight_x, "simmatrix"),
+        ("manifest.json", lambda manifest: [], "simmatrix"),
+        ("manifest.json", _without_classes, "cluster"),
+    ],
+    ids=["vectors-empty", "vectors-weight-text", "manifest-list", "manifest-no-classes"],
+)
+def test_wrongly_shaped_stage_json_exits_2_naming_the_file(tmp_path, capsys, name, reshape, stage):
+    corpus = write_text_corpus(tmp_path / "corpus")
+    out = tmp_path / "out"
+    common = ["--corpus", str(corpus), "--mode", "text-dir", "--out-dir", str(out)]
+    assert main(["experiment", *common, "--measures", "cosine"]) == 0
+    path = out / name
+    path.write_text(json.dumps(reshape(json.loads(path.read_text("utf-8")))), encoding="utf-8")
+    capsys.readouterr()
+    assert main([stage, *common, "--measure", "cosine"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def _corpus_file(name: str, corrupt=_not_utf8):
     """Corrupt one file of a corpus directory; the error must name it."""
 
@@ -641,11 +692,11 @@ def test_experiment_writes_a_1000_deep_xtm_hierarchy(tmp_path, capsys):
     (corpus / "labels.csv").write_text("doc_id,label\ndeep,x\nshallow,y\n", encoding="utf-8")
     out = tmp_path / "out"
     assert main(["experiment", "--corpus", str(corpus), "--mode", "xtm-dir", "--out-dir", str(out)]) == 0
-    lines = (out / "forests" / "deep.json").read_text("utf-8").splitlines()
+    text = (out / "forests" / "deep.json").read_text("utf-8")
     # A node's label follows its children, so labels run from the leaf up.
-    labels = [json.loads(line.split(": ", 1)[1]) for line in lines if '"label": ' in line]
+    labels = [json.loads(label) for label in re.findall(r'"label": ("(?:[^"\\]|\\.)*")', text)]
     assert labels == chain[::-1] + [DOC_ROOT_LABEL]
-    assert lines[-2] == '  "label": ' + json.dumps(DOC_ROOT_LABEL)
+    assert text.endswith('], "label": ' + json.dumps(DOC_ROOT_LABEL) + "}\n")
     assert (out / "report.csv").exists()
     # A staged tm-sim matrix reads the forest back, which json.loads cannot.
     capsys.readouterr()
@@ -654,23 +705,33 @@ def test_experiment_writes_a_1000_deep_xtm_hierarchy(tmp_path, capsys):
     assert capsys.readouterr().err == "error: input is nested too deeply\n"
 
 
-def test_vectors_json_matches_json_dumps_with_an_empty_vector():
-    corpus = textpipe.Corpus(
-        docs=[
-            textpipe.CorpusDoc("b", "red cars race fast. red wins again.", "x"),
-            textpipe.CorpusDoc("a \"quoted\" id", "soup recipe needs onions.", "y"),
-            textpipe.CorpusDoc("stop", "the and of it. it is the.", "y"),
-            textpipe.CorpusDoc("é", "red soup wins.", "x"),
-        ]
-    )
-    df, vectors = textpipe.vectorize(corpus)
-    assert vectors[2].entries == {}
-    expected = {
-        "n_docs": len(corpus.docs),
-        "df": df,
-        "index": {term: i for i, term in enumerate(sorted(df))},
-        "vectors": {v.doc_id: v.entries for v in vectors},
+def test_every_json_artifact_is_one_canonical_line(tmp_path):
+    docs = {
+        **TEXT_DOCS,
+        "stop": ("the and of it. it is the.", "cooking"),
+        "é": ("red soup wins.", "racing"),
     }
-    text = cli._vectors_json(df, vectors)
-    assert text == json.dumps(expected, sort_keys=True, indent=2) + "\n"
-    assert '"stop": {}' in text
+    corpus = write_text_corpus(tmp_path / "corpus", docs)
+    common = ["--corpus", str(corpus), "--mode", "text-dir"]
+    whole, staged = tmp_path / "whole", tmp_path / "staged"
+    assert main(["experiment", *common, "--out-dir", str(whole)]) == 0
+    assert main(["ingest", *common, "--out-dir", str(staged)]) == 0
+    for measure in MEASURE_CHOICES:
+        for stage in ("simmatrix", "cluster", "evaluate"):
+            assert main([stage, *common, "--out-dir", str(staged), "--measure", measure]) == 0
+    names = set()
+    for out in (whole, staged):
+        for path in out.rglob("*.json"):
+            text = path.read_text("utf-8")
+            assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", path
+            assert text.count("\n") == 1, path
+            names.add(path.relative_to(out).as_posix())
+    expected = {"manifest.json", "vectors.json", "run_config.json", "forests/é.json"}
+    expected |= {f"{kind}_{m}.json" for kind in ("dendrogram", "eval") for m in MEASURE_CHOICES}
+    assert expected <= names
+    vectors = json.loads((whole / "vectors.json").read_text("utf-8"))
+    assert sorted(vectors) == ["df", "index", "n_docs", "vectors"]
+    assert vectors["index"] == {term: i for i, term in enumerate(sorted(vectors["df"]))}
+    assert vectors["n_docs"] == len(docs) and vectors["vectors"]["stop"] == {}
+    dendrogram = json.loads((whole / "dendrogram_cosine.json").read_text("utf-8"))
+    assert dendrogram["n_leaves"] == len(docs) and len(dendrogram["merges"]) == len(docs) - 1

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import random
 
 import numpy as np
@@ -235,31 +234,3 @@ def test_hac_matches_the_reference_on_a_tie_free_matrix(linkage):
     upper = matrix.values[np.triu_indices(120, 1)]
     assert len(set(upper.tolist())) == len(upper)
     _assert_same_merges(hac(matrix, linkage), _reference_hac(matrix, linkage))
-
-
-def _dendrogram_json(dendrogram: Dendrogram) -> str:
-    obj = {"n_leaves": dendrogram.n_leaves, "merges": [list(m) for m in dendrogram.merges]}
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def test_dendrogram_json_text_matches_json_dumps():
-    odd = matrix_from(
-        [
-            [1.0, 5e-324, 1 / 3, 5e-324],
-            [5e-324, 1.0, 0.5, 1 / 3],
-            [1 / 3, 0.5, 1.0, 0.5],
-            [5e-324, 1 / 3, 0.5, 1.0],
-        ]
-    )
-    dendrograms = [
-        hac(matrix_from([[1.0, 0.42], [0.42, 1.0]]), "average"),
-        Dendrogram(n_leaves=1, merges=[]),
-        Dendrogram(n_leaves=3, merges=[(0, 1, 0.0, 3), (2, 3, -0.0, 4)]),
-    ]
-    random_matrix = _random_matrix(np.random.default_rng(5), 9, None)
-    for linkage in LINKAGES:
-        dendrograms += [hac(odd, linkage), hac(random_matrix, linkage)]
-    heights = {m[2] for d in dendrograms for m in d.merges}
-    assert {5e-324, 1 / 3, 0.5}.issubset(heights)
-    for dendrogram in dendrograms:
-        assert dendrogram.to_json_text() == _dendrogram_json(dendrogram)

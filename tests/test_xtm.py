@@ -234,7 +234,7 @@ def test_forest_json_roundtrip():
 
 
 def _json_dumps_oracle(forest) -> str:
-    return json.dumps(forest_dict(forest), sort_keys=True, indent=2) + "\n"
+    return json.dumps(forest_dict(forest), sort_keys=True) + "\n"
 
 
 def test_forest_json_text_escapes_labels_like_json_dumps():
@@ -250,14 +250,12 @@ def test_forest_json_text_escapes_labels_like_json_dumps():
 def test_forest_json_text_of_a_root_only_forest():
     forest = make_forest("d")
     assert forest_json_text(forest) == _json_dumps_oracle(forest)
-    assert forest_json_text(forest) == (
-        '{\n  "children": [],\n  "label": "\\u27e8DOC\\u27e9"\n}\n'
-    )
+    assert forest_json_text(forest) == '{"children": [], "label": "\\u27e8DOC\\u27e9"}\n'
 
 
 def test_forest_json_text_of_deep_and_random_forests():
-    # The oracle, json.dumps with indent, recurses; 300 levels stay well inside
-    # the recursion limit.
+    # The oracle, json.dumps, recurses; 300 levels stay well inside the
+    # recursion limit.
     chain = node("c299")
     for depth in range(298, -1, -1):
         chain = node(f"c{depth}", chain, node("leaf"))
@@ -266,6 +264,23 @@ def test_forest_json_text_of_deep_and_random_forests():
     forests += [random_forest(rng, max_nodes=rng.randint(1, 40)) for _ in range(200)]
     for forest in forests:
         assert forest_json_text(forest) == _json_dumps_oracle(forest)
+
+
+def test_forest_json_text_of_a_5000_level_chain():
+    # Far past what json.dumps can encode, so the expected text is built by hand.
+    depth = 5000
+    chain = node(f"c{depth - 1}")
+    for level in range(depth - 2, -1, -1):
+        chain = node(f"c{level}", chain)
+    # The root and every chain node but the leaf open a list that closes
+    # after the leaf, innermost first.
+    above = [DOC_ROOT_LABEL] + [f"c{level}" for level in range(depth - 1)]
+    expected = (
+        '{"children": [' * depth + '{"children": [], "label": "c4999"}'
+        + "".join('], "label": ' + json.dumps(label) + "}" for label in reversed(above))
+        + "\n"
+    )
+    assert forest_json_text(make_forest("chain", chain)) == expected
 
 
 def test_forest_from_json_requires_doc_root():
