@@ -14,7 +14,7 @@ import pytest
 from conftest import XTM_ZOO
 from oracles import serialize_xtm
 
-from tmclust import cli
+from tmclust import cli, textpipe
 from tmclust.cli import (
     MEASURE_CHOICES,
     ExperimentConfig,
@@ -735,3 +735,28 @@ def test_every_json_artifact_is_one_canonical_line(tmp_path):
     assert vectors["n_docs"] == len(docs) and vectors["vectors"]["stop"] == {}
     dendrogram = json.loads((whole / "dendrogram_cosine.json").read_text("utf-8"))
     assert dendrogram["n_leaves"] == len(docs) and len(dendrogram["merges"]) == len(docs) - 1
+
+
+def test_vectors_json_matches_json_dumps_with_an_empty_vector(tmp_path):
+    records = [
+        {"id": "b", "text": "red cars race fast. red wins again.", "label": "x"},
+        {"id": 'a "quoted" id', "text": "soup recipe needs onions.", "label": "y"},
+        {"id": "stop", "text": "the and of it. it is the.", "label": "y"},
+        {"id": "é", "text": "red soup wins.", "label": "x"},
+    ]
+    corpus_path = tmp_path / "docs.jsonl"
+    corpus_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["ingest", "--corpus", str(corpus_path), "--mode", "jsonl", "--out-dir", str(out)]) == 0
+    corpus = textpipe.Corpus(docs=[textpipe.CorpusDoc(r["id"], r["text"], r["label"]) for r in records])
+    df, vectors = textpipe.vectorize(corpus)
+    assert vectors[2].entries == {}
+    expected = {
+        "n_docs": len(corpus.docs),
+        "df": df,
+        "index": {term: i for i, term in enumerate(sorted(df))},
+        "vectors": {v.doc_id: v.entries for v in vectors},
+    }
+    text = (out / "vectors.json").read_text("utf-8")
+    assert text == json.dumps(expected, sort_keys=True) + "\n"
+    assert '"stop": {}' in text

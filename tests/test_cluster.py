@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import json
 import random
 
 import numpy as np
 import pytest
 
+from tmclust import cli
 from tmclust.cluster import LINKAGES, Dendrogram, cut, hac
 from tmclust.errors import ValidationError
 from tmclust.treesim import SimilarityMatrix
@@ -234,3 +236,31 @@ def test_hac_matches_the_reference_on_a_tie_free_matrix(linkage):
     upper = matrix.values[np.triu_indices(120, 1)]
     assert len(set(upper.tolist())) == len(upper)
     _assert_same_merges(hac(matrix, linkage), _reference_hac(matrix, linkage))
+
+
+def _dendrogram_json(dendrogram: Dendrogram) -> str:
+    obj = {"n_leaves": dendrogram.n_leaves, "merges": [list(m) for m in dendrogram.merges]}
+    return json.dumps(obj, sort_keys=True) + "\n"
+
+
+def test_dendrogram_json_text_matches_json_dumps(tmp_path):
+    odd = matrix_from(
+        [
+            [1.0, 5e-324, 1 / 3, 5e-324],
+            [5e-324, 1.0, 0.5, 1 / 3],
+            [1 / 3, 0.5, 1.0, 0.5],
+            [5e-324, 1 / 3, 0.5, 1.0],
+        ]
+    )
+    matrices = [matrix_from([[1.0, 0.42], [0.42, 1.0]]), odd]
+    matrices.append(_random_matrix(np.random.default_rng(5), 9, None))
+    heights = set()
+    for linkage in LINKAGES:
+        for matrix in matrices:
+            dendrogram = hac(matrix, linkage)
+            heights |= {m[2] for m in dendrogram.merges}
+            cli._cluster_stage(tmp_path, matrix, linkage, 1)
+            text = (tmp_path / f"dendrogram_{matrix.measure}.json").read_text("utf-8")
+            assert text == _dendrogram_json(dendrogram)
+            assert json.loads(text)["merges"] == [list(m) for m in dendrogram.merges]
+    assert {5e-324, 1 / 3, 0.5}.issubset(heights)
