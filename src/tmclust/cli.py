@@ -16,7 +16,6 @@ import functools
 import io
 import json
 import sys
-import time
 import typing
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -27,8 +26,6 @@ from .errors import TmclustError, ValidationError
 from .matrix import SimilarityMatrix, csv_fields
 
 MEASURE_CHOICES = ("euclidean", "cosine", "jaccard", "kld", "tm-sim")
-MODE_CHOICES = textpipe.MODES
-REPORT_COLUMNS = ("dataset", "measure", "linkage", "k", "purity", "entropy", "seconds")
 
 
 class UsageError(Exception):
@@ -43,22 +40,22 @@ class ExperimentConfig:
     linkage: str = "average"
     k: int | None = None
     out_dir: str = "out"
-    seed: int = 0
     dataset: str = ""
     stopwords: str | None = None
     stem: bool = False
-    timing: bool = False
 
     def validate(self) -> None:
         if not self.corpus:
             raise UsageError("a corpus path is required (flag --corpus or config)")
-        if self.mode not in MODE_CHOICES:
-            raise UsageError(f"mode must be one of {MODE_CHOICES}, got {self.mode!r}")
+        if self.mode not in textpipe.MODES:
+            raise UsageError(f"mode must be one of {textpipe.MODES}, got {self.mode!r}")
         if not self.measures:
             raise UsageError("measures must be non-empty")
         for measure in self.measures:
             if measure not in MEASURE_CHOICES:
                 raise UsageError(f"unknown measure {measure!r}")
+            if self.measures.count(measure) > 1:
+                raise UsageError(f"measures lists {measure!r} more than once")
         if self.linkage not in _cluster.LINKAGES:
             raise UsageError(f"linkage must be one of {_cluster.LINKAGES}")
         if self.k is not None and self.k < 1:
@@ -197,6 +194,12 @@ def _read_manifest(out: Path) -> dict:
     return manifest
 
 
+def _check_doc_ids(path: Path, doc_ids: list[str], manifest: dict, stage: str) -> None:
+    """Refuse a stage input left by a run over other documents than the manifest's."""
+    if doc_ids != manifest["doc_ids"]:
+        raise ValidationError(f"stale {path}: doc ids differ from manifest.json; run {stage} again")
+
+
 def _read_forests(out: Path, doc_ids: list[str]) -> list[xtm.TopicForest]:
     return [
         xtm.forest_from_json(doc_id, _read_json(out / "forests" / f"{doc_id}.json", "ingest"))
@@ -266,15 +269,16 @@ def cmd_cluster(config: ExperimentConfig, measure: str) -> Path:
         matrix = SimilarityMatrix.from_csv(text, measure)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+    _check_doc_ids(path, matrix.doc_ids, manifest, "simmatrix")
     _cluster_stage(out, matrix, config.linkage, config.k or len(manifest["classes"]))
     return out / f"assignment_{measure}.csv"
 
 
 def _evaluate_stage(
-    out: Path, measure: str, manifest: dict, doc_ids: list[str],
-    assignment: _cluster.ClusterAssignment,
+    out: Path, measure: str, manifest: dict, assignment: _cluster.ClusterAssignment
 ) -> evalx.EvalReport:
-    """Score an assignment of `doc_ids` against the gold labels and write it."""
+    """Score an assignment of the manifest's documents and write the scores."""
+    doc_ids = manifest["doc_ids"]
     gold = [manifest["labels"].get(doc_id) for doc_id in doc_ids]
     report = evalx.evaluate(assignment, gold, measure, manifest["dataset"], doc_ids=doc_ids)
     _write_json(out / f"eval_{measure}.json", report.to_json())
@@ -294,8 +298,9 @@ def cmd_evaluate(config: ExperimentConfig, measure: str) -> evalx.EvalReport:
         labels = [int(row[1]) for row in rows]
     except (csv.Error, IndexError, ValueError) as exc:
         raise ValidationError(f"bad row in {path}: {exc}") from exc
+    _check_doc_ids(path, doc_ids, manifest, "cluster")
     assignment = _cluster.ClusterAssignment(k=len(set(labels)), labels=labels)
-    report = _evaluate_stage(out, measure, manifest, doc_ids, assignment)
+    report = _evaluate_stage(out, measure, manifest, assignment)
     print(
         f"{report.dataset} {report.measure} k={report.k} "
         f"purity={report.purity:.4f} entropy={report.entropy:.4f}"
@@ -307,18 +312,14 @@ def cmd_experiment(config: ExperimentConfig) -> Path:
     """Run every configured measure end to end, passing results in memory."""
     out, manifest, forests, vectors = _ingest_stage(config)
     k = config.k or len(manifest["classes"])
-    rows = [REPORT_COLUMNS]
+    rows = [("dataset", "measure", "linkage", "k", "purity", "entropy")]
     for measure in config.measures:
-        started = time.perf_counter()
         items = forests if measure == treesim.TM_MEASURE else vectors
         matrix = _matrix_stage(out, measure, items)
         assignment = _cluster_stage(out, matrix, config.linkage, k)
-        report = _evaluate_stage(out, measure, manifest, matrix.doc_ids, assignment)
-        secs = time.perf_counter() - started if config.timing else 0.0
-        rows.append((
-            report.dataset, report.measure, config.linkage, str(k),
-            repr(report.purity), repr(report.entropy), f"{secs:.3f}",
-        ))
+        report = _evaluate_stage(out, measure, manifest, assignment)
+        scores = (repr(report.purity), repr(report.entropy))
+        rows.append((report.dataset, report.measure, config.linkage, str(k), *scores))
         print(
             f"{report.dataset} {report.measure} linkage={config.linkage} k={k} "
             f"purity={report.purity:.4f} entropy={report.entropy:.4f}"
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         command = sub.add_parser(name, help=help_text)
         command.add_argument("--config", "-c", help="JSON config file (flags override it)")
         command.add_argument("--corpus", help="corpus path")
-        command.add_argument("--mode", choices=MODE_CHOICES, help="corpus input mode")
+        command.add_argument("--mode", choices=textpipe.MODES, help="corpus input mode")
         command.add_argument("--out-dir", dest="out_dir", help="artifact output directory")
         command.add_argument("--dataset", help="dataset name used in reports")
         command.add_argument("--stopwords", help="override stopword list file")
@@ -364,13 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--linkage", choices=_cluster.LINKAGES, help="HAC linkage")
         command.add_argument("--k", type=int, help="cluster count (default: gold classes)")
         if name == "experiment":
-            command.add_argument("--seed", type=int, help="seed echoed into run_config.json")
             command.add_argument("--measures", help="comma-separated measure list")
-            command.add_argument(
-                "--timing",
-                action="store_true",
-                help="record wall-clock seconds in the report (breaks byte-identical reruns)",
-            )
         elif name != "ingest":
             command.add_argument("--measure", required=True, choices=MEASURE_CHOICES)
         command.set_defaults(func=run)

@@ -226,9 +226,12 @@ def _jsonl_record(line: str) -> tuple[CorpusDoc, TopicForest | None]:
         raise ValidationError(f"bad JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise ValidationError("record is not a JSON object")
-    for key in ("id", "text", "label"):
+    for key, kinds in (("id", (str, int)), ("text", (str,)), ("label", (str,))):
         if key not in record:
             raise ValidationError(f"record missing {key!r}")
+        if type(record[key]) not in kinds:  # so true/false is no integer id
+            wanted = "a JSON string or integer" if int in kinds else "a JSON string"
+            raise ValidationError(f"{key!r} must be {wanted}")
     doc_id = str(record["id"])
     try:
         size = len(doc_id.encode("utf-8"))
@@ -239,7 +242,7 @@ def _jsonl_record(line: str) -> tuple[CorpusDoc, TopicForest | None]:
             f"doc id {doc_id!r} cannot be a file name: it holds '/', NUL or a lone "
             f"surrogate, or is over {_MAX_ID_BYTES} UTF-8 bytes"
         )
-    doc = CorpusDoc(doc_id, str(record["text"]), str(record["label"]))
+    doc = CorpusDoc(doc_id, record["text"], record["label"])
     return doc, forest_from_json(doc_id, record["tree"]) if "tree" in record else None
 
 
@@ -248,7 +251,8 @@ def load_corpus(
 ) -> tuple[Corpus, dict[str, TopicForest]]:
     """Load a corpus in one of `MODES`, with the forests its input pins.
 
-    `jsonl` is one file with one {"id", "text", "label"} object per line; an
+    `jsonl` is one file with one {"id", "text", "label"} object per line,
+    "text" and "label" JSON strings and "id" a string or an integer; an
     optional "tree" field in the JSON tree fixture form pins the document's
     forest.  An id names the document's forest file, so it may hold neither
     '/', NUL nor a lone surrogate, and its UTF-8 form is at most 250 bytes.

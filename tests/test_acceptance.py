@@ -139,7 +139,6 @@ def test_criterion_5_planted_topic_experiment(tmp_path):
             mode="jsonl",
             out_dir=str(tmp_path / f"out_{seed}"),
             dataset="planted",
-            seed=seed,
         )
         report_path = cmd_experiment(config)
         elapsed = time.perf_counter() - started
@@ -208,7 +207,6 @@ def test_criterion_7_determinism(tmp_path):
             mode="jsonl",
             out_dir=str(tmp_path / run),
             dataset="planted",
-            seed=42,
         )
         reports.append(cmd_experiment(config).read_bytes())
     ok = reports[0] == reports[1]

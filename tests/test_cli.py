@@ -198,7 +198,7 @@ def test_experiment_writes_report_and_config_echo(tmp_path):
     config = config_for(tmp_path, corpus, "text-dir")
     report_path = cmd_experiment(config)
     rows = list(csv.reader(report_path.read_text().splitlines()))
-    assert rows[0] == ["dataset", "measure", "linkage", "k", "purity", "entropy", "seconds"]
+    assert rows[0] == ["dataset", "measure", "linkage", "k", "purity", "entropy"]
     assert len(rows) == 6
     assert [row[1] for row in rows[1:]] == [
         "euclidean", "cosine", "jaccard", "kld", "tm-sim",
@@ -291,6 +291,33 @@ def test_stopwords_file_removes_its_words_from_vectors_and_forests(tmp_path):
         assert "cars" in terms and "cars" in labels
 
 
+def test_experiment_stem_writes_stemmed_terms_and_forest_labels(tmp_path):
+    corpus = write_text_corpus(tmp_path / "corpus")
+    out = tmp_path / "out"
+    argv = ["experiment", "--corpus", str(corpus), "--mode", "text-dir", "--out-dir", str(out)]
+    assert main([*argv, "--stem"]) == 0
+    vectors = json.loads((out / "vectors.json").read_text("utf-8"))
+    terms = set(vectors["index"]).union(*vectors["vectors"].values())
+    labels = _forest_labels(out)
+    for word, stemmed in (("cars", "car"), ("wins", "win"), ("onions", "onion")):
+        assert stemmed in terms and word not in terms
+        assert stemmed in labels and word not in labels
+    assert json.loads((out / "run_config.json").read_text("utf-8"))["stem"] is True
+
+
+def test_readme_command_line_flags_exist_in_the_parser(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z-]*", section))
+    offered = set()
+    for command in cli._SUBCOMMANDS:
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--help"])
+        assert exited.value.code == 0
+        offered |= set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert named and named <= offered, sorted(named - offered)
+
+
 def test_process_exit_status(tmp_path):
     corpus = write_text_corpus(tmp_path / "corpus")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -379,18 +406,27 @@ def test_cli_config_file_with_flag_override(tmp_path):
 
 
 def test_seed_is_an_experiment_flag_echoed_into_run_config(tmp_path):
+    # Nothing in the pipeline is random or timed, so no command takes a seed
+    # or a timing switch, and run_config.json echoes only what changes an output.
     corpus = write_text_corpus(tmp_path / "corpus")
     out = tmp_path / "out"
     common = ["--corpus", str(corpus), "--mode", "text-dir", "--out-dir", str(out)]
-    assert main(["ingest", *common, "--seed", "3"]) == 1
-    assert main(["experiment", *common, "--measures", "cosine", "--seed", "5"]) == 0
-    for stage in ("simmatrix", "cluster", "evaluate"):
-        assert main([stage, *common, "--measure", "cosine", "--seed", "5"]) == 1
+    stages = {
+        "ingest": [],
+        "simmatrix": ["--measure", "cosine"],
+        "cluster": ["--measure", "cosine"],
+        "evaluate": ["--measure", "cosine"],
+        "experiment": ["--measures", "cosine"],
+    }
+    for stage, measure in stages.items():
+        for flag in (["--seed", "5"], ["--timing"]):
+            assert main([stage, *common, *measure, *flag]) == 1
+    assert not out.exists()
+    assert main(["experiment", *common, "--measures", "cosine"]) == 0
     echo = json.loads((out / "run_config.json").read_text())
-    assert echo["seed"] == 5 and echo["measures"] == ["cosine"]
+    assert echo["measures"] == ["cosine"]
     assert sorted(echo) == [
-        "corpus", "dataset", "k", "linkage", "measures", "mode", "out_dir",
-        "seed", "stem", "stopwords", "timing",
+        "corpus", "dataset", "k", "linkage", "measures", "mode", "out_dir", "stem", "stopwords",
     ]
 
 
@@ -398,11 +434,14 @@ def test_zero_valued_flags_are_set_flags(tmp_path):
     corpus = write_text_corpus(tmp_path / "corpus")
     out = tmp_path / "out"
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps({"seed": 5, "measures": ["cosine"]}), encoding="utf-8")
+    config_path.write_text(json.dumps({"k": 3, "measures": ["cosine"]}), encoding="utf-8")
     common = ["experiment", "--config", str(config_path), "--corpus", str(corpus)]
+    # --k 0 is a flag that was set, so it is refused rather than taken as unset.
     assert main([*common, "--out-dir", str(out), "--k", "0"]) == 1
-    assert main([*common, "--out-dir", str(out), "--seed", "0"]) == 0
-    assert json.loads((out / "run_config.json").read_text())["seed"] == 0
+    assert not out.exists()
+    # Unset, the file's k = 3 stands, and that run succeeds.
+    assert main([*common, "--out-dir", str(out)]) == 0
+    assert json.loads((out / "run_config.json").read_text())["k"] == 3
 
 
 def test_cli_rejects_unknown_config_key(tmp_path):
@@ -423,9 +462,10 @@ def test_cli_rejects_unknown_config_key(tmp_path):
         (b'{"corpus": "x", "measures": "cosine"}', "'measures'"),
         (b'{"corpus": "x", "measures": ["cosine", 3]}', "'measures'"),
         (b'{"corpus": "x", "stem": "yes"}', "'stem'"),
+        (b'{"corpus": "x", "measures": ["cosine", "cosine"]}', "'cosine'"),
     ],
     ids=["directory", "array", "not-utf8", "k-string", "k-bool", "corpus-number",
-         "measures-string", "measures-number", "stem-string"],
+         "measures-string", "measures-number", "stem-string", "measures-twice"],
 )
 def test_malformed_config_file_is_a_usage_error(tmp_path, capsys, content, named):
     config_path = tmp_path / "config.json"
@@ -522,6 +562,11 @@ def _delete(path: Path) -> None:
     path.unlink()
 
 
+def _rename_docs(path: Path) -> None:
+    """Rename every doc id d<n> to old<n>, as if left by a run over other documents."""
+    path.write_text(re.sub(r"\bd(\d)\b", r"old\1", path.read_text("utf-8")), encoding="utf-8")
+
+
 # The stage whose run writes each stage input.
 WRITTEN_BY = {
     "manifest.json": "ingest",
@@ -548,11 +593,14 @@ WRITTEN_BY = {
         ("vectors.json", _delete, "simmatrix", "cosine"),
         ("matrix_cosine.csv", _delete, "cluster", "cosine"),
         ("assignment_cosine.csv", _delete, "evaluate", "cosine"),
+        ("matrix_cosine.csv", _rename_docs, "cluster", "cosine"),
+        ("assignment_cosine.csv", _rename_docs, "evaluate", "cosine"),
     ],
     ids=[
         "manifest", "forest", "vectors", "matrix-ragged", "matrix-text", "assignment",
         "vectors-not-utf8", "matrix-not-utf8", "manifest-missing", "forest-missing",
-        "vectors-missing", "matrix-missing", "assignment-missing",
+        "vectors-missing", "matrix-missing", "assignment-missing", "matrix-stale",
+        "assignment-stale",
     ],
 )
 def test_corrupt_stage_input_exits_2_naming_the_file(tmp_path, capsys, name, corrupt, stage, measure):
@@ -561,13 +609,17 @@ def test_corrupt_stage_input_exits_2_naming_the_file(tmp_path, capsys, name, cor
     common = ["--corpus", str(corpus), "--mode", "text-dir", "--out-dir", str(out)]
     assert main(["experiment", *common, "--measures", "cosine,tm-sim"]) == 0
     corrupt(out / name)
+    before = artifact_bytes(out)
     capsys.readouterr()
     assert main([stage, *common, "--measure", measure]) == 2
+    assert artifact_bytes(out) == before
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out / name) in err
     assert err.count("\n") == 1 and "Traceback" not in err
     if corrupt is _delete:
         assert err == f"error: missing {out / name}; run {WRITTEN_BY[name]} first\n"
+    if corrupt is _rename_docs:
+        assert err.endswith(f"; run {WRITTEN_BY[name]} again\n")
 
 
 def _weight_x(vectors: dict) -> dict:
@@ -626,14 +678,15 @@ def _jsonl_not_utf8(corpus: Path) -> tuple[str, list[str]]:
     return str(corpus), []
 
 
-def _jsonl_line(line: str):
-    """Append `line` to a JSONL corpus; the error must name its file and line."""
+def _jsonl_line(line: str, key: str | None = None):
+    """Append `line` to a JSONL corpus; the error must name its file and line,
+    followed by `key` if one is given."""
 
     def apply(corpus: Path) -> tuple[str, list[str]]:
         count = len(corpus.read_text("utf-8").splitlines())
         with corpus.open("a", encoding="utf-8") as handle:
             handle.write(line + "\n")
-        return f"{corpus}:{count + 1}", []
+        return f"{corpus}:{count + 1}" + (f": {key!r}" if key else ""), []
 
     return apply
 
@@ -652,6 +705,9 @@ BAD_TREE = {"label": DOC_ROOT_LABEL, "children": [{"label": "t", "children": 5}]
         ("jsonl", _jsonl_line("null")),
         ("jsonl", _jsonl_line('"idtextlabel"')),
         ("jsonl", _jsonl_line(json.dumps({"id": "t", "text": "a", "label": "x", "tree": BAD_TREE}))),
+        ("jsonl", _jsonl_line(json.dumps({"id": "t", "text": "a", "label": None}), "label")),
+        ("jsonl", _jsonl_line(json.dumps({"id": "t", "text": ["a"], "label": "x"}), "text")),
+        ("jsonl", _jsonl_line(json.dumps({"id": None, "text": "a", "label": "x"}), "id")),
         ("xtm-dir", _corpus_file("zoo_a.xtm", lambda p: p.write_bytes(XTM_ZOO[:-12]))),
         (
             "xtm-dir",
@@ -661,6 +717,7 @@ BAD_TREE = {"label": DOC_ROOT_LABEL, "children": [{"label": "t", "children": 5}]
     ids=[
         "txt-not-utf8", "labels-not-utf8", "stopwords-not-utf8", "jsonl-not-utf8",
         "jsonl-number", "jsonl-null", "jsonl-string", "jsonl-tree-children",
+        "jsonl-label-null", "jsonl-text-list", "jsonl-id-null",
         "xtm-malformed", "xtm-duplicate-topic",
     ],
 )
