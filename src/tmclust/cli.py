@@ -15,6 +15,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 import typing
 from dataclasses import asdict, dataclass, field, fields
@@ -217,10 +218,20 @@ def _read_vectors(out: Path, doc_ids: list[str]) -> list[textpipe.TermVector]:
     for doc_id in doc_ids:
         if doc_id not in stored:
             raise ValidationError(f"bad {path}: no vector stored for document {doc_id!r}")
-        try:
-            entries = {t: float(w) for t, w in stored[doc_id].items()}
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad {path}: vector of {doc_id!r}: {exc}") from exc
+        vector = stored[doc_id]
+        if not isinstance(vector, dict):
+            raise ValidationError(f"bad {path}: vector of {doc_id!r} is not a JSON object")
+        entries = {}
+        for term, weight in vector.items():
+            try:
+                entries[term] = float(weight) if type(weight) in (int, float) else math.nan
+            except OverflowError:  # an integer beyond the float range
+                entries[term] = math.inf
+            if not 0.0 < entries[term] < math.inf:  # NaN fails too
+                raise ValidationError(
+                    f"bad {path}: vector of {doc_id!r}: weight {weight!r} of term {term!r} "
+                    "is not a finite number > 0"
+                )
         vectors.append(textpipe.TermVector(doc_id, entries))
     return vectors
 

@@ -1,10 +1,16 @@
 """Baseline pairwise similarity measures on sparse term vectors.
 
 `_pairwise` computes a measure's whole matrix; a pair function is its
-two-vector case.  Each row is spread into one dense row over the vocabulary
-and read by every later row on its own sorted term ids (padded with the id
-of an always-zero slot), so sums run in sorted-term order.  An empty vector
-scores 0 against any other under cosine, jaccard and kld.
+two-vector case.  Weights are > 0, so a term that only one of two vectors
+holds adds exactly +0.0 to each of a pair's sums.  A pair's sums therefore
+run over the terms both vectors hold, in sorted-term order: a term ->
+document inverted index lists every shared term of every pair, and
+`np.bincount`, which adds in input order, sums each pair.  Row sums (norm,
+L1 mass) are bincounts too.  Entries whose normalized weight is 0 are
+dropped before the index is built.  The pairs are generated for blocks of
+first documents of at most `_BLOCK_PAIRS` entries, which keeps the working
+set bounded.  An empty vector scores 0 against any other under cosine,
+jaccard and kld.
 """
 
 from __future__ import annotations
@@ -16,52 +22,83 @@ from .textpipe import TermVector
 from .matrix import SimilarityMatrix
 
 
-def _rowsum(x: np.ndarray) -> np.ndarray:
-    """Row sums added left to right, as a Python loop adds them."""
-    return x.cumsum(axis=1)[:, -1]
+# Pair entries generated at a time: blocks of first documents are cut so that
+# each holds at most this many (or one document), which bounds the working set.
+_BLOCK_PAIRS = 2048
 
 
 def _pairwise(measure: str, vectors: list[TermVector]) -> np.ndarray:
     """`measure` between every two of `vectors`; the diagonal is 1."""
-    code = {t: k for k, t in enumerate(sorted({t for v in vectors for t in v.entries}))}
-    n, width = len(vectors), max([1] + [len(v.entries) for v in vectors])
-    ids, w = np.full((n, width), len(code)), np.zeros((n, width))
-    for r, v in enumerate(vectors):
-        terms = sorted(v.entries)
-        ids[r, : len(terms)] = [code[t] for t in terms]
-        w[r, : len(terms)] = [v.entries[t] for t in terms]
-    norm = np.sqrt(_rowsum(np.square(w)))
-    scale = norm if measure == "euclidean" else _rowsum(w) if measure == "kld" else np.ones(n)
-    w = np.divide(w, scale[:, None], out=np.zeros_like(w), where=scale[:, None] > 0.0)
+    n = len(vectors)
+    terms = [t for v in vectors for t in v.entries]
+    vocab = sorted(set(terms))
+    code = dict(zip(vocab, range(len(vocab))))
+    tid = np.fromiter(map(code.__getitem__, terms), np.int64, len(terms))
+    doc = np.repeat(np.arange(n), [len(v.entries) for v in vectors])
+    w = np.fromiter((x for v in vectors for x in v.entries.values()), float, len(terms))
+    # Document-major and term-minor, so that row sums run in sorted-term order.
+    order = np.argsort(doc * len(vocab) + tid, kind="stable")
+    tid, doc, w = tid[order], doc[order], w[order]
+    norm = np.sqrt(np.bincount(doc, np.square(w), n))
+    scale = norm if measure == "euclidean" else np.bincount(doc, w, n) if measure == "kld" else np.ones(n)
+    w = np.divide(w, scale[doc], out=np.zeros_like(w), where=scale[doc] > 0.0)
+    # An entry whose normalized weight is 0 adds +0.0 to every sum: drop it.
+    keep = w != 0.0
+    tid, doc, w = tid[keep], doc[keep], w[keep]
     # What a term adds to distance^2 or the JSD if the other vector lacks it (jaccard: w^2).
     mass = (lambda v: 0.5 * v) if measure == "kld" else np.square
-    total = _rowsum(mass(w))
-    out, dense = np.eye(n), np.zeros(len(code) + 1)
+    total = np.bincount(doc, mass(w), n)
+
+    # The inverted index: entries by term, then by document.  An entry pairs
+    # with each later entry of its term, and bincount adds a pair's terms in
+    # the order the index holds them, as a loop over the sorted shared terms would.
+    index = np.argsort(tid * n + doc, kind="stable")
+    term, owner, weight = tid[index], doc[index], w[index]
+    partners = np.searchsorted(term, term, side="right") - np.arange(len(term)) - 1
+    at = np.empty_like(index)  # at[k]: where the k-th entry sits in the index
+    at[index] = np.arange(len(index))
+    # Document i's entries are start[i]:start[i + 1]; load[i] pair entries come before them.
+    start = np.searchsorted(doc, np.arange(n + 1))
+    load = np.concatenate(([0], np.cumsum(partners[at])))[start]
+    sums = np.zeros((1 if measure in ("cosine", "jaccard") else 3, n * n))
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(load, load[lo] + _BLOCK_PAIRS, side="right")) - 1)
+        first = at[start[lo] : start[hi]]
+        count = partners[first]
+        second = np.arange(count.sum()) + np.repeat(first + 1 - (np.cumsum(count) - count), count)
+        first = np.repeat(first, count)
+        pair = (owner[first] - lo) * n + owner[second]
+        x, y = weight[first], weight[second]
+        if measure in ("cosine", "jaccard"):
+            parts = [x * y]
+        elif measure == "euclidean":
+            parts = [np.square(x - y), mass(x), mass(y)]
+        else:
+            m = 0.5 * (x + y)
+            parts = [0.5 * x * np.log2(x / m) + 0.5 * y * np.log2(y / m), mass(x), mass(y)]
+        for row, part in zip(sums, parts):
+            row[lo * n : hi * n] = np.bincount(pair, part, (hi - lo) * n)
+        lo = hi
+
+    sums = sums.reshape(-1, n, n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(n - 1):
-            rest = slice(i + 1, n)
-            dense[ids[i]] = w[i]
-            x, y = dense[ids[rest]], w[rest]
-            dense[ids[i]] = 0.0
-            if measure in ("cosine", "jaccard"):
-                dot = _rowsum(x * y)
-                den = norm[i] * norm[rest] if measure == "cosine" else total[i] + total[rest] - dot
-                out[i, rest] = out[rest, i] = np.where(den > 0.0, np.minimum(1.0, dot / den), 0.0)
-                continue
-            both = (x != 0.0) & (y != 0.0)
-            if measure == "euclidean":
-                shared = np.square(x - y)
-            else:
-                m = 0.5 * (x + y)
-                shared = 0.5 * x * np.log2(x / m) + 0.5 * y * np.log2(y / m)
+        if measure in ("cosine", "jaccard"):
+            dot = sums[0]
+            den = norm[:, None] * norm if measure == "cosine" else total[:, None] + total - dot
+            out = np.where(den > 0.0, np.minimum(1.0, dot / den), 0.0)
+        else:
             # Shared terms plus the sum of the two one-sided remainders: order-free.
-            sx, sy = (_rowsum(np.where(both, mass(v), 0.0)) for v in (x, y))
-            sep = _rowsum(np.where(both, shared, 0.0)) + ((total[i] - sx) + (total[rest] - sy))
+            sep = sums[0] + ((total[:, None] - sums[1]) + (total - sums[2]))
             if measure == "euclidean":
-                out[i, rest] = out[rest, i] = 1.0 / (1.0 + np.sqrt(sep))
+                out = 1.0 / (1.0 + np.sqrt(sep))
             else:
-                live = (scale[i] > 0.0) & (scale[rest] > 0.0)
-                out[i, rest] = out[rest, i] = np.where(live, 1.0 - np.clip(sep, 0.0, 1.0), 0.0)
+                live = (scale[:, None] > 0.0) & (scale > 0.0)
+                out = np.where(live, 1.0 - np.clip(sep, 0.0, 1.0), 0.0)
+    # Row i holds its pairs with j > i; mirror them and pin the diagonal.
+    lower = np.tril_indices(n, -1)
+    out[lower] = out.T[lower]
+    np.fill_diagonal(out, 1.0)
     return out
 
 

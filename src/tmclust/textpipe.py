@@ -75,15 +75,6 @@ class Corpus:
     def classes(self) -> list[str]:
         return sorted({d.label for d in self.docs})
 
-    def validate(self) -> None:
-        seen: set[str] = set()
-        for doc in self.docs:
-            if doc.doc_id in seen:
-                raise ValidationError(f"duplicate doc_id {doc.doc_id!r}")
-            seen.add(doc.doc_id)
-            if not doc.label:
-                raise ValidationError(f"document {doc.doc_id!r} has no gold label")
-
 
 @dataclass
 class TermVector:
@@ -197,7 +188,7 @@ def read_labels(path: Path, doc_ids: list[str]) -> dict[str, str]:
         if not row or row == ["doc_id", "label"]:
             continue
         if len(row) < 2:
-            raise ValidationError(f"bad labels.csv row: {row!r}")
+            raise ValidationError(f"{path}: bad row {row!r}")
         if row[0] in labels:
             print(
                 f"warning: labels.csv lists document {row[0]!r} more than once; "
@@ -207,7 +198,9 @@ def read_labels(path: Path, doc_ids: list[str]) -> dict[str, str]:
         labels[row[0]] = row[1]
     for doc_id in doc_ids:
         if doc_id not in labels:
-            raise ValidationError(f"document {doc_id!r} missing from labels.csv")
+            raise ValidationError(f"{path}: no row for document {doc_id!r}")
+        if not labels[doc_id]:
+            raise ValidationError(f"{path}: document {doc_id!r} has an empty label")
     known = set(doc_ids)
     for doc_id in labels:
         if doc_id not in known:
@@ -232,6 +225,8 @@ def _jsonl_record(line: str) -> tuple[CorpusDoc, TopicForest | None]:
         if type(record[key]) not in kinds:  # so true/false is no integer id
             wanted = "a JSON string or integer" if int in kinds else "a JSON string"
             raise ValidationError(f"{key!r} must be {wanted}")
+    if not record["label"]:
+        raise ValidationError("'label' is empty")
     doc_id = str(record["id"])
     try:
         size = len(doc_id.encode("utf-8"))
@@ -255,7 +250,8 @@ def load_corpus(
     "text" and "label" JSON strings and "id" a string or an integer; an
     optional "tree" field in the JSON tree fixture form pins the document's
     forest.  An id names the document's forest file, so it may hold neither
-    '/', NUL nor a lone surrogate, and its UTF-8 form is at most 250 bytes.
+    '/', NUL nor a lone surrogate, and its UTF-8 form is at most 250 bytes;
+    it may not repeat (`1` and "1" are one id), and a label may not be empty.
     `text-dir` and `xtm-dir` are a directory of `*.txt` or `*.xtm` files plus
     labels.csv, read by `read_labels`; a document's id is its file stem.  An
     XTM document's forest is derived from its topic map, and its vector text
@@ -273,6 +269,7 @@ def load_corpus(
     docs: list[CorpusDoc] = []
     trees: dict[str, TopicForest] = {}
     if mode == "jsonl":
+        first_line: dict[str, int] = {}
         # newline=None splits lines as a file opened in text mode does.
         lines = io.StringIO(read_text(base, missing), newline=None)
         for lineno, line in enumerate(lines, start=1):
@@ -285,6 +282,12 @@ def load_corpus(
                 raise ValidationError(f"{base}:{lineno}: input is nested too deeply") from None
             except ValidationError as exc:
                 raise ValidationError(f"{base}:{lineno}: {exc}") from exc
+            if doc.doc_id in first_line:
+                raise ValidationError(
+                    f"{base}:{lineno}: duplicate doc id {doc.doc_id!r} "
+                    f"(first on line {first_line[doc.doc_id]})"
+                )
+            first_line[doc.doc_id] = lineno
             docs.append(doc)
             if tree is not None:
                 trees[doc.doc_id] = tree
@@ -306,6 +309,4 @@ def load_corpus(
             docs.append(CorpusDoc(doc_id=doc_id, text=text, label=labels[doc_id]))
     if not docs:
         raise ValidationError(f"no documents found in {base}")
-    corpus = Corpus(docs=docs, name=name or base.stem)
-    corpus.validate()
-    return corpus, trees
+    return Corpus(docs=docs, name=name or base.stem), trees

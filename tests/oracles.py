@@ -10,13 +10,19 @@
   every level.
 - `serialize_xtm` writes the XTM subset that `parse_xtm` reads, and
   `validate_forest` checks a forest's invariants.
+- `reference_pairwise` is the baseline matrix routine that the inverted
+  index in `simbase._pairwise` replaced: one row at a time, each later row
+  read off a dense copy of the row through its own padded term ids.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 
+import numpy as np
+
 from tmclust.errors import ValidationError
+from tmclust.textpipe import TermVector
 from tmclust.treesim import Mapping, _forms, _pair
 from tmclust.xtm import (
     DOC_ROOT_LABEL,
@@ -218,3 +224,52 @@ def validate_forest(forest: TopicForest) -> None:
             raise ValidationError(
                 f"unsorted sibling labels {labels!r} in forest of {forest.doc_id!r}"
             )
+
+
+def _rowsum(x: np.ndarray) -> np.ndarray:
+    """Row sums added left to right, as a Python loop adds them."""
+    return x.cumsum(axis=1)[:, -1]
+
+
+def reference_pairwise(measure: str, vectors: list[TermVector]) -> np.ndarray:
+    """`measure` between every two of `vectors`; the diagonal is 1."""
+    code = {t: k for k, t in enumerate(sorted({t for v in vectors for t in v.entries}))}
+    n, width = len(vectors), max([1] + [len(v.entries) for v in vectors])
+    ids, w = np.full((n, width), len(code)), np.zeros((n, width))
+    for r, v in enumerate(vectors):
+        terms = sorted(v.entries)
+        ids[r, : len(terms)] = [code[t] for t in terms]
+        w[r, : len(terms)] = [v.entries[t] for t in terms]
+    norm = np.sqrt(_rowsum(np.square(w)))
+    scale = norm if measure == "euclidean" else _rowsum(w) if measure == "kld" else np.ones(n)
+    w = np.divide(w, scale[:, None], out=np.zeros_like(w), where=scale[:, None] > 0.0)
+    # What a term adds to distance^2 or the JSD if the other vector lacks it (jaccard: w^2).
+    mass = (lambda v: 0.5 * v) if measure == "kld" else np.square
+    total = _rowsum(mass(w))
+    out, dense = np.eye(n), np.zeros(len(code) + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(n - 1):
+            rest = slice(i + 1, n)
+            dense[ids[i]] = w[i]
+            x, y = dense[ids[rest]], w[rest]
+            dense[ids[i]] = 0.0
+            if measure in ("cosine", "jaccard"):
+                dot = _rowsum(x * y)
+                den = norm[i] * norm[rest] if measure == "cosine" else total[i] + total[rest] - dot
+                out[i, rest] = out[rest, i] = np.where(den > 0.0, np.minimum(1.0, dot / den), 0.0)
+                continue
+            both = (x != 0.0) & (y != 0.0)
+            if measure == "euclidean":
+                shared = np.square(x - y)
+            else:
+                m = 0.5 * (x + y)
+                shared = 0.5 * x * np.log2(x / m) + 0.5 * y * np.log2(y / m)
+            # Shared terms plus the sum of the two one-sided remainders: order-free.
+            sx, sy = (_rowsum(np.where(both, mass(v), 0.0)) for v in (x, y))
+            sep = _rowsum(np.where(both, shared, 0.0)) + ((total[i] - sx) + (total[rest] - sy))
+            if measure == "euclidean":
+                out[i, rest] = out[rest, i] = 1.0 / (1.0 + np.sqrt(sep))
+            else:
+                live = (scale[i] > 0.0) & (scale[rest] > 0.0)
+                out[i, rest] = out[rest, i] = np.where(live, 1.0 - np.clip(sep, 0.0, 1.0), 0.0)
+    return out

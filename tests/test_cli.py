@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -622,10 +623,15 @@ def test_corrupt_stage_input_exits_2_naming_the_file(tmp_path, capsys, name, cor
         assert err.endswith(f"; run {WRITTEN_BY[name]} again\n")
 
 
-def _weight_x(vectors: dict) -> dict:
-    entries = vectors["vectors"]["d1"]
-    entries[min(entries)] = "x"
-    return vectors
+def _weight(value):
+    """Set the weight of d1's first term to `value`; the error must name both."""
+
+    def reshape(vectors: dict) -> dict:
+        entries = vectors["vectors"]["d1"]
+        entries[min(entries)] = value
+        return vectors
+
+    return reshape
 
 
 def _without_classes(manifest: dict) -> dict:
@@ -637,11 +643,20 @@ def _without_classes(manifest: dict) -> dict:
     "name, reshape, stage",
     [
         ("vectors.json", lambda vectors: {}, "simmatrix"),
-        ("vectors.json", _weight_x, "simmatrix"),
+        ("vectors.json", _weight("x"), "simmatrix"),
         ("manifest.json", lambda manifest: [], "simmatrix"),
         ("manifest.json", _without_classes, "cluster"),
+        ("vectors.json", _weight(math.nan), "simmatrix"),
+        ("vectors.json", _weight(math.inf), "simmatrix"),
+        ("vectors.json", _weight(-math.inf), "simmatrix"),
+        ("vectors.json", _weight(0), "simmatrix"),
+        ("vectors.json", _weight(-1.5), "simmatrix"),
     ],
-    ids=["vectors-empty", "vectors-weight-text", "manifest-list", "manifest-no-classes"],
+    ids=[
+        "vectors-empty", "vectors-weight-text", "manifest-list", "manifest-no-classes",
+        "vectors-weight-nan", "vectors-weight-infinity", "vectors-weight-minus-infinity",
+        "vectors-weight-zero", "vectors-weight-negative",
+    ],
 )
 def test_wrongly_shaped_stage_json_exits_2_naming_the_file(tmp_path, capsys, name, reshape, stage):
     corpus = write_text_corpus(tmp_path / "corpus")
@@ -649,12 +664,15 @@ def test_wrongly_shaped_stage_json_exits_2_naming_the_file(tmp_path, capsys, nam
     common = ["--corpus", str(corpus), "--mode", "text-dir", "--out-dir", str(out)]
     assert main(["experiment", *common, "--measures", "cosine"]) == 0
     path = out / name
-    path.write_text(json.dumps(reshape(json.loads(path.read_text("utf-8")))), encoding="utf-8")
+    stored = json.loads(path.read_text("utf-8"))
+    path.write_text(json.dumps(reshape(stored)), encoding="utf-8")
     capsys.readouterr()
     assert main([stage, *common, "--measure", "cosine"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: bad {path}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    if reshape.__name__ == "reshape":  # a _weight case names the document and the term
+        assert "'d1'" in err and repr(min(stored["vectors"]["d1"])) in err
 
 
 def _corpus_file(name: str, corrupt=_not_utf8):
@@ -691,6 +709,21 @@ def _jsonl_line(line: str, key: str | None = None):
     return apply
 
 
+def _jsonl_duplicate_id(corpus: Path) -> tuple[str, list[str]]:
+    """Append ids 1 and "1", the same id once read; the second line is named."""
+    count = len(corpus.read_text("utf-8").splitlines())
+    with corpus.open("a", encoding="utf-8") as handle:
+        for doc_id in (1, "1"):
+            handle.write(json.dumps({"id": doc_id, "text": "a", "label": "x"}) + "\n")
+    return f"{corpus}:{count + 2}: duplicate doc id '1'", []
+
+
+def _labels_empty_label(corpus: Path) -> tuple[str, list[str]]:
+    path = corpus / "labels.csv"
+    path.write_text(re.sub(r"(?m)^d1,.*$", "d1,", path.read_text("utf-8")), encoding="utf-8")
+    return f"{path}: document 'd1' has an empty label", []
+
+
 BAD_TREE = {"label": DOC_ROOT_LABEL, "children": [{"label": "t", "children": 5}]}
 
 
@@ -708,6 +741,9 @@ BAD_TREE = {"label": DOC_ROOT_LABEL, "children": [{"label": "t", "children": 5}]
         ("jsonl", _jsonl_line(json.dumps({"id": "t", "text": "a", "label": None}), "label")),
         ("jsonl", _jsonl_line(json.dumps({"id": "t", "text": ["a"], "label": "x"}), "text")),
         ("jsonl", _jsonl_line(json.dumps({"id": None, "text": "a", "label": "x"}), "id")),
+        ("jsonl", _jsonl_line(json.dumps({"id": "t", "text": "a", "label": ""}), "label")),
+        ("jsonl", _jsonl_duplicate_id),
+        ("text-dir", _labels_empty_label),
         ("xtm-dir", _corpus_file("zoo_a.xtm", lambda p: p.write_bytes(XTM_ZOO[:-12]))),
         (
             "xtm-dir",
@@ -717,7 +753,8 @@ BAD_TREE = {"label": DOC_ROOT_LABEL, "children": [{"label": "t", "children": 5}]
     ids=[
         "txt-not-utf8", "labels-not-utf8", "stopwords-not-utf8", "jsonl-not-utf8",
         "jsonl-number", "jsonl-null", "jsonl-string", "jsonl-tree-children",
-        "jsonl-label-null", "jsonl-text-list", "jsonl-id-null",
+        "jsonl-label-null", "jsonl-text-list", "jsonl-id-null", "jsonl-label-empty",
+        "jsonl-duplicate-id", "labels-empty-label",
         "xtm-malformed", "xtm-duplicate-topic",
     ],
 )

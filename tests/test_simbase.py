@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from oracles import reference_pairwise
 from tmclust.errors import ValidationError
 from tmclust.simbase import (
+    _BLOCK_PAIRS,
     MEASURES,
+    _pairwise,
     build_matrix_base,
     cosine_sim,
     euclidean_sim,
@@ -171,6 +175,18 @@ def _vector_set(rng: random.Random, n: int) -> list[TermVector]:
     return vectors
 
 
+def _count_kinds(vectors: list[TermVector], kinds: dict[str, int]) -> None:
+    """Add the empty vectors and the duplicate, disjoint and subset pairs to `kinds`."""
+    for i, a in enumerate(vectors):
+        kinds["empty"] += a.is_zero
+        for b in vectors[i + 1 :]:
+            sa, sb = set(a.entries), set(b.entries)
+            if sa and sb:
+                kinds["duplicate"] += a.entries == b.entries
+                kinds["disjoint"] += not sa & sb
+                kinds["subset"] += sa < sb or sb < sa
+
+
 def _loop_dot(a: TermVector, b: TermVector) -> float:
     dot = 0.0
     for t in sorted(a.entries):
@@ -246,17 +262,64 @@ def test_matrix_entries_are_the_pair_functions_and_match_oracles():
                             assert values[i, j] == exact[measure](a, b), measure
                         else:
                             assert abs(values[i, j] - close[measure](a, b)) <= 1e-12, measure
-            for i, a in enumerate(vectors):
-                kinds["empty"] += a.is_zero
-                for b in vectors[i + 1 :]:
-                    sa, sb = set(a.entries), set(b.entries)
-                    if sa and sb:
-                        kinds["duplicate"] += a.entries == b.entries
-                        kinds["disjoint"] += not sa & sb
-                        kinds["subset"] += sa < sb or sb < sa
+            _count_kinds(vectors, kinds)
     assert all(count > 0 for count in kinds.values()), kinds
 
 
 def test_build_matrix_base_rejects_unknown_measure():
     with pytest.raises(ValidationError, match="unknown measure"):
         build_matrix_base("pearson", [vec("a", x=1.0), vec("b", x=1.0)])
+
+
+def test_bincount_adds_weights_in_input_order():
+    # _pairwise relies on this: a pairwise sum would give 1 + 2**-51.
+    assert np.bincount([0] * 5, [1.0] + [2.0**-53] * 4)[0] == 1.0
+
+
+def _zipf_vector_set(rng: random.Random, n: int) -> list[TermVector]:
+    """Vectors over a Zipf vocabulary, with subnormal, tiny and huge weights,
+    and empty, duplicate, subset and disjoint vectors among them."""
+    vocab = [f"w{k:03d}" for k in range(rng.choice([6, 60, 300]))]
+    zipf = [1.0 / (k + 1) for k in range(len(vocab))]
+    vectors: list[TermVector] = []
+    for k in range(n):
+        kind = rng.randrange(8)
+        if kind == 0:
+            entries = {}
+        elif kind == 1 and vectors:
+            entries = dict(rng.choice(vectors).entries)
+        elif kind == 2 and vectors:
+            base = sorted(rng.choice(vectors).entries)
+            entries = {t: rng.uniform(0.1, 3.0) for t in rng.sample(base, rng.randint(0, len(base)))}
+        elif kind == 3:
+            entries = {f"own{k}x{m}": rng.uniform(0.1, 2.0) for m in range(rng.randint(1, 3))}
+        else:
+            entries = {}
+            for t in rng.choices(vocab, zipf, k=rng.randint(1, 60)):
+                r = rng.random()
+                entries[t] = (
+                    5e-324 if r < 0.05
+                    else rng.uniform(1e-310, 1e-300) if r < 0.1
+                    else 10 ** rng.uniform(-150, 150) if r < 0.15
+                    else rng.uniform(0.01, 10.0)
+                )
+        items = list(entries.items())
+        rng.shuffle(items)
+        vectors.append(TermVector(f"d{k}", dict(items)))
+    return vectors
+
+
+def test_pairwise_is_bit_identical_to_the_padded_row_loop():
+    rng = random.Random(14)
+    kinds = {"empty": 0, "duplicate": 0, "disjoint": 0, "subset": 0, "subnormal": 0, "blocks": 0}
+    for n in (2, 3, 7, 20, 60, 150):
+        for _ in range(3):
+            vectors = _zipf_vector_set(rng, n)
+            for measure in MEASURES:
+                got = _pairwise(measure, vectors).view(np.int64)
+                assert np.array_equal(got, reference_pairwise(measure, vectors).view(np.int64)), measure
+            df = Counter(t for v in vectors for t in v.entries)
+            kinds["blocks"] += sum(d * (d - 1) // 2 for d in df.values()) > 2 * _BLOCK_PAIRS
+            kinds["subnormal"] += any(w < np.finfo(float).tiny for v in vectors for w in v.entries.values())
+            _count_kinds(vectors, kinds)
+    assert all(count > 0 for count in kinds.values()), kinds

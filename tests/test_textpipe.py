@@ -195,7 +195,9 @@ def test_load_jsonl_rejects_missing_fields(tmp_path):
         load_corpus(path, "jsonl")
 
 
-def test_corpus_rejects_duplicate_ids():
-    corpus = Corpus(docs=[CorpusDoc("d", "a", "x"), CorpusDoc("d", "b", "y")])
-    with pytest.raises(ValidationError, match="duplicate"):
-        corpus.validate()
+def test_corpus_rejects_duplicate_ids(tmp_path):
+    path = tmp_path / "dup.jsonl"
+    lines = [{"id": 1, "text": "a", "label": "x"}, {"id": "1", "text": "b", "label": "y"}]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"dup\.jsonl:2: duplicate doc id '1' \(first on line 1\)"):
+        load_corpus(path, "jsonl")
