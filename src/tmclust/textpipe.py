@@ -211,6 +211,20 @@ def read_labels(path: Path, doc_ids: list[str]) -> dict[str, str]:
     return labels
 
 
+def _check_doc_id(doc_id: str) -> str:
+    """Return `doc_id` if it can name its forest file, `forests/<id>.json`."""
+    try:
+        size = len(doc_id.encode("utf-8"))
+    except UnicodeEncodeError:  # a lone surrogate, which no file name holds
+        size = _MAX_ID_BYTES + 1
+    if "/" in doc_id or "\0" in doc_id or size > _MAX_ID_BYTES:
+        raise ValidationError(
+            f"doc id {doc_id!r} cannot be a file name: it holds '/', NUL or a lone "
+            f"surrogate, or is over {_MAX_ID_BYTES} UTF-8 bytes"
+        )
+    return doc_id
+
+
 def _jsonl_record(line: str) -> tuple[CorpusDoc, TopicForest | None]:
     """One JSONL corpus line: the document and the forest its "tree" pins."""
     try:
@@ -227,16 +241,7 @@ def _jsonl_record(line: str) -> tuple[CorpusDoc, TopicForest | None]:
             raise ValidationError(f"{key!r} must be {wanted}")
     if not record["label"]:
         raise ValidationError("'label' is empty")
-    doc_id = str(record["id"])
-    try:
-        size = len(doc_id.encode("utf-8"))
-    except UnicodeEncodeError:  # a lone surrogate, which no file name holds
-        size = _MAX_ID_BYTES + 1
-    if "/" in doc_id or "\0" in doc_id or size > _MAX_ID_BYTES:
-        raise ValidationError(
-            f"doc id {doc_id!r} cannot be a file name: it holds '/', NUL or a lone "
-            f"surrogate, or is over {_MAX_ID_BYTES} UTF-8 bytes"
-        )
+    doc_id = _check_doc_id(str(record["id"]))
     doc = CorpusDoc(doc_id, record["text"], record["label"])
     return doc, forest_from_json(doc_id, record["tree"]) if "tree" in record else None
 
@@ -253,7 +258,8 @@ def load_corpus(
     '/', NUL nor a lone surrogate, and its UTF-8 form is at most 250 bytes;
     it may not repeat (`1` and "1" are one id), and a label may not be empty.
     `text-dir` and `xtm-dir` are a directory of `*.txt` or `*.xtm` files plus
-    labels.csv, read by `read_labels`; a document's id is its file stem.  An
+    labels.csv, read by `read_labels`; a document's id is its file stem, under
+    the same rule as a JSONL id, checked before labels.csv is read.  An
     XTM document's forest is derived from its topic map, and its vector text
     is its topic names plus its occurrence values.  Every text file is read
     by `read_text`, and a data error names the file at fault (a JSONL error
@@ -293,6 +299,11 @@ def load_corpus(
                 trees[doc.doc_id] = tree
     else:
         paths = sorted(base.glob("*.xtm" if mode == "xtm-dir" else "*.txt"))
+        for doc_path in paths:
+            try:
+                _check_doc_id(doc_path.stem)
+            except ValidationError as exc:
+                raise ValidationError(f"{doc_path}: {exc}") from exc
         labels = read_labels(base / "labels.csv", [p.stem for p in paths]) if paths else {}
         for doc_path in paths:
             doc_id = doc_path.stem

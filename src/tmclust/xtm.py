@@ -1,9 +1,22 @@
 """XTM topic-map ingestion and topic-tree derivation.
 
-Parses a small XTM 2.0 subset (topic ids, topic names, occurrence
-resourceData, binary typed associations), turns each document into a
-deterministic ordered forest of topic labels under a synthetic root,
-and numbers forest nodes in level order.
+Parses a small XTM subset, turns each document into a deterministic
+ordered forest of topic labels under a synthetic root, and numbers forest
+nodes in level order.  The subset `parse_xtm` reads:
+
+- tags match on their local name, in any namespace or none;
+- a topic is a `topic` child of the root element with an `id` (one without
+  is skipped); its name comes from its first `topicName`: that element's
+  `value` text, or else its own text, or else the topic id, each through
+  `normalize_label`;
+- occurrence text comes from every `resourceData` of every `occurrence`
+  of a topic;
+- an association is an `association` child of the root, typed by the
+  first `type` that holds a `topicRef`; it needs exactly two roles that
+  have a `topicRef`, and a role's last `topicRef` names its member;
+- the role-type rule picks the parent: for a type `a-...-b` with a role
+  typed `a` and one typed `b` (a != b), the `a` role is the parent, and
+  otherwise the first role is.
 """
 
 from __future__ import annotations
@@ -89,128 +102,80 @@ def number_nodes(forest: TopicForest) -> dict[TopicNode, int]:
     return {node: k for k, node in enumerate(iter_bfs(forest.root), start=1)}
 
 
-def _local(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
-
-
 def _ref_fragment(href: str) -> str:
     return href.rsplit("#", 1)[-1]
 
 
-def _byte_offset(data: bytes, line: int, column: int) -> int:
-    lines = data.split(b"\n")
-    return sum(len(ln) + 1 for ln in lines[: line - 1]) + column
-
-
 def parse_xtm(data: bytes, doc_id: str = "") -> TopicMapDoc:
-    """Parse XTM 2.0 bytes into a TopicMapDoc.
-
-    Only the supported subset is extracted (topic ids, first topicName,
-    occurrence resourceData, binary associations with typed roles);
-    everything else is ignored without error.
-    """
+    """Parse XTM bytes into a TopicMapDoc: the subset above, ignoring the rest."""
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:
         line, column = exc.position
-        offset = _byte_offset(data, line, column)
+        offset = sum(len(ln) + 1 for ln in data.split(b"\n")[: line - 1]) + column
         raise XtmParseError(
             f"malformed XML at byte offset {offset} (line {line}, column {column}): {exc}",
             offset=offset,
         ) from exc
+    # Local names, so that the plain-tag lookups below match in any namespace.
+    for elem in root.iter():
+        elem.tag = elem.tag.rpartition("}")[2]
 
-    topics: list[Topic] = []
+    names: dict[str, str] = {}
     occurrences: list[Occurrence] = []
-    seen_ids: set[str] = set()
-    raw_associations = []
+    for topic in root.findall("topic"):
+        topic_id = topic.get("id")
+        if topic_id is None:
+            continue
+        if topic_id in names:
+            raise ValidationError(f"topic id collision: {topic_id!r}")
+        first = topic.find("topicName")
+        name = normalize_label(topic_id if first is None else first.findtext("value", first.text) or "")
+        if not name:
+            raise ValidationError(f"topic {topic_id!r} has an empty name")
+        names[topic_id] = name
+        occurrences += (
+            Occurrence(topic=topic_id, value=resource.text or "")
+            for occurrence in topic.findall("occurrence")
+            for resource in occurrence.findall("resourceData")
+        )
 
-    for elem in root:
-        kind = _local(elem.tag)
-        if kind == "topic":
-            topic_id = elem.get("id")
-            if topic_id is None:
-                continue
-            if topic_id in seen_ids:
-                raise ValidationError(f"topic id collision: {topic_id!r}")
-            seen_ids.add(topic_id)
-            name = _first_topic_name(elem)
-            if name is None:
-                name = normalize_label(topic_id)
-            if not name:
-                raise ValidationError(f"topic {topic_id!r} has an empty name")
-            topics.append(Topic(id=topic_id, name=name))
-            occurrences.extend(_topic_occurrences(elem, topic_id))
-        elif kind == "association":
-            raw_associations.append(elem)
-
-    names = {t.id: t.name for t in topics}
     associations = [
         assoc
-        for elem in raw_associations
+        for elem in root.findall("association")
         if (assoc := _parse_association(elem, names)) is not None
     ]
-    return TopicMapDoc(
-        doc_id=doc_id, topics=topics, associations=associations, occurrences=occurrences
-    )
-
-
-def _first_topic_name(topic_elem: ET.Element) -> str | None:
-    for child in topic_elem:
-        if _local(child.tag) != "topicName":
-            continue
-        for part in child:
-            if _local(part.tag) == "value":
-                return normalize_label(part.text or "")
-        return normalize_label(child.text or "")
-    return None
-
-
-def _topic_occurrences(topic_elem: ET.Element, topic_id: str) -> list[Occurrence]:
-    found = []
-    for child in topic_elem:
-        if _local(child.tag) != "occurrence":
-            continue
-        for part in child:
-            if _local(part.tag) == "resourceData":
-                found.append(Occurrence(topic=topic_id, value=part.text or ""))
-    return found
+    topics = [Topic(id=key, name=label) for key, label in names.items()]
+    return TopicMapDoc(doc_id=doc_id, topics=topics, associations=associations, occurrences=occurrences)
 
 
 def _type_label(elem: ET.Element, names: dict[str, str]) -> str:
-    for child in elem:
-        if _local(child.tag) == "type":
-            for ref in child:
-                if _local(ref.tag) == "topicRef":
-                    frag = _ref_fragment(ref.get("href", ""))
-                    return names.get(frag, normalize_label(frag))
+    """The label of the first `type` child that holds a `topicRef`, or ""."""
+    for type_elem in elem.findall("type"):
+        ref = type_elem.find("topicRef")
+        if ref is not None:
+            frag = _ref_fragment(ref.get("href", ""))
+            return names.get(frag, normalize_label(frag))
     return ""
 
 
 def _parse_association(elem: ET.Element, names: dict[str, str]) -> Association | None:
     assoc_type = _type_label(elem, names)
-    roles: list[tuple[str, str]] = []
-    for child in elem:
-        if _local(child.tag) != "role":
-            continue
-        role_type = _type_label(child, names)
-        member = None
-        for ref in child:
-            if _local(ref.tag) == "topicRef":
-                member = _ref_fragment(ref.get("href", ""))
-        if member is not None:
-            roles.append((role_type, member))
+    # (role type, member) per role with a topicRef; the last topicRef wins.
+    roles = [
+        (_type_label(role, names), _ref_fragment(refs[-1].get("href", "")))
+        for role in elem.findall("role")
+        if (refs := role.findall("topicRef"))
+    ]
     if len(roles) != 2:
         return None
     for _, member in roles:
         if member not in names:
-            raise ValidationError(
-                f"association role references unknown topic {member!r}"
-            )
+            raise ValidationError(f"association role references unknown topic {member!r}")
     parts = assoc_type.split("-")
-    role_types = [rt for rt, _ in roles]
-    if len(parts) >= 2 and parts[0] in role_types and parts[-1] in role_types and parts[0] != parts[-1]:
-        parent = next(m for rt, m in roles if rt == parts[0])
-        child = next(m for rt, m in roles if rt == parts[-1])
+    by_type = dict(roles)
+    if len(parts) >= 2 and parts[0] != parts[-1] and parts[0] in by_type and parts[-1] in by_type:
+        parent, child = by_type[parts[0]], by_type[parts[-1]]
     else:
         parent, child = roles[0][1], roles[1][1]
     if parent == child:
@@ -303,9 +268,9 @@ def forest_from_json(doc_id: str, obj: dict) -> TopicForest:
 
     def convert(item: dict) -> TopicNode:
         children = item.get("children", []) if isinstance(item, dict) else None
-        if not isinstance(children, list) or "label" not in item:
+        if not isinstance(children, list) or not isinstance(item.get("label"), str):
             raise ValidationError(f"bad tree node in fixture for {doc_id!r}: {item!r}")
-        return TopicNode(label=str(item["label"]), children=[convert(c) for c in children])
+        return TopicNode(label=item["label"], children=[convert(c) for c in children])
 
     root = convert(obj)
     if root.label != DOC_ROOT_LABEL:

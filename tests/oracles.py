@@ -10,6 +10,10 @@
   every level.
 - `serialize_xtm` writes the XTM subset that `parse_xtm` reads, and
   `validate_forest` checks a forest's invariants.
+- `reference_parse_xtm` is the XTM parser that `xtm.parse_xtm` replaced:
+  it strips each child's namespace with `_local` in a Python loop per
+  lookup, where `parse_xtm` renames every tag once and uses ElementTree's
+  own child lookups.
 - `reference_pairwise` is the baseline matrix routine that the inverted
   index in `simbase._pairwise` replaced: one row at a time, each later row
   read off a dense copy of the row through its own padded term ids.
@@ -21,16 +25,19 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from tmclust.errors import ValidationError
+from tmclust.errors import ValidationError, XtmParseError
 from tmclust.textpipe import TermVector
 from tmclust.treesim import Mapping, _forms, _pair
 from tmclust.xtm import (
     DOC_ROOT_LABEL,
+    Association,
     Occurrence,
+    Topic,
     TopicForest,
     TopicMapDoc,
     TopicNode,
     iter_bfs,
+    normalize_label,
     number_nodes,
 )
 
@@ -224,6 +231,135 @@ def validate_forest(forest: TopicForest) -> None:
             raise ValidationError(
                 f"unsorted sibling labels {labels!r} in forest of {forest.doc_id!r}"
             )
+
+
+def _local(tag: str) -> str:
+    return tag.rsplit("}", 1)[-1]
+
+
+def _ref_fragment(href: str) -> str:
+    return href.rsplit("#", 1)[-1]
+
+
+def _byte_offset(data: bytes, line: int, column: int) -> int:
+    lines = data.split(b"\n")
+    return sum(len(ln) + 1 for ln in lines[: line - 1]) + column
+
+
+def reference_parse_xtm(data: bytes, doc_id: str = "") -> TopicMapDoc:
+    """Parse XTM 2.0 bytes into a TopicMapDoc, one child loop per lookup.
+
+    Only the supported subset is extracted (topic ids, first topicName,
+    occurrence resourceData, binary associations with typed roles);
+    everything else is ignored without error.
+    """
+    try:
+        root = ET.fromstring(data)
+    except ET.ParseError as exc:
+        line, column = exc.position
+        offset = _byte_offset(data, line, column)
+        raise XtmParseError(
+            f"malformed XML at byte offset {offset} (line {line}, column {column}): {exc}",
+            offset=offset,
+        ) from exc
+
+    topics: list[Topic] = []
+    occurrences: list[Occurrence] = []
+    seen_ids: set[str] = set()
+    raw_associations = []
+
+    for elem in root:
+        kind = _local(elem.tag)
+        if kind == "topic":
+            topic_id = elem.get("id")
+            if topic_id is None:
+                continue
+            if topic_id in seen_ids:
+                raise ValidationError(f"topic id collision: {topic_id!r}")
+            seen_ids.add(topic_id)
+            name = _first_topic_name(elem)
+            if name is None:
+                name = normalize_label(topic_id)
+            if not name:
+                raise ValidationError(f"topic {topic_id!r} has an empty name")
+            topics.append(Topic(id=topic_id, name=name))
+            occurrences.extend(_topic_occurrences(elem, topic_id))
+        elif kind == "association":
+            raw_associations.append(elem)
+
+    names = {t.id: t.name for t in topics}
+    associations = [
+        assoc
+        for elem in raw_associations
+        if (assoc := _parse_association(elem, names)) is not None
+    ]
+    return TopicMapDoc(
+        doc_id=doc_id, topics=topics, associations=associations, occurrences=occurrences
+    )
+
+
+def _first_topic_name(topic_elem: ET.Element) -> str | None:
+    for child in topic_elem:
+        if _local(child.tag) != "topicName":
+            continue
+        for part in child:
+            if _local(part.tag) == "value":
+                return normalize_label(part.text or "")
+        return normalize_label(child.text or "")
+    return None
+
+
+def _topic_occurrences(topic_elem: ET.Element, topic_id: str) -> list[Occurrence]:
+    found = []
+    for child in topic_elem:
+        if _local(child.tag) != "occurrence":
+            continue
+        for part in child:
+            if _local(part.tag) == "resourceData":
+                found.append(Occurrence(topic=topic_id, value=part.text or ""))
+    return found
+
+
+def _type_label(elem: ET.Element, names: dict[str, str]) -> str:
+    for child in elem:
+        if _local(child.tag) == "type":
+            for ref in child:
+                if _local(ref.tag) == "topicRef":
+                    frag = _ref_fragment(ref.get("href", ""))
+                    return names.get(frag, normalize_label(frag))
+    return ""
+
+
+def _parse_association(elem: ET.Element, names: dict[str, str]) -> Association | None:
+    assoc_type = _type_label(elem, names)
+    roles: list[tuple[str, str]] = []
+    for child in elem:
+        if _local(child.tag) != "role":
+            continue
+        role_type = _type_label(child, names)
+        member = None
+        for ref in child:
+            if _local(ref.tag) == "topicRef":
+                member = _ref_fragment(ref.get("href", ""))
+        if member is not None:
+            roles.append((role_type, member))
+    if len(roles) != 2:
+        return None
+    for _, member in roles:
+        if member not in names:
+            raise ValidationError(
+                f"association role references unknown topic {member!r}"
+            )
+    parts = assoc_type.split("-")
+    role_types = [rt for rt, _ in roles]
+    if len(parts) >= 2 and parts[0] in role_types and parts[-1] in role_types and parts[0] != parts[-1]:
+        parent = next(m for rt, m in roles if rt == parts[0])
+        child = next(m for rt, m in roles if rt == parts[-1])
+    else:
+        parent, child = roles[0][1], roles[1][1]
+    if parent == child:
+        return None
+    return Association(assoc_type=assoc_type, parent_role=parent, child_role=child)
 
 
 def _rowsum(x: np.ndarray) -> np.ndarray:

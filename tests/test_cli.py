@@ -724,6 +724,22 @@ def _labels_empty_label(corpus: Path) -> tuple[str, list[str]]:
     return f"{path}: document 'd1' has an empty label", []
 
 
+def _long_stem(corpus: Path) -> tuple[str, list[str]]:
+    """A legal 255-byte file name whose 251-byte stem is too long for a doc id."""
+    path = corpus / ("d" * 251 + ".txt")
+    path.write_text("red cars race.", encoding="utf-8")
+    return str(path), []
+
+
+def _tree_line(label) -> str:
+    tree = {"label": DOC_ROOT_LABEL, "children": [{"label": label, "children": []}]}
+    return json.dumps({"id": "t", "text": "a", "label": "x", "tree": tree})
+
+
+def _xtm_zoo_a(old: bytes, new: bytes):
+    return _corpus_file("zoo_a.xtm", lambda p: p.write_bytes(XTM_ZOO.replace(old, new)))
+
+
 BAD_TREE = {"label": DOC_ROOT_LABEL, "children": [{"label": "t", "children": 5}]}
 
 
@@ -738,6 +754,8 @@ BAD_TREE = {"label": DOC_ROOT_LABEL, "children": [{"label": "t", "children": 5}]
         ("jsonl", _jsonl_line("null")),
         ("jsonl", _jsonl_line('"idtextlabel"')),
         ("jsonl", _jsonl_line(json.dumps({"id": "t", "text": "a", "label": "x", "tree": BAD_TREE}))),
+        ("jsonl", _jsonl_line(_tree_line(None))),
+        ("jsonl", _jsonl_line(_tree_line(7))),
         ("jsonl", _jsonl_line(json.dumps({"id": "t", "text": "a", "label": None}), "label")),
         ("jsonl", _jsonl_line(json.dumps({"id": "t", "text": ["a"], "label": "x"}), "text")),
         ("jsonl", _jsonl_line(json.dumps({"id": None, "text": "a", "label": "x"}), "id")),
@@ -749,13 +767,18 @@ BAD_TREE = {"label": DOC_ROOT_LABEL, "children": [{"label": "t", "children": 5}]
             "xtm-dir",
             _corpus_file("zoo_b.xtm", lambda p: p.write_bytes(XTM_ZOO.replace(b'"dogs"', b'"cats"'))),
         ),
+        ("xtm-dir", _xtm_zoo_a(b'href="#dogs"', b'href="#wolves"')),
+        ("xtm-dir", _xtm_zoo_a(b"<value>Cats</value>", b"<value>  </value>")),
+        ("text-dir", _long_stem),
     ],
     ids=[
         "txt-not-utf8", "labels-not-utf8", "stopwords-not-utf8", "jsonl-not-utf8",
         "jsonl-number", "jsonl-null", "jsonl-string", "jsonl-tree-children",
+        "jsonl-tree-label-null", "jsonl-tree-label-number",
         "jsonl-label-null", "jsonl-text-list", "jsonl-id-null", "jsonl-label-empty",
         "jsonl-duplicate-id", "labels-empty-label",
-        "xtm-malformed", "xtm-duplicate-topic",
+        "xtm-malformed", "xtm-duplicate-topic", "xtm-unknown-role-topic", "xtm-empty-topic-name",
+        "text-dir-long-stem",
     ],
 )
 def test_bad_corpus_input_exits_2_naming_the_file(tmp_path, capsys, mode, corrupt):
@@ -766,6 +789,7 @@ def test_bad_corpus_input_exits_2_naming_the_file(tmp_path, capsys, mode, corrup
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_experiment_writes_a_1000_deep_xtm_hierarchy(tmp_path, capsys):

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 
 import pytest
 from conftest import XTM_ZOO, forest_dict, make_forest, node, random_forest
-from oracles import serialize_xtm, validate_forest
+from oracles import reference_parse_xtm, serialize_xtm, validate_forest
 
 from tmclust.errors import ValidationError, XtmParseError
 from tmclust.xtm import (
@@ -87,6 +88,133 @@ def test_parse_unknown_role_target_rejected():
     </topicMap>"""
     with pytest.raises(ValidationError, match="ghost"):
         parse_xtm(data)
+
+
+def random_xtm(rng: random.Random) -> bytes:
+    """A random document in and around the subset `parse_xtm` reads.
+
+    It draws tags in no namespace, in XTM's as the default, or under two
+    prefixes (XTM's and another namespace); unknown elements at every level,
+    a topic nested in one of them, topics without an id and a repeated id;
+    names with and without a `value`, with text of their own, and a second
+    name; several `resourceData`; `type`s with and without a `topicRef` in
+    any order; roles with 0-2 `topicRef`s and associations with 1-3 roles;
+    and now and then a truncated document.
+    """
+    style = rng.choice(["none", "default", "prefixes"])
+    ids = [f"t{k}" for k in range(rng.randint(0, 5))]
+    hrefs = [f"#{i}" for i in ids] + [
+        "#superclass-subclass", "#parent-child", "#broader-narrower", "#part-of",
+        "#superclass", "#subclass", "#parent", "#child", "#Broader", "#ghost",
+        "x#y#t0", "t1", "",
+    ]
+
+    def el(local: str, *body: str, attrs: str = "") -> str:
+        prefix = rng.choice(["x:", "y:", ""]) if style == "prefixes" else ""
+        return f"<{prefix}{local}{attrs}>{''.join(body)}</{prefix}{local}>"
+
+    def maybe(chance: float, make) -> list[str]:
+        return [make()] if rng.random() < chance else []
+
+    def repeat(lo: int, hi: int, make) -> list[str]:
+        return [make() for _ in range(rng.randint(lo, hi))]
+
+    def mix(*children: str) -> list[str]:
+        order = list(children)
+        rng.shuffle(order)
+        return [rng.choice(["", "\n  ", " tail "]) + child for child in order]
+
+    def text() -> str:
+        return rng.choice(["", " ", "Alpha", " Beta\n Gamma ", "\u00dcn\u00ef &amp; Co", "b"])
+
+    def name_text() -> str:
+        return rng.choice(["Alpha", " Beta\n Gamma ", "\u00dcn\u00ef &amp; Co", "b"] * 8 + [" "])
+
+    def unknown() -> str:
+        return el(rng.choice(["instanceOf", "variant", "itemIdentity", "scope"]), text())
+
+    def topic_ref(href: str | None = None) -> str:
+        if href is None and rng.random() < 0.05:
+            return el("topicRef")
+        return el("topicRef", attrs=f' href="{href or rng.choice(hrefs)}"')
+
+    def member_ref() -> str:
+        return topic_ref(f"#{rng.choice(ids)}" if ids and rng.random() < 0.97 else None)
+
+    def types() -> list[str]:
+        return repeat(0, 2, lambda: el("type", topic_ref() if rng.random() < 0.6 else unknown()))
+
+    def topic(topic_id: str | None) -> str:
+        def name() -> str:
+            own = maybe(0.5, name_text)
+            value = maybe(0.6, lambda: el("value", name_text()))
+            return el("topicName", *own, *mix(*value, *maybe(0.3, unknown)))
+
+        def occurrence() -> str:
+            return el("occurrence", *mix(*types(), *repeat(0, 3, lambda: el("resourceData", text()))))
+
+        names = [name() for _ in range(rng.choice([0, 1, 1, 1, 2]))]
+        attrs = "" if topic_id is None else f' id="{topic_id}"'
+        return el("topic", *mix(*names, *repeat(0, 2, occurrence), *repeat(0, 1, unknown)), attrs=attrs)
+
+    def association() -> str:
+        # Mostly a hierarchical type with roles typed by its two ends, in
+        # either order, so that the role-type rule often picks the parent.
+        ends = rng.choice([("superclass", "subclass"), ("parent", "child"), ("broader", "narrower")])
+
+        def typed(label: str) -> list[str]:
+            return [el("type", topic_ref(f"#{label}"))] if rng.random() < 0.7 else types()
+
+        def role() -> str:
+            return el("role", *mix(*typed(rng.choice(ends)), *repeat(0, 2, member_ref)))
+
+        return el("association", *mix(*typed("-".join(ends)), *repeat(1, 3, role), *maybe(0.2, unknown)))
+
+    topic_ids: list[str | None] = list(ids)
+    if ids and rng.random() < 0.1:
+        topic_ids.append(rng.choice(ids))  # a repeated id
+    topic_ids += [None] * rng.choice([0, 0, 0, 1])
+    children = [topic(topic_id) for topic_id in topic_ids]
+    children += repeat(0, 4, association) + repeat(0, 2, unknown)
+    children += maybe(0.1, lambda: el("scope", topic("nested")))
+    decls = {
+        "none": "",
+        "default": ' xmlns="http://www.topicmaps.org/xtm/"',
+        "prefixes": ' xmlns:x="http://www.topicmaps.org/xtm/" xmlns:y="urn:example:other"',
+    }[style]
+    head = rng.choice(["", '<?xml version="1.0" encoding="UTF-8"?>\n'])
+    data = (head + el("topicMap", *mix(*children), attrs=decls + ' version="2.0"')).encode("utf-8")
+    if rng.random() < 0.03:
+        data = data[: rng.randrange(len(data))]
+    return data
+
+
+def _parse_outcome(parse, data: bytes):
+    """The TopicMapDoc, or the type, message and offset of the error."""
+    try:
+        return parse(data, doc_id="d")
+    except (ValidationError, XtmParseError) as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+def test_parse_matches_the_child_loop_parser_on_2000_random_documents():
+    rng = random.Random(15)
+    seen: Counter[str] = Counter()
+    for _ in range(2000):
+        data = random_xtm(rng)
+        got = _parse_outcome(parse_xtm, data)
+        assert got == _parse_outcome(reference_parse_xtm, data), data
+        if isinstance(got, TopicMapDoc):
+            seen["parsed"] += 1
+            seen["associations"] += bool(got.associations)
+            seen["occurrences"] += bool(got.occurrences)
+            seen["named by id"] += any(t.name == t.id for t in got.topics)
+        else:
+            kinds = ("collision", "empty name", "unknown topic", "malformed XML")
+            seen[next(kind for kind in kinds if kind in got[1])] += 1
+    # Both parsers agree on every outcome, and every outcome occurs.
+    assert seen["parsed"] >= 1000, seen
+    assert min(seen.values()) >= 20 and len(seen) == 8, seen
 
 
 def test_normalize_label():
