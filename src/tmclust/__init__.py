@@ -11,6 +11,7 @@ from .errors import TmclustError, ValidationError, XtmParseError
 from .evalx import ContingencyTable, EvalReport, contingency, entropy, evaluate, purity
 from .matrix import SimilarityMatrix
 from .simbase import (
+    build_matrices_base,
     build_matrix_base,
     cosine_sim,
     euclidean_sim,

@@ -202,10 +202,15 @@ def _check_doc_ids(path: Path, doc_ids: list[str], manifest: dict, stage: str) -
 
 
 def _read_forests(out: Path, doc_ids: list[str]) -> list[xtm.TopicForest]:
-    return [
-        xtm.forest_from_json(doc_id, _read_json(out / "forests" / f"{doc_id}.json", "ingest"))
-        for doc_id in doc_ids
-    ]
+    forests = []
+    for doc_id in doc_ids:
+        path = out / "forests" / f"{doc_id}.json"
+        stored = _read_json(path, "ingest")
+        try:
+            forests.append(xtm.forest_from_json(doc_id, stored))
+        except ValidationError as exc:
+            raise ValidationError(f"bad {path}: {exc}") from exc
+    return forests
 
 
 def _read_vectors(out: Path, doc_ids: list[str]) -> list[textpipe.TermVector]:
@@ -236,22 +241,20 @@ def _read_vectors(out: Path, doc_ids: list[str]) -> list[textpipe.TermVector]:
     return vectors
 
 
-def _matrix_stage(out: Path, measure: str, items: list) -> SimilarityMatrix:
-    """Build one measure's matrix from forests (tm-sim) or vectors and write it."""
-    if measure == treesim.TM_MEASURE:
-        matrix = treesim.build_matrix(items)
-    else:
-        matrix = simbase.build_matrix_base(measure, items)
-    _write(out / f"matrix_{measure}.csv", matrix.to_csv())
-    return matrix
+def _write_matrix(out: Path, matrix: SimilarityMatrix) -> None:
+    """Write one measure's matrix as `matrix_<measure>.csv`."""
+    _write(out / f"matrix_{matrix.measure}.csv", matrix.to_csv())
 
 
 def cmd_simmatrix(config: ExperimentConfig, measure: str) -> Path:
     """Build and persist one measure's similarity matrix."""
     out = Path(config.out_dir)
     doc_ids = _read_manifest(out)["doc_ids"]
-    read = _read_forests if measure == treesim.TM_MEASURE else _read_vectors
-    _matrix_stage(out, measure, read(out, doc_ids))
+    if measure == treesim.TM_MEASURE:
+        matrix = treesim.build_matrix(_read_forests(out, doc_ids))
+    else:
+        matrix = simbase.build_matrix_base(measure, _read_vectors(out, doc_ids))
+    _write_matrix(out, matrix)
     return out / f"matrix_{measure}.csv"
 
 
@@ -324,9 +327,12 @@ def cmd_experiment(config: ExperimentConfig) -> Path:
     out, manifest, forests, vectors = _ingest_stage(config)
     k = config.k or len(manifest["classes"])
     rows = [("dataset", "measure", "linkage", "k", "purity", "entropy")]
+    # Every baseline matrix comes from one pass over one term index.
+    baselines = [m for m in config.measures if m != treesim.TM_MEASURE]
+    matrices = simbase.build_matrices_base(baselines, vectors) if baselines else {}
     for measure in config.measures:
-        items = forests if measure == treesim.TM_MEASURE else vectors
-        matrix = _matrix_stage(out, measure, items)
+        matrix = matrices.pop(measure) if measure in matrices else treesim.build_matrix(forests)
+        _write_matrix(out, matrix)
         assignment = _cluster_stage(out, matrix, config.linkage, k)
         report = _evaluate_stage(out, measure, manifest, assignment)
         scores = (repr(report.purity), repr(report.entropy))

@@ -1,16 +1,23 @@
 """Baseline pairwise similarity measures on sparse term vectors.
 
-`_pairwise` computes a measure's whole matrix; a pair function is its
-two-vector case.  Weights are > 0, so a term that only one of two vectors
-holds adds exactly +0.0 to each of a pair's sums.  A pair's sums therefore
-run over the terms both vectors hold, in sorted-term order: a term ->
-document inverted index lists every shared term of every pair, and
-`np.bincount`, which adds in input order, sums each pair.  Row sums (norm,
-L1 mass) are bincounts too.  Entries whose normalized weight is 0 are
-dropped before the index is built.  The pairs are generated for blocks of
-first documents of at most `_BLOCK_PAIRS` entries, which keeps the working
-set bounded.  An empty vector scores 0 against any other under cosine,
-jaccard and kld.
+`_pairwise` computes the whole matrix of any set of measures in one pass;
+a pair function is its two-vector, one-measure case.  Weights are > 0, so
+a term that only one of two vectors holds adds exactly +0.0 to each of a
+pair's sums.  A pair's sums therefore run over the terms both vectors
+hold, in sorted-term order: a term -> document inverted index lists every
+shared term of every pair, and `np.bincount`, which adds in input order,
+sums each pair.  Row sums (norm, L1 mass) are bincounts too.  The flat
+arrays, the index and the pair lists are built once for every measure;
+each measure then gathers its own normalized weights.  Cosine and jaccard
+share one bincount of raw dot products.  Under euclidean and kld a pair
+entry counts only where both of its normalized weights are non-zero: a
+weight that underflows to 0 is one-sided, as if its term were absent, so
+each sum adds the same entries in the same order whichever measures run
+together.
+The pairs are generated for blocks of first documents of at most
+`_BLOCK_PAIRS` entries, and each block finishes its rows of every matrix,
+which keeps the working set bounded.  An empty vector scores 0 against
+any other under cosine, jaccard and kld.
 """
 
 from __future__ import annotations
@@ -26,9 +33,12 @@ from .matrix import SimilarityMatrix
 # each holds at most this many (or one document), which bounds the working set.
 _BLOCK_PAIRS = 2048
 
+# What a term adds to distance^2 or the JSD if the other vector lacks it.
+_MASS = {"euclidean": np.square, "kld": lambda v: 0.5 * v}
 
-def _pairwise(measure: str, vectors: list[TermVector]) -> np.ndarray:
-    """`measure` between every two of `vectors`; the diagonal is 1."""
+
+def _pairwise(measures: list[str], vectors: list[TermVector]) -> dict[str, np.ndarray]:
+    """Each of `measures` between every two of `vectors`; each diagonal is 1."""
     n = len(vectors)
     terms = [t for v in vectors for t in v.entries]
     vocab = sorted(set(terms))
@@ -39,15 +49,9 @@ def _pairwise(measure: str, vectors: list[TermVector]) -> np.ndarray:
     # Document-major and term-minor, so that row sums run in sorted-term order.
     order = np.argsort(doc * len(vocab) + tid, kind="stable")
     tid, doc, w = tid[order], doc[order], w[order]
-    norm = np.sqrt(np.bincount(doc, np.square(w), n))
-    scale = norm if measure == "euclidean" else np.bincount(doc, w, n) if measure == "kld" else np.ones(n)
-    w = np.divide(w, scale[doc], out=np.zeros_like(w), where=scale[doc] > 0.0)
-    # An entry whose normalized weight is 0 adds +0.0 to every sum: drop it.
-    keep = w != 0.0
-    tid, doc, w = tid[keep], doc[keep], w[keep]
-    # What a term adds to distance^2 or the JSD if the other vector lacks it (jaccard: w^2).
-    mass = (lambda v: 0.5 * v) if measure == "kld" else np.square
-    total = np.bincount(doc, mass(w), n)
+    square = np.bincount(doc, np.square(w), n)  # also jaccard's |v|^2
+    norm = np.sqrt(square)
+    scale = {"euclidean": norm, "kld": np.bincount(doc, w, n)}
 
     # The inverted index: entries by term, then by document.  An entry pairs
     # with each later entry of its term, and bincount adds a pair's terms in
@@ -60,7 +64,15 @@ def _pairwise(measure: str, vectors: list[TermVector]) -> np.ndarray:
     # Document i's entries are start[i]:start[i + 1]; load[i] pair entries come before them.
     start = np.searchsorted(doc, np.arange(n + 1))
     load = np.concatenate(([0], np.cumsum(partners[at])))[start]
-    sums = np.zeros((1 if measure in ("cosine", "jaccard") else 3, n * n))
+
+    # Euclidean's and kld's normalized weights, in index order, and row totals.
+    unit, total = {}, {}
+    for measure in measures:
+        if measure in scale:
+            by_doc = scale[measure][doc]
+            u = np.divide(w, by_doc, out=np.zeros_like(w), where=by_doc > 0.0)
+            unit[measure], total[measure] = u[index], np.bincount(doc, _MASS[measure](u), n)
+    out = {measure: np.empty((n, n)) for measure in measures}
     lo = 0
     while lo < n:
         hi = max(lo + 1, int(np.searchsorted(load, load[lo] + _BLOCK_PAIRS, side="right")) - 1)
@@ -69,57 +81,64 @@ def _pairwise(measure: str, vectors: list[TermVector]) -> np.ndarray:
         second = np.arange(count.sum()) + np.repeat(first + 1 - (np.cumsum(count) - count), count)
         first = np.repeat(first, count)
         pair = (owner[first] - lo) * n + owner[second]
-        x, y = weight[first], weight[second]
-        if measure in ("cosine", "jaccard"):
-            parts = [x * y]
-        elif measure == "euclidean":
-            parts = [np.square(x - y), mass(x), mass(y)]
-        else:
-            m = 0.5 * (x + y)
-            parts = [0.5 * x * np.log2(x / m) + 0.5 * y * np.log2(y / m), mass(x), mass(y)]
-        for row, part in zip(sums, parts):
-            row[lo * n : hi * n] = np.bincount(pair, part, (hi - lo) * n)
+        rows = slice(lo, hi)
+
+        def sums(where: np.ndarray, part: np.ndarray) -> np.ndarray:
+            return np.bincount(where, part, (hi - lo) * n).reshape(hi - lo, n)
+
+        if "cosine" in out or "jaccard" in out:  # raw weights are > 0: no entry is masked
+            dot = sums(pair, weight[first] * weight[second])
+        for measure in measures:
+            if measure in ("cosine", "jaccard"):
+                den = norm[rows, None] * norm if measure == "cosine" else square[rows, None] + square - dot
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    out[measure][rows] = np.where(den > 0.0, np.minimum(1.0, dot / den), 0.0)
+                continue
+            # A pair entry counts only where both of its normalized weights are non-zero.
+            x, y = unit[measure][first], unit[measure][second]
+            live = (x != 0.0) & (y != 0.0)
+            x, y, kept, mass = x[live], y[live], pair[live], _MASS[measure]
+            if measure == "euclidean":
+                shared = np.square(x - y)
+            else:
+                m = 0.5 * (x + y)
+                shared = 0.5 * x * np.log2(x / m) + 0.5 * y * np.log2(y / m)
+            both, one, other = (sums(kept, part) for part in (shared, mass(x), mass(y)))
+            # Shared terms plus the sum of the two one-sided remainders: order-free.
+            sep = both + ((total[measure][rows, None] - one) + (total[measure] - other))
+            if measure == "euclidean":
+                out[measure][rows] = 1.0 / (1.0 + np.sqrt(sep))
+            else:
+                alive = (scale["kld"][rows, None] > 0.0) & (scale["kld"] > 0.0)
+                out[measure][rows] = np.where(alive, 1.0 - np.clip(sep, 0.0, 1.0), 0.0)
         lo = hi
 
-    sums = sums.reshape(-1, n, n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if measure in ("cosine", "jaccard"):
-            dot = sums[0]
-            den = norm[:, None] * norm if measure == "cosine" else total[:, None] + total - dot
-            out = np.where(den > 0.0, np.minimum(1.0, dot / den), 0.0)
-        else:
-            # Shared terms plus the sum of the two one-sided remainders: order-free.
-            sep = sums[0] + ((total[:, None] - sums[1]) + (total - sums[2]))
-            if measure == "euclidean":
-                out = 1.0 / (1.0 + np.sqrt(sep))
-            else:
-                live = (scale[:, None] > 0.0) & (scale > 0.0)
-                out = np.where(live, 1.0 - np.clip(sep, 0.0, 1.0), 0.0)
     # Row i holds its pairs with j > i; mirror them and pin the diagonal.
     lower = np.tril_indices(n, -1)
-    out[lower] = out.T[lower]
-    np.fill_diagonal(out, 1.0)
+    for values in out.values():
+        values[lower] = values.T[lower]
+        np.fill_diagonal(values, 1.0)
     return out
 
 
 def cosine_sim(a: TermVector, b: TermVector) -> float:
     """dot(a, b) / (|a| * |b|); 0 when either vector is zero."""
-    return float(_pairwise("cosine", [a, b])[0, 1])
+    return float(_pairwise(["cosine"], [a, b])["cosine"][0, 1])
 
 
 def euclidean_sim(a: TermVector, b: TermVector) -> float:
     """1 / (1 + L2 distance) on L2-normalized inputs; zero vectors stay at the origin."""
-    return float(_pairwise("euclidean", [a, b])[0, 1])
+    return float(_pairwise(["euclidean"], [a, b])["euclidean"][0, 1])
 
 
 def jaccard_sim(a: TermVector, b: TermVector) -> float:
     """dot(a, b) / (|a|^2 + |b|^2 - dot(a, b)); 0 when both vectors are zero."""
-    return float(_pairwise("jaccard", [a, b])[0, 1])
+    return float(_pairwise(["jaccard"], [a, b])["jaccard"][0, 1])
 
 
 def kld_sim(a: TermVector, b: TermVector) -> float:
     """1 - Jensen-Shannon divergence (log base 2); 1 if identical, 0 if disjoint or empty."""
-    return float(_pairwise("kld", [a, b])[0, 1])
+    return float(_pairwise(["kld"], [a, b])["kld"][0, 1])
 
 
 def jsd(a: TermVector, b: TermVector) -> float:
@@ -132,12 +151,23 @@ MEASURES = {
 }
 
 
-def build_matrix_base(measure: str, vectors: list[TermVector]) -> SimilarityMatrix:
-    """Pairwise matrix for one baseline measure; diagonal pinned to 1."""
-    if measure not in MEASURES:
-        raise ValidationError(f"unknown measure {measure!r}")
+def build_matrices_base(
+    measures: list[str], vectors: list[TermVector]
+) -> dict[str, SimilarityMatrix]:
+    """Pairwise matrices for the baseline `measures`, all from one pass over
+    one term index; each diagonal pinned to 1."""
+    for measure in measures:
+        if measure not in MEASURES:
+            raise ValidationError(f"unknown measure {measure!r}")
     if len(vectors) < 2:
         raise ValidationError("need at least 2 vectors to build a matrix")
-    matrix = SimilarityMatrix(measure, [v.doc_id for v in vectors], _pairwise(measure, vectors))
-    matrix.validate()
-    return matrix
+    matrices = {}
+    for measure, values in _pairwise(measures, vectors).items():
+        matrices[measure] = SimilarityMatrix(measure, [v.doc_id for v in vectors], values)
+        matrices[measure].validate()
+    return matrices
+
+
+def build_matrix_base(measure: str, vectors: list[TermVector]) -> SimilarityMatrix:
+    """Pairwise matrix for one baseline measure; diagonal pinned to 1."""
+    return build_matrices_base([measure], vectors)[measure]

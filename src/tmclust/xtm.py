@@ -6,9 +6,10 @@ nodes in level order.  The subset `parse_xtm` reads:
 
 - tags match on their local name, in any namespace or none;
 - a topic is a `topic` child of the root element with an `id` (one without
-  is skipped); its name comes from its first `topicName`: that element's
-  `value` text, or else its own text, or else the topic id, each through
-  `normalize_label`;
+  is skipped); its name comes from its first `topicName` or, if it has
+  none, from its first XTM 2.0 `name`: that element's `value` text, or
+  else its own text; a topic with neither is named by its id.  Each goes
+  through `normalize_label`.  Variants, scopes and `baseName` stay unread;
 - occurrence text comes from every `resourceData` of every `occurrence`
   of a topic;
 - an association is an `association` child of the root, typed by the
@@ -130,6 +131,8 @@ def parse_xtm(data: bytes, doc_id: str = "") -> TopicMapDoc:
         if topic_id in names:
             raise ValidationError(f"topic id collision: {topic_id!r}")
         first = topic.find("topicName")
+        if first is None:
+            first = topic.find("name")
         name = normalize_label(topic_id if first is None else first.findtext("value", first.text) or "")
         if not name:
             raise ValidationError(f"topic {topic_id!r} has an empty name")

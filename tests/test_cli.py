@@ -15,7 +15,7 @@ import pytest
 from conftest import XTM_ZOO
 from oracles import serialize_xtm
 
-from tmclust import cli, textpipe
+from tmclust import cli, simbase, textpipe
 from tmclust.cli import (
     MEASURE_CHOICES,
     ExperimentConfig,
@@ -514,6 +514,36 @@ def test_experiment_reads_no_artifact_back(tmp_path, monkeypatch):
     monkeypatch.setattr(SimilarityMatrix, "from_csv", refuse)
     assert main([*common, "--out-dir", str(second)]) == 0
     assert (second / "report.csv").read_bytes() == (first / "report.csv").read_bytes()
+
+
+def test_experiment_builds_every_baseline_matrix_in_one_pass(tmp_path, monkeypatch):
+    corpus = write_text_corpus(tmp_path / "corpus")
+    calls = []
+    pairwise = simbase._pairwise
+
+    def counted(measures, vectors):
+        calls.append(list(measures))
+        return pairwise(measures, vectors)
+
+    monkeypatch.setattr(simbase, "_pairwise", counted)
+    assert main(["experiment", "--corpus", str(corpus), "--out-dir", str(tmp_path / "out")]) == 0
+    assert calls == [["euclidean", "cosine", "jaccard", "kld"]]
+
+
+def test_staged_forest_with_a_bad_node_exits_2_naming_the_file(tmp_path, capsys):
+    corpus = write_text_corpus(tmp_path / "corpus")
+    out = tmp_path / "out"
+    common = ["--corpus", str(corpus), "--mode", "text-dir", "--out-dir", str(out)]
+    assert main(["ingest", *common]) == 0
+    path = out / "forests" / "d2.json"
+    forest = json.loads(path.read_text("utf-8"))
+    forest["children"][0]["label"] = 7
+    path.write_text(json.dumps(forest), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["simmatrix", *common, "--measure", "tm-sim"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad {path}: bad tree node in fixture for 'd2'")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("mode", ["text-dir", "xtm-dir"])

@@ -13,6 +13,7 @@ from tmclust.simbase import (
     _BLOCK_PAIRS,
     MEASURES,
     _pairwise,
+    build_matrices_base,
     build_matrix_base,
     cosine_sim,
     euclidean_sim,
@@ -269,6 +270,8 @@ def test_matrix_entries_are_the_pair_functions_and_match_oracles():
 def test_build_matrix_base_rejects_unknown_measure():
     with pytest.raises(ValidationError, match="unknown measure"):
         build_matrix_base("pearson", [vec("a", x=1.0), vec("b", x=1.0)])
+    with pytest.raises(ValidationError, match="unknown measure 'pearson'"):
+        build_matrices_base(["cosine", "pearson"], [vec("a", x=1.0), vec("b", x=1.0)])
 
 
 def test_bincount_adds_weights_in_input_order():
@@ -309,17 +312,43 @@ def _zipf_vector_set(rng: random.Random, n: int) -> list[TermVector]:
     return vectors
 
 
+def _underflows(vectors: list[TermVector]) -> bool:
+    """Whether the weight of a term that two vectors share normalizes to 0
+    under euclidean or kld; under cosine no weight is 0."""
+    df = Counter(t for v in vectors for t in v.entries)
+    for v in vectors:
+        w = np.array(list(v.entries.values()))
+        shared = np.array([df[t] > 1 for t in v.entries], dtype=bool)
+        for scale in (np.sqrt(np.square(w).sum()), w.sum()):
+            unit = np.divide(w, scale, out=np.zeros_like(w), where=scale > 0.0)
+            if (unit[shared] == 0.0).any():
+                return True
+    return False
+
+
 def test_pairwise_is_bit_identical_to_the_padded_row_loop():
+    # Every non-empty set of measures, in both orders, comes from one pass.
+    subsets = [
+        [m for k, m in enumerate(MEASURES) if mask >> k & 1] for mask in range(1, 2 ** len(MEASURES))
+    ]
     rng = random.Random(14)
-    kinds = {"empty": 0, "duplicate": 0, "disjoint": 0, "subset": 0, "subnormal": 0, "blocks": 0}
+    kinds = {
+        "empty": 0, "duplicate": 0, "disjoint": 0, "subset": 0, "subnormal": 0, "blocks": 0,
+        "underflow": 0,
+    }
     for n in (2, 3, 7, 20, 60, 150):
         for _ in range(3):
             vectors = _zipf_vector_set(rng, n)
-            for measure in MEASURES:
-                got = _pairwise(measure, vectors).view(np.int64)
-                assert np.array_equal(got, reference_pairwise(measure, vectors).view(np.int64)), measure
+            want = {m: reference_pairwise(m, vectors).view(np.int64) for m in MEASURES}
+            for measures in subsets:
+                for order in (measures, measures[::-1]):
+                    got = _pairwise(order, vectors)
+                    assert list(got) == order
+                    for measure, values in got.items():
+                        assert np.array_equal(values.view(np.int64), want[measure]), (measure, order)
             df = Counter(t for v in vectors for t in v.entries)
             kinds["blocks"] += sum(d * (d - 1) // 2 for d in df.values()) > 2 * _BLOCK_PAIRS
             kinds["subnormal"] += any(w < np.finfo(float).tiny for v in vectors for w in v.entries.values())
+            kinds["underflow"] += _underflows(vectors)
             _count_kinds(vectors, kinds)
     assert all(count > 0 for count in kinds.values()), kinds

@@ -9,6 +9,7 @@ from conftest import XTM_ZOO, forest_dict, make_forest, node, random_forest
 from oracles import reference_parse_xtm, serialize_xtm, validate_forest
 
 from tmclust.errors import ValidationError, XtmParseError
+from tmclust.textpipe import load_corpus
 from tmclust.xtm import (
     DOC_ROOT_LABEL,
     Association,
@@ -215,6 +216,77 @@ def test_parse_matches_the_child_loop_parser_on_2000_random_documents():
     # Both parsers agree on every outcome, and every outcome occurs.
     assert seen["parsed"] >= 1000, seen
     assert min(seen.values()) >= 20 and len(seen) == 8, seen
+
+
+# An XTM 2.0 document as the standard writes it: topics named by `name`,
+# with a name type, a scope and a variant that are not read.
+XTM2_VEHICLES = b"""<?xml version="1.0" encoding="UTF-8"?>
+<topicMap xmlns="http://www.topicmaps.org/xtm/" version="2.0">
+  <topic id="vehicle">
+    <name><value>Vehicle</value></name>
+    <occurrence><type><topicRef href="#description"/></type>
+      <resourceData>Moves people</resourceData></occurrence>
+  </topic>
+  <topic id="car">
+    <name>
+      <type><topicRef href="#full-name"/></type>
+      <value>Motor  Car</value>
+      <variant><scope><topicRef href="#sort"/></scope><resourceData>zcar</resourceData></variant>
+    </name>
+    <name><value>Automobile</value></name>
+  </topic>
+  <topic id="bike"><name><scope><topicRef href="#en"/></scope><value>Bicycle</value></name></topic>
+  <topic id="Wheel"/>
+  <association>
+    <type><topicRef href="#superclass-subclass"/></type>
+    <role><type><topicRef href="#subclass"/></type><topicRef href="#car"/></role>
+    <role><type><topicRef href="#superclass"/></type><topicRef href="#vehicle"/></role>
+  </association>
+  <association>
+    <type><topicRef href="#superclass-subclass"/></type>
+    <role><type><topicRef href="#superclass"/></type><topicRef href="#vehicle"/></role>
+    <role><type><topicRef href="#subclass"/></type><topicRef href="#bike"/></role>
+  </association>
+</topicMap>
+"""
+
+
+def test_xtm2_document_with_name_elements_gives_forest_and_vector_text(tmp_path):
+    (tmp_path / "cars.xtm").write_bytes(XTM2_VEHICLES)
+    (tmp_path / "labels.csv").write_text("doc_id,label\ncars,road\n", encoding="utf-8")
+    corpus, trees = load_corpus(tmp_path, "xtm-dir")
+    want = make_forest("cars", node("vehicle", node("bicycle"), node("motor car")), node("wheel"))
+    assert forest_dict(trees["cars"]) == forest_dict(want)
+    assert corpus.docs[0].text == "vehicle motor car bicycle wheel Moves people"
+
+
+def _named_topic(rng: random.Random) -> tuple[bytes, str, tuple[bool, bool]]:
+    """A topic with `topicName`s, `name`s and other children in random order,
+    the name `parse_xtm` must give it, and whether it has each name element."""
+    children, found = [], {}
+    for k in range(rng.randint(0, 4)):
+        tag = rng.choice(["topicName", "name", "instanceOf"])
+        label = f"{tag} {k}"
+        if rng.random() < 0.5:  # the value wins over the element's own text
+            body = rng.choice(["", "Own text "]) + f"<value> {label} </value>"
+        else:
+            body = label
+        children.append(f"<{tag}>{body}</{tag}>")
+        found.setdefault(tag, label)
+    want = found.get("topicName", found.get("name", "Topic-Id"))
+    data = f'<topicMap><topic id="Topic-Id">{"".join(children)}</topic></topicMap>'
+    return data.encode(), normalize_label(want), ("topicName" in found, "name" in found)
+
+
+def test_topic_name_comes_from_topic_name_then_name_then_id_on_seeded_topics():
+    rng = random.Random(16)
+    seen: Counter[tuple[bool, bool]] = Counter()
+    for _ in range(400):
+        data, want, has = _named_topic(rng)
+        assert parse_xtm(data).topics == [Topic(id="Topic-Id", name=want)], data
+        seen[has] += 1
+    # A name beside a topicName, a name alone, a topicName alone, and neither.
+    assert len(seen) == 4 and min(seen.values()) >= 20, seen
 
 
 def test_normalize_label():
