@@ -26,7 +26,7 @@ from . import evalx, simbase, textpipe, treesim, xtm
 from .errors import TmclustError, ValidationError
 from .matrix import SimilarityMatrix, csv_fields
 
-MEASURE_CHOICES = ("euclidean", "cosine", "jaccard", "kld", "tm-sim")
+MEASURE_CHOICES = (*simbase.MEASURES, treesim.TM_MEASURE)
 
 
 class UsageError(Exception):
@@ -78,9 +78,11 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "config", None):
         path = Path(args.config)
         try:
-            loaded = json.loads(path.read_bytes().decode("utf-8"))
+            loaded = json.loads(path.read_bytes().decode("utf-8-sig"))
         except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
             raise UsageError(f"bad config file {path}: {exc}") from exc
+        except RecursionError:
+            raise UsageError(f"bad config file {path}: input is nested too deeply") from None
         if not isinstance(loaded, dict):
             raise UsageError(f"config file {path} must hold a JSON object")
         hints = typing.get_type_hints(ExperimentConfig)
@@ -120,11 +122,18 @@ def _csv_text(rows: list[tuple[str, ...]]) -> str:
     return "".join(",".join(csv_fields(row)) + "\n" for row in rows)
 
 
-def _ingest_stage(config: ExperimentConfig) -> tuple[Path, dict, list, list]:
+def _ingest_stage(config: ExperimentConfig, run: bool = False) -> tuple[Path, dict, list, list]:
     """Write forests, vectors and the manifest; return the out dir, the manifest,
-    the forests (none unless tm-sim is measured) and the vectors, in doc order."""
+    the forests (none unless tm-sim is measured) and the vectors, in doc order.
+    With `run`, a corpus that cannot be cut into k clusters writes nothing."""
     corpus, trees = textpipe.load_corpus(config.corpus, config.mode, config.dataset)
     stopwords = None if config.stopwords is None else textpipe.load_stopwords(config.stopwords)
+    if run:  # the checks of hac and cut, made before anything is written
+        n, k = len(corpus.docs), config.k or len(corpus.classes)
+        if n < 2:
+            raise ValidationError("need at least 2 documents to cluster")
+        if k > n:
+            raise ValidationError(f"k={k} out of range 1..{n}")
     out = Path(config.out_dir)
     (out / "forests").mkdir(parents=True, exist_ok=True)
 
@@ -176,6 +185,8 @@ def _read_json(path: Path, stage: str):
         return json.loads(_read(path, stage))
     except ValueError as exc:
         raise ValidationError(f"bad JSON in {path}: {exc}") from exc
+    except RecursionError:
+        raise ValidationError(f"bad {path}: input is nested too deeply") from None
 
 
 # The manifest keys that a later stage reads, with the type of each.
@@ -210,6 +221,8 @@ def _read_forests(out: Path, doc_ids: list[str]) -> list[xtm.TopicForest]:
             forests.append(xtm.forest_from_json(doc_id, stored))
         except ValidationError as exc:
             raise ValidationError(f"bad {path}: {exc}") from exc
+        except RecursionError:  # json.loads may read deeper than forest_from_json
+            raise ValidationError(f"bad {path}: input is nested too deeply") from None
     return forests
 
 
@@ -263,11 +276,11 @@ def _cluster_stage(
 ) -> _cluster.ClusterAssignment:
     """Cluster one matrix, write the dendrogram and the cut, return the cut."""
     dendrogram = _cluster.hac(matrix, linkage)
+    assignment = _cluster.cut(dendrogram, k)
     _write_json(
         out / f"dendrogram_{matrix.measure}.json",
         {"merges": dendrogram.merges, "n_leaves": dendrogram.n_leaves},
     )
-    assignment = _cluster.cut(dendrogram, k)
     rows = zip(matrix.doc_ids, map(str, assignment.labels))
     _write(out / f"assignment_{matrix.measure}.csv", _csv_text([("doc_id", "cluster"), *rows]))
     return assignment
@@ -324,7 +337,7 @@ def cmd_evaluate(config: ExperimentConfig, measure: str) -> evalx.EvalReport:
 
 def cmd_experiment(config: ExperimentConfig) -> Path:
     """Run every configured measure end to end, passing results in memory."""
-    out, manifest, forests, vectors = _ingest_stage(config)
+    out, manifest, forests, vectors = _ingest_stage(config, run=True)
     k = config.k or len(manifest["classes"])
     rows = [("dataset", "measure", "linkage", "k", "purity", "entropy")]
     # Every baseline matrix comes from one pass over one term index.
@@ -401,10 +414,6 @@ def main(argv: list[str] | None = None) -> int:
         args.func(config, args)
     except (TmclustError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        # A staged simmatrix reading back a forests/*.json nested too deeply.
-        print("error: input is nested too deeply", file=sys.stderr)
         return 2
     return 0
 

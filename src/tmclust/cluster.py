@@ -43,16 +43,16 @@ def hac(matrix: SimilarityMatrix, linkage: str = "average") -> Dendrogram:
     the smallest id of all rows whose `top` is the maximum, and its partner
     is q, since a tied partner of smaller id would give a smaller pair.
 
-    A merge writes the merged row into the lower slot a and retires the
-    other slot b.  Only the rows whose partner was a or b are scanned
-    again; slot a is one of them, as its partner was b.  Every other row
-    compares its cache with the new column a.  The merged cluster's id is
-    larger than every other, so an equal value keeps the cached partner.
-    The merged row is computed by the same float expression as in a full
-    scan, and the cache holds entries of that working matrix unchanged,
-    so merge heights are the same bits.  A step costs O(N) plus O(N) per
-    row scanned again, a handful on typical matrices; the worst case
-    stays O(N^3).
+    A merge writes the merged row into p's slot and retires q's.  Only the
+    rows whose partner was p or q are scanned again, each taking its tied
+    column of smallest id; p is one of them, as its partner was q.  Every
+    other row compares its cache with the new column p.  The merged
+    cluster's id is larger than every other, so an equal value keeps the
+    cached partner.  The size-weighted sum, min and max are commutative,
+    so the merged row has the same bits whichever part is named first,
+    and the cache holds entries of that working matrix unchanged.  A step
+    costs O(N) plus O(N) per row scanned again, a handful on typical
+    matrices; the worst case stays O(N^3).
     """
     if linkage not in LINKAGES:
         raise ValidationError(f"unknown linkage {linkage!r}")
@@ -65,9 +65,6 @@ def hac(matrix: SimilarityMatrix, linkage: str = "average") -> Dendrogram:
     sims = matrix.values.astype(float)
     np.fill_diagonal(sims, -np.inf)
     cluster_id = np.arange(n)
-    # Larger for a smaller cluster id: the argmax of `tied * rank` over a
-    # row picks the tied column of smallest id.
-    rank = 2 * n - cluster_id
     sizes = [1] * n
     # Cluster ids start in slot order, so argmax's first maximum is the
     # partner of smallest id.
@@ -81,41 +78,39 @@ def hac(matrix: SimilarityMatrix, linkage: str = "average") -> Dendrogram:
         other = partner[slot]
         new_id = n + step
         merges.append((int(cluster_id[slot]), int(cluster_id[other]), float(top[slot]), new_id))
-        slot_a, slot_b = (slot, other) if slot < other else (other, slot)
 
         if linkage == "single":
-            row = np.maximum(sims[slot_a], sims[slot_b])
+            row = np.maximum(sims[slot], sims[other])
         elif linkage == "complete":
-            row = np.minimum(sims[slot_a], sims[slot_b])
+            row = np.minimum(sims[slot], sims[other])
         else:
-            size_a, size_b = sizes[slot_a], sizes[slot_b]
-            row = (size_a * sims[slot_a] + size_b * sims[slot_b]) / (size_a + size_b)
-        sims[slot_a, :] = row
-        sims[:, slot_a] = row
-        sims[slot_a, slot_a] = -np.inf
-        sims[slot_b, :] = -np.inf
-        sims[:, slot_b] = -np.inf
-        sizes[slot_a] += sizes[slot_b]
-        cluster_id[slot_a] = new_id
-        rank[slot_a] = 2 * n - new_id
+            size_a, size_b = sizes[slot], sizes[other]
+            row = (size_a * sims[slot] + size_b * sims[other]) / (size_a + size_b)
+        sims[slot, :] = row
+        sims[:, slot] = row
+        sims[slot, slot] = -np.inf
+        sims[other, :] = -np.inf
+        sims[:, other] = -np.inf
+        sizes[slot] += sizes[other]
+        cluster_id[slot] = new_id
 
         # Rows whose partner took part in the merge are scanned again below,
         # and the retired slot leaves the cache.
-        stale = partner == slot_a
-        stale |= partner == slot_b
-        stale[slot_b] = False
-        top[slot_b] = -np.inf
-        partner[slot_b] = -1
+        stale = partner == slot
+        stale |= partner == other
+        stale[other] = False
+        top[other] = -np.inf
+        partner[other] = -1
         # Every other row compares with the new column; a tie keeps its partner.
-        merged = sims[slot_a]
+        merged = sims[slot]
         gain = merged > top
-        partner[gain] = slot_a
+        partner[gain] = slot
         top[gain] = merged[gain]
         rows = stale.nonzero()[0]
         block = sims[rows]
         best = block.max(axis=1)
         top[rows] = best
-        partner[rows] = ((block == best[:, None]) * rank).argmax(axis=1)
+        partner[rows] = np.where(block == best[:, None], cluster_id, 2 * n).argmin(axis=1)
 
     return Dendrogram(n_leaves=n, merges=merges)
 

@@ -1,4 +1,6 @@
-"""Cluster quality scoring against gold labels: purity and entropy."""
+"""Cluster quality scoring against gold labels: purity and entropy, each a
+size-weighted mean over the clusters.  A cluster's entropy is in log base =
+the class count (Zhao and Karypis, 2004), so it is 0 when there is one class."""
 
 from __future__ import annotations
 
@@ -60,44 +62,44 @@ def contingency(
     return ContingencyTable(cluster_ids=clusters, class_labels=classes, counts=counts)
 
 
+def _cluster_entropy(table: ContingencyTable, row: list[int]) -> float:
+    """Class entropy of one row of `table`, log base = class count; 0 with one class."""
+    base = len(table.class_labels)
+    if base < 2:
+        return 0.0
+    size = sum(row)
+    value = 0.0
+    for count in row:
+        if count:
+            share = count / size
+            value -= share * math.log(share, base)
+    return value
+
+
+def _sum_over_n(table: ContingencyTable, score) -> float:
+    """sum(score(row)) over the non-empty rows, divided by N."""
+    total = table.total
+    if total <= 0:
+        raise ValidationError("contingency table is empty")
+    return sum(score(row) for row in table.counts if sum(row)) / total
+
+
 def per_cluster_purity(table: ContingencyTable) -> list[float]:
     return [max(row) / sum(row) for row in table.counts if sum(row)]
 
 
 def purity(table: ContingencyTable) -> float:
     """Size-weighted dominant-class share, computed as sum(max) / N."""
-    total = table.total
-    if total <= 0:
-        raise ValidationError("contingency table is empty")
-    return sum(max(row) for row in table.counts if sum(row)) / total
+    return _sum_over_n(table, max)
 
 
 def per_cluster_entropy(table: ContingencyTable) -> list[float]:
-    base = len(table.class_labels)
-    if base < 2:
-        return [0.0 for row in table.counts if sum(row)]
-    out = []
-    for row in table.counts:
-        size = sum(row)
-        if not size:
-            continue
-        value = 0.0
-        for count in row:
-            if count:
-                share = count / size
-                value -= share * math.log(share, base)
-        out.append(value)
-    return out
+    return [_cluster_entropy(table, row) for row in table.counts if sum(row)]
 
 
 def entropy(table: ContingencyTable) -> float:
     """Size-weighted class entropy per cluster, log base = class count."""
-    total = table.total
-    if total <= 0:
-        raise ValidationError("contingency table is empty")
-    sizes = [sum(row) for row in table.counts if sum(row)]
-    values = per_cluster_entropy(table)
-    return sum(size * value for size, value in zip(sizes, values)) / total
+    return _sum_over_n(table, lambda row: sum(row) * _cluster_entropy(table, row))
 
 
 def evaluate(
@@ -108,19 +110,16 @@ def evaluate(
     doc_ids: Sequence[str] | None = None,
 ) -> EvalReport:
     table = contingency(assignment, gold, doc_ids)
-    purities = per_cluster_purity(table)
-    entropies = per_cluster_entropy(table)
+    # contingency() makes a row only for a cluster that holds a document.
     per_cluster = [
         {
             "cluster": cluster,
             "size": sum(row),
-            "purity": pur,
-            "entropy": ent,
+            "purity": max(row) / sum(row),
+            "entropy": _cluster_entropy(table, row),
             "dominant_class": table.class_labels[row.index(max(row))],
         }
-        for cluster, row, pur, ent in zip(
-            table.cluster_ids, table.counts, purities, entropies
-        )
+        for cluster, row in zip(table.cluster_ids, table.counts)
     ]
     return EvalReport(
         measure=measure,

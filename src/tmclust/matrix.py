@@ -40,10 +40,11 @@ class SimilarityMatrix:
             raise ValidationError(
                 f"matrix shape {self.values.shape} does not match {n} doc ids"
             )
+        # NaN compares false, so it fails here rather than as asymmetry below.
+        if not np.all((self.values >= 0.0) & (self.values <= 1.0)):
+            raise ValidationError(f"{self.measure} matrix has entries outside [0, 1]")
         if not np.array_equal(self.values, self.values.T):
             raise ValidationError(f"{self.measure} matrix is not symmetric")
-        if np.any(self.values < 0.0) or np.any(self.values > 1.0):
-            raise ValidationError(f"{self.measure} matrix has entries outside [0, 1]")
         if not np.all(np.diag(self.values) == 1.0):
             raise ValidationError(f"{self.measure} matrix diagonal is not 1")
 

@@ -43,10 +43,11 @@ def default_stopwords() -> frozenset[str]:
 
 def read_text(path: str | Path, missing: str) -> str:
     """The one text-file read: UTF-8 with no newline translation, which would
-    turn a quoted CR into LF.  A missing file raises ValidationError(missing);
-    bytes that are not UTF-8 raise a ValidationError naming the file."""
+    turn a quoted CR into LF, and with a leading byte-order mark dropped.  A
+    missing file raises ValidationError(missing); bytes that are not UTF-8
+    raise a ValidationError naming the file."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return Path(path).read_bytes().decode("utf-8-sig")
     except FileNotFoundError:
         raise ValidationError(missing) from None
     except UnicodeDecodeError as exc:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -464,9 +465,11 @@ def test_cli_rejects_unknown_config_key(tmp_path):
         (b'{"corpus": "x", "measures": ["cosine", 3]}', "'measures'"),
         (b'{"corpus": "x", "stem": "yes"}', "'stem'"),
         (b'{"corpus": "x", "measures": ["cosine", "cosine"]}', "'cosine'"),
+        (b"[" * 5000 + b"]" * 5000, "config.json"),
     ],
     ids=["directory", "array", "not-utf8", "k-string", "k-bool", "corpus-number",
-         "measures-string", "measures-number", "stem-string", "measures-twice"],
+         "measures-string", "measures-number", "stem-string", "measures-twice",
+         "nested-5000-deep"],
 )
 def test_malformed_config_file_is_a_usage_error(tmp_path, capsys, content, named):
     config_path = tmp_path / "config.json"
@@ -528,6 +531,121 @@ def test_experiment_builds_every_baseline_matrix_in_one_pass(tmp_path, monkeypat
     monkeypatch.setattr(simbase, "_pairwise", counted)
     assert main(["experiment", "--corpus", str(corpus), "--out-dir", str(tmp_path / "out")]) == 0
     assert calls == [["euclidean", "cosine", "jaccard", "kld"]]
+
+
+def test_experiment_with_a_bad_k_or_document_count_writes_nothing(tmp_path, capsys):
+    corpus = write_text_corpus(tmp_path / "corpus", dict(list(TEXT_DOCS.items())[:3]))
+    out = tmp_path / "out"
+    common = ["--corpus", str(corpus), "--out-dir", str(out)]
+    assert main(["experiment", *common]) == 0
+    write_text_corpus(corpus)  # a fourth document joins the corpus
+    before = artifact_bytes(out)
+    capsys.readouterr()
+    assert main(["experiment", *common, "--k", "9"]) == 2
+    assert capsys.readouterr().err == "error: k=9 out of range 1..4\n"
+    assert artifact_bytes(out) == before
+    # A staged cluster cuts before it writes the dendrogram.
+    assert main(["cluster", *common, "--measure", "cosine", "--k", "9"]) == 2
+    assert capsys.readouterr().err == "error: k=9 out of range 1..3\n"
+    assert artifact_bytes(out) == before
+    # A one-document corpus can be ingested, but not clustered.
+    one = write_text_corpus(tmp_path / "one", {"d1": TEXT_DOCS["d1"]})
+    solo = ["--corpus", str(one), "--out-dir", str(tmp_path / "solo")]
+    assert main(["experiment", *solo]) == 2
+    assert capsys.readouterr().err == "error: need at least 2 documents to cluster\n"
+    assert not (tmp_path / "solo").exists()
+    assert main(["ingest", *solo]) == 0
+
+
+# SHA-256 of every clustering artifact that `experiment` writes for
+# make_planted_corpus(4, 10, seed=0), recorded when HAC still kept a rank
+# array beside the cluster ids to break ties.
+GOLDEN_EXPERIMENT_SHA256 = {
+    (): {
+        "assignment_cosine.csv": "2e5bad17b018b9ee576c261df2017a701646bd501f2ff524f8861ed87eb3055a",
+        "assignment_euclidean.csv": "2e5bad17b018b9ee576c261df2017a701646bd501f2ff524f8861ed87eb3055a",
+        "assignment_jaccard.csv": "2e5bad17b018b9ee576c261df2017a701646bd501f2ff524f8861ed87eb3055a",
+        "assignment_kld.csv": "2e5bad17b018b9ee576c261df2017a701646bd501f2ff524f8861ed87eb3055a",
+        "assignment_tm-sim.csv": "2e5bad17b018b9ee576c261df2017a701646bd501f2ff524f8861ed87eb3055a",
+        "dendrogram_cosine.json": "5a75b9539642394a2a5b862366ab4968c4b2e4e9f72edb3d1abdf29da2a7cbea",
+        "dendrogram_euclidean.json": "96d77575c4f4b85a38682efa7bca4ab7679b8f2c1a6e1283839f2225ea96458a",
+        "dendrogram_jaccard.json": "44b592379d06fc8c0dbf5fb0bc89ef4026207932e66d403c8ed04d77dc93b350",
+        "dendrogram_kld.json": "224bfd233f7e139e896a2b6677db5fbb92b4e3d3edaa616e985d3ba81694b960",
+        "dendrogram_tm-sim.json": "0613b00d62316d563273130d6f843b0fac0efdfbc617270af7a303e5a0bb5d6f",
+        "eval_cosine.json": "03319d71b2172bfcfc31fe24609ef5e8a89fee57543d63ce0731b4c732b6d9fc",
+        "eval_euclidean.json": "8d73284f5ea3c911a12eac82a989d229086ad3c3d8ee9af6382562339a35bfc5",
+        "eval_jaccard.json": "a945073021731993c321d45e9a60104e507860bb7934562bd5e50adc5ef0d2fa",
+        "eval_kld.json": "eca406061c8ba048322f4f6646d0fec9610bb1c07d488b4140fb807d227637ae",
+        "eval_tm-sim.json": "df99b3020ff5e2052edfec0973900e9c8e59ceaf09aad9f7156cb7b5604568cb",
+        "report.csv": "97c8a8af5a74a5fb64f4e31d4b631c2b031cc94716b6996a3c04ad8e0217394d",
+    },
+    # Cut below the class count, so that a cluster mixes two classes.
+    ("--linkage", "complete", "--k", "3"): {
+        "assignment_cosine.csv": "f759c19279c746b19b87b93fb18c359de87aeb273ad4ad89e4b189aeafe351ed",
+        "assignment_euclidean.csv": "f759c19279c746b19b87b93fb18c359de87aeb273ad4ad89e4b189aeafe351ed",
+        "assignment_jaccard.csv": "f759c19279c746b19b87b93fb18c359de87aeb273ad4ad89e4b189aeafe351ed",
+        "assignment_kld.csv": "bf98a0a8771f1e36a1fc2ea46d54beec4baf50cc409f95ad1740d47ce749e372",
+        "assignment_tm-sim.csv": "d2e04263fd54f00bb1385d6b1eda1ec7a902ca0c8a09ded5d53939280f0205ff",
+        "dendrogram_cosine.json": "e7e7f07eafe215a167aaa0e7fc0dd362da65719bec32105f90952569e2c9be55",
+        "dendrogram_euclidean.json": "09ca9279a49516c81b5a6d9e51f34bfa83fcfdfd4a659615c1056410e75da918",
+        "dendrogram_jaccard.json": "d92f323c2b3252bc9979c6b247d1b6ca450a72c184650951befdd33a053644b1",
+        "dendrogram_kld.json": "08da60613892d60ab273c95abc6a45c7574ef2cf3adf09843912e9109e8f2bf6",
+        "dendrogram_tm-sim.json": "684faa71af8169fc5156ff1b8097112fd9e4eb06bf47a71fda82c64cdec20b75",
+        "eval_cosine.json": "253b476741281e54f4d395fc05d85de540b2f729625c58b9f9b5c6c1e5a65dac",
+        "eval_euclidean.json": "d2c96ff993e39548a679338826ba9d90155332e9530f801f71e189edda35f492",
+        "eval_jaccard.json": "f067044f97e3000f3023fa925e807588d0605607291664fc8f4b50a85d28a4a4",
+        "eval_kld.json": "678de33b390205b4a97a14016fd2151f42c2dc5c02b34131d59a7c56860ec4cb",
+        "eval_tm-sim.json": "f1734b61b3d5c410efe7289d2914b94598193064de831c6f579170b1525dd36d",
+        "report.csv": "c61e32f444a67ea45ef8cc290205aad5f0794d5bb57341ae51025f3f95d3268c",
+    },
+}
+
+
+@pytest.mark.parametrize("flags", list(GOLDEN_EXPERIMENT_SHA256), ids=["default", "complete-k3"])
+def test_golden_planted_experiment(tmp_path, flags):
+    corpus = write_jsonl(make_planted_corpus(4, 10, seed=0), tmp_path / "planted.jsonl")
+    out = tmp_path / "out"
+    common = ["--corpus", str(corpus), "--mode", "jsonl", "--out-dir", str(out)]
+    assert main(["experiment", *common, *flags]) == 0
+    patterns = ("dendrogram_*.json", "assignment_*.csv", "eval_*.json", "report.csv")
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for pattern in patterns
+        for path in out.glob(pattern)
+    }
+    assert digests == GOLDEN_EXPERIMENT_SHA256[flags]
+
+
+def _bom_input(tmp_path: Path, corpus: Path, case: str) -> tuple[Path, list[str]]:
+    """The file that `case` reads, and the flags that make a run read it."""
+    if case == "jsonl":
+        return corpus, []
+    if case == "stopwords":
+        path = tmp_path / "stop.txt"
+        path.write_text("red\nsoup\n", encoding="utf-8")
+        return path, ["--stopwords", str(path)]
+    if case == "config":
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"corpus": str(corpus), "mode": "text-dir"}), encoding="utf-8")
+        return path, ["--config", str(path)]
+    path = corpus / "labels.csv"
+    if case == "labels-no-header":
+        path.write_text(path.read_text("utf-8").split("\n", 1)[1], encoding="utf-8")
+    return path, []
+
+
+@pytest.mark.parametrize("case", ["labels", "labels-no-header", "jsonl", "stopwords", "config"])
+def test_a_leading_byte_order_mark_is_not_data(tmp_path, capsys, case):
+    mode = "jsonl" if case == "jsonl" else "text-dir"
+    corpus = CORPUS_WRITERS[mode](tmp_path / "corpus")
+    path, flags = _bom_input(tmp_path, corpus, case)
+    if case != "config":
+        flags += ["--corpus", str(corpus), "--mode", mode]
+    assert main(["ingest", *flags, "--out-dir", str(tmp_path / "plain")]) == 0
+    path.write_bytes("\ufeff".encode("utf-8") + path.read_bytes())
+    assert main(["ingest", *flags, "--out-dir", str(tmp_path / "bom")]) == 0
+    assert capsys.readouterr().err == ""
+    assert artifact_bytes(tmp_path / "bom") == artifact_bytes(tmp_path / "plain")
 
 
 def test_staged_forest_with_a_bad_node_exits_2_naming_the_file(tmp_path, capsys):
@@ -593,6 +711,10 @@ def _delete(path: Path) -> None:
     path.unlink()
 
 
+def _nest_deeply(path: Path) -> None:
+    path.write_text("[" * 5000 + "]" * 5000, encoding="utf-8")
+
+
 def _rename_docs(path: Path) -> None:
     """Rename every doc id d<n> to old<n>, as if left by a run over other documents."""
     path.write_text(re.sub(r"\bd(\d)\b", r"old\1", path.read_text("utf-8")), encoding="utf-8")
@@ -626,12 +748,14 @@ WRITTEN_BY = {
         ("assignment_cosine.csv", _delete, "evaluate", "cosine"),
         ("matrix_cosine.csv", _rename_docs, "cluster", "cosine"),
         ("assignment_cosine.csv", _rename_docs, "evaluate", "cosine"),
+        ("vectors.json", _nest_deeply, "simmatrix", "cosine"),
+        ("forests/d1.json", _nest_deeply, "simmatrix", "tm-sim"),
     ],
     ids=[
         "manifest", "forest", "vectors", "matrix-ragged", "matrix-text", "assignment",
         "vectors-not-utf8", "matrix-not-utf8", "manifest-missing", "forest-missing",
         "vectors-missing", "matrix-missing", "assignment-missing", "matrix-stale",
-        "assignment-stale",
+        "assignment-stale", "vectors-nested", "forest-nested",
     ],
 )
 def test_corrupt_stage_input_exits_2_naming_the_file(tmp_path, capsys, name, corrupt, stage, measure):
@@ -651,6 +775,8 @@ def test_corrupt_stage_input_exits_2_naming_the_file(tmp_path, capsys, name, cor
         assert err == f"error: missing {out / name}; run {WRITTEN_BY[name]} first\n"
     if corrupt is _rename_docs:
         assert err.endswith(f"; run {WRITTEN_BY[name]} again\n")
+    if corrupt is _nest_deeply:
+        assert err.startswith(f"error: bad {out / name}: ")
 
 
 def _weight(value):
@@ -850,7 +976,8 @@ def test_experiment_writes_a_1000_deep_xtm_hierarchy(tmp_path, capsys):
     capsys.readouterr()
     staged = ["simmatrix", "--corpus", str(corpus), "--mode", "xtm-dir", "--out-dir", str(out)]
     assert main([*staged, "--measure", "tm-sim"]) == 2
-    assert capsys.readouterr().err == "error: input is nested too deeply\n"
+    path = out / "forests" / "deep.json"
+    assert capsys.readouterr().err == f"error: bad {path}: input is nested too deeply\n"
 
 
 def test_every_json_artifact_is_one_canonical_line(tmp_path):

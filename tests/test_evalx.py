@@ -174,3 +174,26 @@ def test_per_cluster_helpers_match_shapes():
     t = table([[2, 0], [1, 1]])
     assert per_cluster_purity(t) == [1.0, 0.5]
     assert len(per_cluster_entropy(t)) == 2
+
+
+def test_evaluate_scores_equal_the_table_scores_on_random_cuts():
+    rng = random.Random(43)
+    single_class = 0
+    for _ in range(1000):
+        n = rng.randint(1, 30)
+        k = rng.randint(1, n)
+        assignment = ClusterAssignment(k=k, labels=[rng.randrange(k) for _ in range(n)])
+        classes = rng.randint(1, 4)
+        gold = [f"cls{rng.randrange(classes)}" for _ in range(n)]
+        single_class += len(set(gold)) == 1
+        t = contingency(assignment, gold)
+        report = evaluate(assignment, gold, "m", "d")
+        rows = report.per_cluster
+        assert [c["cluster"] for c in rows] == t.cluster_ids
+        assert [c["size"] for c in rows] == list(map(sum, t.counts))
+        # repr tells 0.0 from -0.0 and every bit of a float.
+        assert [repr(c["purity"]) for c in rows] == list(map(repr, per_cluster_purity(t)))
+        assert [repr(c["entropy"]) for c in rows] == list(map(repr, per_cluster_entropy(t)))
+        assert repr(report.purity) == repr(purity(t))
+        assert repr(report.entropy) == repr(entropy(t))
+    assert single_class > 0

@@ -298,6 +298,14 @@ def test_from_csv_refuses_a_bare_cr_in_an_id():
         SimilarityMatrix.from_csv(text, "m")
 
 
+@pytest.mark.parametrize("cell", ["nan", "-nan", "inf"])
+def test_from_csv_refuses_a_non_finite_cell_as_out_of_range(cell):
+    # A symmetric pair of NaN cells is out of range, not asymmetric.
+    text = f"doc_id,a,b\na,1.0,{cell}\nb,{cell},1.0\n"
+    with pytest.raises(ValidationError, match=r"outside \[0, 1\]"):
+        SimilarityMatrix.from_csv(text, "m")
+
+
 @pytest.mark.parametrize("low, high", [(0.4, 0.5), (0.0, -0.0)])
 def test_to_csv_refuses_an_asymmetric_matrix(low, high):
     # 0.0 and -0.0 compare equal but print differently: mirroring would hide it.
