@@ -128,13 +128,16 @@ def _ingest_stage(config: ExperimentConfig, run: bool = False) -> tuple[Path, di
     With `run`, a corpus that cannot be cut into k clusters writes nothing."""
     corpus, trees = textpipe.load_corpus(config.corpus, config.mode, config.dataset)
     stopwords = None if config.stopwords is None else textpipe.load_stopwords(config.stopwords)
+    out = Path(config.out_dir)
     if run:  # the checks of hac and cut, made before anything is written
         n, k = len(corpus.docs), config.k or len(corpus.classes)
         if n < 2:
             raise ValidationError("need at least 2 documents to cluster")
         if k > n:
             raise ValidationError(f"k={k} out of range 1..{n}")
-    out = Path(config.out_dir)
+        # A run that fails after its first write leaves no earlier run's report.
+        for name in ("report.csv", "run_config.json"):
+            (out / name).unlink(missing_ok=True)
     (out / "forests").mkdir(parents=True, exist_ok=True)
 
     forests = []

@@ -66,26 +66,78 @@ class SimilarityMatrix:
     @classmethod
     def from_csv(cls, text: str, measure: str) -> "SimilarityMatrix":
         """Parse `to_csv` output.  `text` must keep its line endings as
-        written: a quoted doc id may hold a CR.  Row i must carry the
-        header's i-th doc id."""
-        try:
-            rows = list(csv.reader(io.StringIO(text)))
-        except csv.Error as exc:
-            raise ValidationError(f"matrix CSV is malformed: {exc}") from exc
-        if not rows or rows[0][:1] != ["doc_id"]:
+        written: a quoted doc id may hold a CR.
+
+        The header is read as CSV.  Each row must then be in the form
+        `to_csv` writes: row i starts with the header's i-th doc id as
+        `csv_fields` writes it and a comma, ends at the next LF, and splits
+        at commas into exactly n cells.  Each cell on or above the diagonal
+        is converted by `float()` once.  A cell below it takes its mirror's
+        value when the two texts are equal and is converted by itself
+        otherwise, so `validate` judges symmetry by value.  A CRLF file
+        reads too: `float()` strips the CR."""
+        header, pos = _header(text)
+        if header[:1] != ["doc_id"]:
             raise ValidationError("matrix CSV must start with a doc_id header row")
-        doc_ids = rows[0][1:]
+        doc_ids = header[1:]
+        if not doc_ids:
+            raise ValidationError("matrix CSV header names no doc ids")
+        n, rows = len(doc_ids), []
+        for doc_id, field in zip(doc_ids, csv_fields(doc_ids)):
+            if not text.startswith(field + ",", pos):
+                raise _row_error(text[pos:], doc_id)
+            start = pos + len(field) + 1
+            end = text.find("\n", start)
+            if end < 0:
+                end = len(text)
+            pos = end + 1
+            cells = text[start:end].split(",")
+            if len(cells) != n:
+                raise ValidationError(
+                    f"matrix CSV has a ragged or non-numeric row: "
+                    f"row {doc_id!r} has {len(cells)} cells, not {n}"
+                )
+            rows.append(cells)
+        if pos < len(text):
+            raise ValidationError("matrix CSV has a ragged or non-numeric row: text follows the last row")
         try:
-            # One call for every cell; numpy converts a str as float() does.
-            values = np.array([row[1:] for row in rows[1:]], dtype=float)
+            upper = [float(cell) for i, row in enumerate(rows) for cell in row[i:]]
+            values = np.empty((n, n))
+            on_or_above = np.triu(np.ones((n, n), dtype=bool))
+            values[on_or_above] = upper
+            values.T[on_or_above] = upper  # each cell below takes its mirror's value
+            for i, (row, mirror) in enumerate(zip(rows, zip(*rows))):
+                if tuple(row[:i]) != mirror[:i]:
+                    for j in range(i):
+                        if row[j] != mirror[j]:
+                            values[i, j] = float(row[j])
         except ValueError as exc:
             raise ValidationError(f"matrix CSV has a ragged or non-numeric row: {exc}") from exc
-        for doc_id, row in zip(doc_ids, rows[1:]):
-            row_id = row[0] if row else ""
-            if row_id != doc_id:
-                raise ValidationError(
-                    f"matrix CSV row {row_id!r} is where the header has {doc_id!r}"
-                )
         matrix = cls(measure=measure, doc_ids=doc_ids, values=values)
         matrix.validate()
         return matrix
+
+
+def _header(text: str) -> tuple[list[str], int]:
+    """The first row of `text`, read as CSV, and where the text after it
+    starts.  The StringIO holds 4 bytes per character, so it is dropped
+    before the rows are split."""
+    buf = io.StringIO(text)
+    try:
+        return next(csv.reader(buf), []), buf.tell()
+    except csv.Error as exc:
+        raise ValidationError(f"matrix CSV is malformed: {exc}") from exc
+
+
+def _row_error(rest: str, doc_id: str) -> ValidationError:
+    """Why `rest`, the text where `doc_id`'s row should start, does not
+    start with that row in the form `to_csv` writes."""
+    try:
+        row = next(csv.reader(io.StringIO(rest)), [])
+    except csv.Error as exc:
+        return ValidationError(f"matrix CSV is malformed: {exc}")
+    if not row:
+        return ValidationError(f"matrix CSV has a ragged or non-numeric row: no row for {doc_id!r}")
+    if row[0] != doc_id:
+        return ValidationError(f"matrix CSV row {row[0]!r} is where the header has {doc_id!r}")
+    return ValidationError(f"matrix CSV row {doc_id!r} is not in the form to_csv writes")

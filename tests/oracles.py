@@ -17,15 +17,21 @@
 - `reference_pairwise` is the baseline matrix routine that the inverted
   index in `simbase._pairwise` replaced: one row at a time, each later row
   read off a dense copy of the row through its own padded term ids.
+- `reference_from_csv` is the matrix reader that `SimilarityMatrix.from_csv`
+  replaced: `csv.reader` splits every row, and numpy converts every cell,
+  both halves of the symmetric matrix alike.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import xml.etree.ElementTree as ET
 
 import numpy as np
 
 from tmclust.errors import ValidationError, XtmParseError
+from tmclust.matrix import SimilarityMatrix
 from tmclust.textpipe import TermVector
 from tmclust.treesim import Mapping, _forms, _pair
 from tmclust.xtm import (
@@ -409,3 +415,26 @@ def reference_pairwise(measure: str, vectors: list[TermVector]) -> np.ndarray:
                 live = (scale[i] > 0.0) & (scale[rest] > 0.0)
                 out[i, rest] = out[rest, i] = np.where(live, 1.0 - np.clip(sep, 0.0, 1.0), 0.0)
     return out
+
+
+def reference_from_csv(text: str, measure: str) -> SimilarityMatrix:
+    """Parse a matrix CSV.  Row i must carry the header's i-th doc id."""
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise ValidationError(f"matrix CSV is malformed: {exc}") from exc
+    if not rows or rows[0][:1] != ["doc_id"]:
+        raise ValidationError("matrix CSV must start with a doc_id header row")
+    doc_ids = rows[0][1:]
+    try:
+        # One call for every cell; numpy converts a str as float() does.
+        values = np.array([row[1:] for row in rows[1:]], dtype=float)
+    except ValueError as exc:
+        raise ValidationError(f"matrix CSV has a ragged or non-numeric row: {exc}") from exc
+    for doc_id, row in zip(doc_ids, rows[1:]):
+        row_id = row[0] if row else ""
+        if row_id != doc_id:
+            raise ValidationError(f"matrix CSV row {row_id!r} is where the header has {doc_id!r}")
+    matrix = SimilarityMatrix(measure=measure, doc_ids=doc_ids, values=values)
+    matrix.validate()
+    return matrix

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -555,6 +556,63 @@ def test_experiment_with_a_bad_k_or_document_count_writes_nothing(tmp_path, caps
     assert capsys.readouterr().err == "error: need at least 2 documents to cluster\n"
     assert not (tmp_path / "solo").exists()
     assert main(["ingest", *solo]) == 0
+
+
+def test_a_failed_experiment_leaves_no_report_of_an_earlier_run(tmp_path, capsys):
+    corpus = write_text_corpus(tmp_path / "corpus", dict(list(TEXT_DOCS.items())[:3]))
+    out = tmp_path / "out"
+    common = ["--corpus", str(corpus), "--out-dir", str(out)]
+    assert main(["experiment", *common]) == 0
+    write_text_corpus(corpus)  # a fourth document joins the corpus
+    (out / "eval_kld.json").unlink()
+    (out / "eval_kld.json").mkdir()  # so writing it fails midway through the run
+    capsys.readouterr()
+    assert main(["experiment", *common]) == 2
+    assert "eval_kld.json" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+    assert not (out / "run_config.json").exists()
+    (out / "eval_kld.json").rmdir()
+    assert main(["experiment", *common]) == 0
+    rerun = artifact_bytes(out)
+    assert {"report.csv", "run_config.json"} <= rerun.keys()
+    shutil.rmtree(out)
+    assert main(["experiment", *common]) == 0
+    assert rerun == artifact_bytes(out)
+
+
+def _crlf(text: str) -> str:
+    return text.replace("\n", "\r\n")
+
+
+def _lower_cells_with_a_trailing_zero(text: str) -> str:
+    """Each cell below the diagonal written as repr(v) + "0" where that keeps v."""
+    lines = text.split("\n")
+    n = len(lines) - 2  # the header, and the empty text after the last LF
+    for i in range(1, n + 1):
+        head, *cells = lines[i].rsplit(",", n)  # the doc id may hold a comma
+        cells[: i - 1] = [c + "0" if "." in c and "e" not in c else c for c in cells[: i - 1]]
+        lines[i] = ",".join([head, *cells])
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("rewrite", [_crlf, _lower_cells_with_a_trailing_zero], ids=["crlf", "lower-zero"])
+def test_staged_cluster_reads_a_rewritten_matrix_as_the_original(tmp_path, rewrite):
+    corpus = write_planted_jsonl(tmp_path / "corpus")
+    out = tmp_path / "out"
+    common = ["--corpus", str(corpus), "--mode", "jsonl", "--out-dir", str(out)]
+    assert main(["experiment", *common, "--measures", "cosine"]) == 0
+    cluster = ["cluster", *common, "--measure", "cosine", "--linkage", "complete"]
+    assert main(cluster) == 0
+    outputs = [out / "dendrogram_cosine.json", out / "assignment_cosine.csv"]
+    want = [path.read_bytes() for path in outputs]
+    matrix = out / "matrix_cosine.csv"
+    text = matrix.read_bytes().decode("utf-8")
+    assert rewrite(text) != text
+    matrix.write_bytes(rewrite(text).encode("utf-8"))
+    for path in outputs:
+        path.unlink()
+    assert main(cluster) == 0
+    assert [path.read_bytes() for path in outputs] == want
 
 
 # SHA-256 of every clustering artifact that `experiment` writes for

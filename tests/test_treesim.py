@@ -18,10 +18,12 @@ from oracles import (
     common_subtree_size,
     lifted_postorder,
     mapping_violations,
+    reference_from_csv,
     serialize_xtm,
 )
 
 from tmclust.errors import ValidationError
+from tmclust.matrix import csv_fields
 from tmclust.synth import make_planted_corpus
 from tmclust.textpipe import build_fallback_forest
 from tmclust.treesim import (
@@ -277,6 +279,117 @@ def test_from_csv_reads_back_what_to_csv_writes():
     again = SimilarityMatrix.from_csv(matrix.to_csv(), "m")
     assert again.doc_ids == ODD_IDS
     assert np.array_equal(again.values.view(np.int64), matrix.values.view(np.int64))
+
+
+def _random_matrix(rng: np.random.Generator, n: int) -> SimilarityMatrix:
+    """A symmetric matrix over ODD_IDS and plain ids, with subnormals and the
+    odd values of the test above."""
+    ids = [str(rng.choice(ODD_IDS)) if rng.random() < 0.5 else f"d{k}" for k in range(n)]
+    upper = rng.random((n, n))
+    tiny = rng.random((n, n)) < 0.3
+    upper[tiny] *= 2.0 ** rng.integers(-1074, 1, tiny.sum()).astype(float)
+    odd = rng.random((n, n)) < 0.2
+    upper[odd] = rng.choice([5e-324, 1e-05, 0.1 + 0.2, 2.5e-300, 0.9999999999999999, 0.0, 1.0], odd.sum())
+    upper = np.triu(upper, 1)
+    return SimilarityMatrix("m", ids, upper + upper.T + np.eye(n))
+
+
+def _same_value_numerals(cell: str) -> list[str]:
+    """Other numerals of `cell`'s value, as a hand-edited file might hold."""
+    numerals = [format(float(cell), ".17e"), "+" + cell]
+    if "e" not in cell:
+        numerals.append(cell + "0")
+    if float(cell) == 0.0:
+        numerals.append("-" + cell)  # -0.0 == 0.0, so it is still symmetric
+    return numerals
+
+
+def _mutants(rng: np.random.Generator, matrix: SimilarityMatrix):
+    """(kind, text, accepted): `to_csv`'s text rewritten in each way the
+    readers are compared on, and whether a reader must accept the result."""
+    n, fields = len(matrix.doc_ids), csv_fields(matrix.doc_ids)
+    grid = [[repr(v) for v in row] for row in matrix.values.tolist()]
+    header = ",".join(["doc_id", *fields])
+
+    def text(rows: list[str]) -> str:
+        return "\n".join([header, *rows]) + "\n"
+
+    def lines(cells: list[list[str]]) -> list[str]:
+        return [field + "," + ",".join(row) for field, row in zip(fields, cells)]
+
+    def edit(i: int, j: int, cell: str) -> str:
+        cells = [list(row) for row in grid]
+        cells[i][j] = cell
+        return text(lines(cells))
+
+    original = text(lines(grid))
+    assert original == matrix.to_csv()
+    yield "original", original, True
+    if n > 1:
+        j, i = sorted(rng.choice(n, 2, replace=False))  # (i, j) lies below the diagonal
+        yield "same-value", edit(i, j, str(rng.choice(_same_value_numerals(grid[i][j])))), True
+        yield "other-value", edit(i, j, repr((float(grid[i][j]) + 0.5) % 1.0)), False
+    a, b = rng.integers(n, size=2)
+    yield "not-a-number", edit(a, b, str(rng.choice(["x", "", "0..5", "0x1p-1", "1 0"]))), False
+    longer, shorter = [list(row) for row in grid], [list(row) for row in grid]
+    longer[a].append("0.5")
+    shorter[a].pop()
+    yield "cell-too-many", text(lines(longer)), False
+    yield "cell-too-few", text(lines(shorter)), False
+    rows = lines(grid)
+    yield "row-missing", text(rows[:a] + rows[a + 1:]), False
+    yield "row-extra", text(rows[: a + 1] + rows[a:]), False
+    yield "trailing-blank-line", original + "\n", False
+    yield "crlf", original.replace("\n", "\r\n"), True
+
+
+def _outcome(read, text: str):
+    try:
+        matrix = read(text, "m")
+    except ValidationError:
+        return None
+    return matrix.doc_ids, matrix.values.view(np.int64).tolist()
+
+
+def test_from_csv_matches_the_reference_reader_on_random_and_mutated_matrices():
+    rng = np.random.default_rng(18)
+    seen = set()
+    for _ in range(200):
+        matrix = _random_matrix(rng, int(rng.integers(1, 61)))
+        for kind, text, accepted in _mutants(rng, matrix):
+            got = _outcome(SimilarityMatrix.from_csv, text)
+            assert got == _outcome(reference_from_csv, text), (kind, text)
+            assert (got is not None) == accepted, (kind, text)
+            if kind == "original":
+                assert got == (matrix.doc_ids, matrix.values.view(np.int64).tolist())
+            seen.add(kind)
+    assert len(seen) == 10
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['doc_id,a,b\n"a",1.0,0.5\nb,0.5,1.0\n', 'doc_id, pad,b\n" pad",1.0,0.5\nb,0.5,1.0\n'],
+    ids=["plain-id-quoted", "padded-id-quoted"],
+)
+def test_from_csv_refuses_a_row_id_quoted_otherwise_than_to_csv_writes_it(text):
+    # The reference reader accepts it; to_csv never writes it.
+    assert reference_from_csv(text, "m").doc_ids[0] in ("a", " pad")
+    with pytest.raises(ValidationError, match="not in the form to_csv writes"):
+        SimilarityMatrix.from_csv(text, "m")
+
+
+def test_from_csv_refuses_a_quoted_cell():
+    # Cells are split at commas and never unquoted: to_csv never quotes a number.
+    text = 'doc_id,a,b\na,1.0,"0.5"\nb,0.5,1.0\n'
+    assert reference_from_csv(text, "m").values[0, 1] == 0.5
+    with pytest.raises(ValidationError, match="non-numeric"):
+        SimilarityMatrix.from_csv(text, "m")
+
+
+@pytest.mark.parametrize("text", ["", "\n", "doc_id\n", "doc_id", "doc_id\n\n"])
+def test_from_csv_refuses_a_header_without_doc_ids(text):
+    with pytest.raises(ValidationError):
+        SimilarityMatrix.from_csv(text, "m")
 
 
 @pytest.mark.parametrize(
