@@ -46,8 +46,6 @@ class ExperimentConfig:
     stem: bool = False
 
     def validate(self) -> None:
-        if not self.corpus:
-            raise UsageError("a corpus path is required (flag --corpus or config)")
         if self.mode not in textpipe.MODES:
             raise UsageError(f"mode must be one of {textpipe.MODES}, got {self.mode!r}")
         if not self.measures:
@@ -102,6 +100,8 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             flag = [m.strip() for m in flag.split(",") if m.strip()]
         values[name] = flag
     config = ExperimentConfig(**values)
+    if args.command in ("ingest", "experiment") and not config.corpus:
+        raise UsageError("a corpus path is required (flag --corpus or config)")
     config.validate()
     config.dataset = config.dataset or Path(config.corpus).stem
     return config
@@ -122,22 +122,12 @@ def _csv_text(rows: list[tuple[str, ...]]) -> str:
     return "".join(",".join(csv_fields(row)) + "\n" for row in rows)
 
 
-def _ingest_stage(config: ExperimentConfig, run: bool = False) -> tuple[Path, dict, list, list]:
-    """Write forests, vectors and the manifest; return the out dir, the manifest,
-    the forests (none unless tm-sim is measured) and the vectors, in doc order.
-    With `run`, a corpus that cannot be cut into k clusters writes nothing."""
-    corpus, trees = textpipe.load_corpus(config.corpus, config.mode, config.dataset)
-    stopwords = None if config.stopwords is None else textpipe.load_stopwords(config.stopwords)
+def _ingest_stage(
+    config: ExperimentConfig, corpus: textpipe.Corpus, trees: dict, stopwords: frozenset | None
+) -> tuple[dict, list, list]:
+    """Write the forests, vectors and manifest of a loaded corpus; return the
+    manifest, the forests (none unless tm-sim is measured) and the vectors, in doc order."""
     out = Path(config.out_dir)
-    if run:  # the checks of hac and cut, made before anything is written
-        n, k = len(corpus.docs), config.k or len(corpus.classes)
-        if n < 2:
-            raise ValidationError("need at least 2 documents to cluster")
-        if k > n:
-            raise ValidationError(f"k={k} out of range 1..{n}")
-        # A run that fails after its first write leaves no earlier run's report.
-        for name in ("report.csv", "run_config.json"):
-            (out / name).unlink(missing_ok=True)
     (out / "forests").mkdir(parents=True, exist_ok=True)
 
     forests = []
@@ -170,12 +160,15 @@ def _ingest_stage(config: ExperimentConfig, run: bool = False) -> tuple[Path, di
         "empty_docs": empty,
     }
     _write_json(out / "manifest.json", manifest)
-    return out, manifest, forests, vectors
+    return manifest, forests, vectors
 
 
 def cmd_ingest(config: ExperimentConfig) -> Path:
     """Persist forests, vectors, and the corpus manifest."""
-    return _ingest_stage(config)[0]
+    corpus, trees = textpipe.load_corpus(config.corpus, config.mode, config.dataset)
+    stopwords = None if config.stopwords is None else textpipe.load_stopwords(config.stopwords)
+    _ingest_stage(config, corpus, trees, stopwords)
+    return Path(config.out_dir)
 
 
 def _read(path: Path, stage: str) -> str:
@@ -257,11 +250,6 @@ def _read_vectors(out: Path, doc_ids: list[str]) -> list[textpipe.TermVector]:
     return vectors
 
 
-def _write_matrix(out: Path, matrix: SimilarityMatrix) -> None:
-    """Write one measure's matrix as `matrix_<measure>.csv`."""
-    _write(out / f"matrix_{matrix.measure}.csv", matrix.to_csv())
-
-
 def cmd_simmatrix(config: ExperimentConfig, measure: str) -> Path:
     """Build and persist one measure's similarity matrix."""
     out = Path(config.out_dir)
@@ -270,8 +258,9 @@ def cmd_simmatrix(config: ExperimentConfig, measure: str) -> Path:
         matrix = treesim.build_matrix(_read_forests(out, doc_ids))
     else:
         matrix = simbase.build_matrix_base(measure, _read_vectors(out, doc_ids))
-    _write_matrix(out, matrix)
-    return out / f"matrix_{measure}.csv"
+    path = out / f"matrix_{measure}.csv"
+    _write(path, matrix.to_csv())
+    return path
 
 
 def _cluster_stage(
@@ -340,15 +329,25 @@ def cmd_evaluate(config: ExperimentConfig, measure: str) -> evalx.EvalReport:
 
 def cmd_experiment(config: ExperimentConfig) -> Path:
     """Run every configured measure end to end, passing results in memory."""
-    out, manifest, forests, vectors = _ingest_stage(config, run=True)
-    k = config.k or len(manifest["classes"])
+    corpus, trees = textpipe.load_corpus(config.corpus, config.mode, config.dataset)
+    stopwords = None if config.stopwords is None else textpipe.load_stopwords(config.stopwords)
+    n, k = len(corpus.docs), config.k or len(corpus.classes)
+    if n < 2:  # the checks of hac and cut, made before anything is written
+        raise ValidationError("need at least 2 documents to cluster")
+    if k > n:
+        raise ValidationError(f"k={k} out of range 1..{n}")
+    out = Path(config.out_dir)
+    # A run that fails after its first write leaves no earlier run's report.
+    for name in ("report.csv", "run_config.json"):
+        (out / name).unlink(missing_ok=True)
+    manifest, forests, vectors = _ingest_stage(config, corpus, trees, stopwords)
     rows = [("dataset", "measure", "linkage", "k", "purity", "entropy")]
     # Every baseline matrix comes from one pass over one term index.
     baselines = [m for m in config.measures if m != treesim.TM_MEASURE]
     matrices = simbase.build_matrices_base(baselines, vectors) if baselines else {}
     for measure in config.measures:
         matrix = matrices.pop(measure) if measure in matrices else treesim.build_matrix(forests)
-        _write_matrix(out, matrix)
+        _write(out / f"matrix_{measure}.csv", matrix.to_csv())
         assignment = _cluster_stage(out, matrix, config.linkage, k)
         report = _evaluate_stage(out, measure, manifest, assignment)
         scores = (repr(report.purity), repr(report.entropy))
@@ -391,12 +390,16 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--mode", choices=textpipe.MODES, help="corpus input mode")
         command.add_argument("--out-dir", dest="out_dir", help="artifact output directory")
         command.add_argument("--dataset", help="dataset name used in reports")
-        command.add_argument("--stopwords", help="override stopword list file")
-        command.add_argument(
-            "--stem", action="store_true", help="apply the light suffix stripper"
-        )
-        command.add_argument("--linkage", choices=_cluster.LINKAGES, help="HAC linkage")
-        command.add_argument("--k", type=int, help="cluster count (default: gold classes)")
+        # Every command takes the flags above, so one argument list serves the
+        # whole chain; each takes the flags below only if it reads them.
+        if name in ("ingest", "experiment"):
+            command.add_argument("--stopwords", help="override stopword list file")
+            command.add_argument(
+                "--stem", action="store_true", help="apply the light suffix stripper"
+            )
+        if name in ("cluster", "experiment"):
+            command.add_argument("--linkage", choices=_cluster.LINKAGES, help="HAC linkage")
+            command.add_argument("--k", type=int, help="cluster count (default: gold classes)")
         if name == "experiment":
             command.add_argument("--measures", help="comma-separated measure list")
         elif name != "ingest":

@@ -141,11 +141,6 @@ def kld_sim(a: TermVector, b: TermVector) -> float:
     return float(_pairwise(["kld"], [a, b])["kld"][0, 1])
 
 
-def jsd(a: TermVector, b: TermVector) -> float:
-    """The Jensen-Shannon divergence behind `kld_sim`, clamped to [0, 1]."""
-    return 1.0 - kld_sim(a, b)
-
-
 MEASURES = {
     "euclidean": euclidean_sim, "cosine": cosine_sim, "jaccard": jaccard_sim, "kld": kld_sim,
 }

@@ -179,15 +179,17 @@ def build_fallback_forest(
 def read_labels(path: Path, doc_ids: list[str]) -> dict[str, str]:
     """Read labels.csv (doc_id,label rows) for the documents `doc_ids`.
 
-    A document without a label is an error.  An id listed twice keeps its
-    last row and an id that names no document is ignored; each prints a
-    `warning:` line on stderr.
+    Only the first row can be the optional header `doc_id,label`; a later
+    such row labels a document named `doc_id`.  A document without a label
+    is an error.  An id listed twice keeps its last row and an id that names
+    no document is ignored; each prints a `warning:` line on stderr.
     """
     text = read_text(path, f"labels file not found: {path}")
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    if rows[:1] == [["doc_id", "label"]]:
+        del rows[0]
     labels: dict[str, str] = {}
-    for row in csv.reader(io.StringIO(text, newline="")):
-        if not row or row == ["doc_id", "label"]:
-            continue
+    for row in rows:
         if len(row) < 2:
             raise ValidationError(f"{path}: bad row {row!r}")
         if row[0] in labels:

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -321,6 +322,19 @@ def test_readme_command_line_flags_exist_in_the_parser(capsys):
     assert named and named <= offered, sorted(named - offered)
 
 
+def test_readme_command_line_block_runs_as_written(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("tmclust ")]
+    assert len(lines) == 5
+    write_text_corpus(tmp_path / "corpus")
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, (line, capsys.readouterr().err)
+    assert (tmp_path / "out" / "report.csv").is_file()
+
+
 def test_process_exit_status(tmp_path):
     corpus = write_text_corpus(tmp_path / "corpus")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -431,6 +445,87 @@ def test_seed_is_an_experiment_flag_echoed_into_run_config(tmp_path):
     assert sorted(echo) == [
         "corpus", "dataset", "k", "linkage", "measures", "mode", "out_dir", "stem", "stopwords",
     ]
+
+
+# The five flags every command takes (--config also as -c), and the flags
+# each command takes besides them.
+SHARED_FLAGS = {"--config", "-c", "--corpus", "--mode", "--out-dir", "--dataset"}
+COMMAND_FLAGS = {
+    "ingest": {"--stopwords", "--stem"},
+    "simmatrix": {"--measure"},
+    "cluster": {"--measure", "--linkage", "--k"},
+    "evaluate": {"--measure"},
+    "experiment": {"--stopwords", "--stem", "--linkage", "--k", "--measures"},
+}
+# Each flag that some command does not take, with a value for it.
+FLAG_VALUES = {"--stopwords": ["stop.txt"], "--stem": [], "--linkage": ["single"], "--k": ["2"]}
+UNREAD_FLAGS = [
+    (command, flag)
+    for command, flags in COMMAND_FLAGS.items()
+    for flag in FLAG_VALUES
+    if flag not in flags
+]
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_help_lists_exactly_the_flags_the_command_takes(capsys, command):
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--help"])
+    assert exited.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed - {"-h", "--help"} == SHARED_FLAGS | COMMAND_FLAGS[command]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, command, flag
+):
+    corpus = write_text_corpus(tmp_path / "corpus")
+    out = tmp_path / "out"
+    argv = [command, "--corpus", str(corpus), "--out-dir", str(out)]
+    if "--measure" in COMMAND_FLAGS[command]:
+        argv += ["--measure", "cosine"]
+    assert main(["experiment", "--corpus", str(corpus), "--out-dir", str(out)]) == 0
+    before = artifact_bytes(out)
+    written = []
+    monkeypatch.setattr(cli, "_write", lambda path, text: written.append(path))
+    capsys.readouterr()
+    assert main([*argv, flag, *FLAG_VALUES[flag]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: unrecognized arguments: ") and flag in err
+    assert written == [] and artifact_bytes(out) == before
+    assert main(argv) == 0 and written  # without the flag, the command writes
+
+
+def test_only_ingest_and_experiment_need_a_corpus(tmp_path, capsys):
+    corpus = write_text_corpus(tmp_path / "corpus")
+    whole, staged = tmp_path / "whole", tmp_path / "staged"
+    for command in ("ingest", "experiment"):
+        assert main([command, "--out-dir", str(staged)]) == 1
+        err = capsys.readouterr().err
+        assert err == "usage error: a corpus path is required (flag --corpus or config)\n"
+    assert not staged.exists()
+    assert main(["experiment", "--corpus", str(corpus), "--out-dir", str(whole)]) == 0
+    assert main(["ingest", "--corpus", str(corpus), "--out-dir", str(staged)]) == 0
+    for command in ("simmatrix", "cluster", "evaluate"):
+        assert main([command, "--out-dir", str(staged), "--measure", "cosine"]) == 0
+    staged_files, whole_files = artifact_bytes(staged), artifact_bytes(whole)
+    assert "eval_cosine.json" in staged_files
+    assert {name: whole_files[name] for name in staged_files} == staged_files
+
+
+def test_a_config_file_may_hold_every_key_for_every_command(tmp_path):
+    corpus = write_text_corpus(tmp_path / "corpus")
+    whole, staged = tmp_path / "whole", tmp_path / "staged"
+    argv = ["experiment", "--corpus", str(corpus), "--out-dir", str(whole), "--stem"]
+    assert main([*argv, "--linkage", "complete", "--k", "3"]) == 0
+    config = ["--config", str(whole / "run_config.json"), "--out-dir", str(staged)]
+    assert main(["ingest", *config]) == 0
+    for command in ("simmatrix", "cluster", "evaluate"):
+        assert main([command, *config, "--measure", "jaccard"]) == 0
+    staged_files, whole_files = artifact_bytes(staged), artifact_bytes(whole)
+    assert json.loads(staged_files["eval_jaccard.json"])["k"] == 3
+    assert {name: whole_files[name] for name in staged_files} == staged_files
 
 
 def test_zero_valued_flags_are_set_flags(tmp_path):
@@ -556,6 +651,18 @@ def test_experiment_with_a_bad_k_or_document_count_writes_nothing(tmp_path, caps
     assert capsys.readouterr().err == "error: need at least 2 documents to cluster\n"
     assert not (tmp_path / "solo").exists()
     assert main(["ingest", *solo]) == 0
+
+
+def test_experiment_with_a_missing_stopwords_file_writes_nothing(tmp_path, capsys):
+    corpus = write_text_corpus(tmp_path / "corpus")
+    out = tmp_path / "out"
+    common = ["experiment", "--corpus", str(corpus), "--out-dir", str(out)]
+    assert main(common) == 0
+    before = artifact_bytes(out)
+    capsys.readouterr()
+    assert main([*common, "--stopwords", str(tmp_path / "none.txt")]) == 2
+    assert capsys.readouterr().err.startswith("error: stopwords file not found: ")
+    assert artifact_bytes(out) == before
 
 
 def test_a_failed_experiment_leaves_no_report_of_an_earlier_run(tmp_path, capsys):

@@ -161,6 +161,29 @@ def test_load_text_dir(tmp_path):
     assert corpus.classes == ["pets", "wild"]
 
 
+@pytest.mark.parametrize(
+    "stems, rows, labels, warned",
+    [
+        # The header, then a row that labels the document named doc_id.
+        (["b", "doc_id"], "doc_id,label\ndoc_id,label\nb,x\n", {"b": "x", "doc_id": "label"}, []),
+        (["b", "doc_id"], "b,x\ndoc_id,y\n", {"b": "x", "doc_id": "y"}, []),
+        # A repeated header further down is data, and names no document here.
+        (["b"], "doc_id,label\nb,x\ndoc_id,label\n", {"b": "x"}, ["doc_id"]),
+    ],
+    ids=["header-then-doc_id", "no-header", "repeated-header"],
+)
+def test_labels_csv_header_can_only_be_the_first_row(tmp_path, capsys, stems, rows, labels, warned):
+    for stem in stems:
+        (tmp_path / f"{stem}.txt").write_text("cat dog", encoding="utf-8")
+    (tmp_path / "labels.csv").write_text(rows, encoding="utf-8")
+    corpus = load_corpus(tmp_path, "text-dir")[0]
+    assert {d.doc_id: d.label for d in corpus.docs} == labels
+    assert capsys.readouterr().err == "".join(
+        f"warning: labels.csv names {doc_id!r}, which is not a document of the corpus\n"
+        for doc_id in warned
+    )
+
+
 def test_load_text_dir_missing_label(tmp_path):
     (tmp_path / "a.txt").write_text("cat", encoding="utf-8")
     (tmp_path / "labels.csv").write_text("doc_id,label\n", encoding="utf-8")
