@@ -32,27 +32,29 @@ class ClusterAssignment:
 def hac(matrix: SimilarityMatrix, linkage: str = "average") -> Dendrogram:
     """Greedy agglomeration merging the most similar pair of clusters.
 
-    Ties are broken by the smallest (cluster id, cluster id) pair.  Merged
-    similarities are maintained in place: single keeps the max, complete
-    the min, average the size-weighted mean.
+    Ties are broken by the smallest (cluster id, cluster id) pair.  A merge
+    of clusters a < b builds the new row from a's row and then b's, since
+    np.maximum and np.minimum return the second of a -0.0/0.0 tie: single
+    takes the max, complete the min, average the size-weighted mean.
 
-    Each active row caches its best similarity (`top`) and its partner:
-    the column of smallest cluster id among those that reach it (the
-    "generic" algorithm of Müllner, arXiv:1109.2378).  The tie-break then
-    needs no scan over pairs.  If (p, q) is the smallest tied pair, p has
-    the smallest id of all rows whose `top` is the maximum, and its partner
-    is q, since a tied partner of smaller id would give a smaller pair.
+    Row and column c of one (2N-1)x(2N-1) working matrix hold cluster c:
+    leaves are 0..N-1, merged clusters N..2N-2, and retired or not yet made
+    ids hold -inf, as does the diagonal.  It takes (2N-1)^2 * 8 bytes:
+    0.46 MB at N = 120, 32 MB at N = 1000.  Each row caches its partner,
+    the smallest id among its most similar columns, which is what `argmax`
+    returns, and `top`, that partner's cell (the "generic" algorithm of
+    Müllner, arXiv:1109.2378).  If (p, q) is the smallest tied pair, p is
+    the smallest id whose `top` is the maximum, so `top.argmax()` finds it,
+    and its partner is q.  The recorded height is that cell, never a
+    reduction, so the sign of a zero height does not depend on the order
+    in which numpy's SIMD kernels reduce a row.
 
-    A merge writes the merged row into p's slot and retires q's.  Only the
-    rows whose partner was p or q are scanned again, each taking its tied
-    column of smallest id; p is one of them, as its partner was q.  Every
-    other row compares its cache with the new column p.  The merged
-    cluster's id is larger than every other, so an equal value keeps the
-    cached partner.  The size-weighted sum, min and max are commutative,
-    so the merged row has the same bits whichever part is named first,
-    and the cache holds entries of that working matrix unchanged.  A step
-    costs O(N) plus O(N) per row scanned again, a handful on typical
-    matrices; the worst case stays O(N^3).
+    After a merge only the rows whose partner was a or b, and the new row,
+    are scanned again.  Every other row compares its cache with the new
+    column, as an average can round above both of its parts; the new id is
+    the largest, so an equal value keeps the cached partner.  A step costs
+    O(N) plus O(N) per row scanned again, a handful on typical matrices;
+    the worst case stays O(N^3).
     """
     if linkage not in LINKAGES:
         raise ValidationError(f"unknown linkage {linkage!r}")
@@ -61,56 +63,48 @@ def hac(matrix: SimilarityMatrix, linkage: str = "average") -> Dendrogram:
     if n < 2:
         raise ValidationError("need at least 2 documents to cluster")
 
-    # Retired slots and the diagonal hold -inf, so no max ever picks them.
-    sims = matrix.values.astype(float)
+    sims = np.full((2 * n - 1, 2 * n - 1), -np.inf)
+    sims[:n, :n] = matrix.values
     np.fill_diagonal(sims, -np.inf)
-    cluster_id = np.arange(n)
-    sizes = [1] * n
-    # Cluster ids start in slot order, so argmax's first maximum is the
-    # partner of smallest id.
-    partner = sims.argmax(axis=1)
-    top = sims.max(axis=1)
+    sizes = [1] * n + [0] * (n - 1)
+    # Rows not yet made have no partner until they are scanned.
+    partner = np.full(2 * n - 1, -1)
+    partner[:n] = sims[:n].argmax(axis=1)
+    top = np.full(2 * n - 1, -np.inf)
+    top[:n] = sims[np.arange(n), partner[:n]]
     merges: list[tuple[int, int, float, int]] = []
 
-    for step in range(n - 1):
-        tied = (top == top.max()).nonzero()[0]
-        slot = tied[cluster_id[tied].argmin()]
-        other = partner[slot]
-        new_id = n + step
-        merges.append((int(cluster_id[slot]), int(cluster_id[other]), float(top[slot]), new_id))
+    for new in range(n, 2 * n - 1):
+        a = int(top.argmax())
+        b = int(partner[a])
+        merges.append((a, b, float(top[a]), new))
 
         if linkage == "single":
-            row = np.maximum(sims[slot], sims[other])
+            row = np.maximum(sims[a], sims[b])
         elif linkage == "complete":
-            row = np.minimum(sims[slot], sims[other])
+            row = np.minimum(sims[a], sims[b])
         else:
-            size_a, size_b = sizes[slot], sizes[other]
-            row = (size_a * sims[slot] + size_b * sims[other]) / (size_a + size_b)
-        sims[slot, :] = row
-        sims[:, slot] = row
-        sims[slot, slot] = -np.inf
-        sims[other, :] = -np.inf
-        sims[:, other] = -np.inf
-        sizes[slot] += sizes[other]
-        cluster_id[slot] = new_id
+            row = (sizes[a] * sims[a] + sizes[b] * sims[b]) / (sizes[a] + sizes[b])
+        sims[new] = row
+        sims[:, new] = row
+        # Rows a and b are never read again; their columns leave every row.
+        sims[:, a] = -np.inf
+        sims[:, b] = -np.inf
+        sizes[new] = sizes[a] + sizes[b]
 
-        # Rows whose partner took part in the merge are scanned again below,
-        # and the retired slot leaves the cache.
-        stale = partner == slot
-        stale |= partner == other
-        stale[other] = False
-        top[other] = -np.inf
-        partner[other] = -1
-        # Every other row compares with the new column; a tie keeps its partner.
-        merged = sims[slot]
+        stale = partner == a
+        stale |= partner == b
+        stale[a] = stale[b] = False
+        stale[new] = True
+        top[a] = top[b] = -np.inf
+        merged = sims[new]
         gain = merged > top
-        partner[gain] = slot
+        partner[gain] = new
         top[gain] = merged[gain]
         rows = stale.nonzero()[0]
-        block = sims[rows]
-        best = block.max(axis=1)
-        top[rows] = best
-        partner[rows] = np.where(block == best[:, None], cluster_id, 2 * n).argmin(axis=1)
+        cols = sims[rows].argmax(axis=1)
+        partner[rows] = cols
+        top[rows] = sims[rows, cols]
 
     return Dendrogram(n_leaves=n, merges=merges)
 

@@ -6,6 +6,7 @@ import csv
 import io
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -101,7 +102,11 @@ class SimilarityMatrix:
         if pos < len(text):
             raise ValidationError("matrix CSV has a ragged or non-numeric row: text follows the last row")
         try:
-            upper = [float(cell) for i, row in enumerate(rows) for cell in row[i:]]
+            upper = np.fromiter(
+                map(float, chain.from_iterable(row[i:] for i, row in enumerate(rows))),
+                float,
+                n * (n + 1) // 2,
+            )
             values = np.empty((n, n))
             on_or_above = np.triu(np.ones((n, n), dtype=bool))
             values[on_or_above] = upper

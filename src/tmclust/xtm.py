@@ -158,7 +158,7 @@ def _type_label(elem: ET.Element, names: dict[str, str]) -> str:
         ref = type_elem.find("topicRef")
         if ref is not None:
             frag = _ref_fragment(ref.get("href", ""))
-            return names.get(frag, normalize_label(frag))
+            return names[frag] if frag in names else normalize_label(frag)
     return ""
 
 

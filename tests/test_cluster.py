@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -159,7 +160,9 @@ def test_hac_validates_matrix_and_linkage():
 
 
 def _reference_hac(matrix: SimilarityMatrix, linkage: str) -> Dendrogram:
-    """The cubic HAC: copy the active block and scan it whole at each step."""
+    """The cubic HAC: copy the active block and scan it whole at each step.
+    The height is the merged pair's cell, which `sub.max()` equals in value;
+    a reduction may return either sign when -0.0 and 0.0 tie."""
     sims = matrix.values.astype(float).copy()
     n = len(matrix.doc_ids)
     np.fill_diagonal(sims, -np.inf)
@@ -178,14 +181,17 @@ def _reference_hac(matrix: SimilarityMatrix, linkage: str) -> Dendrogram:
             if x < y
         )
         (left, right), slot_a, slot_b = pick
+        height = float(sims[slot_a, slot_b])
 
+        # The smaller id's row comes first: np.maximum and np.minimum return
+        # their second argument when -0.0 and 0.0 tie.
+        lo, hi = (slot_a, slot_b) if cluster_id[slot_a] == left else (slot_b, slot_a)
         if linkage == "single":
-            row = np.maximum(sims[slot_a], sims[slot_b])
+            row = np.maximum(sims[lo], sims[hi])
         elif linkage == "complete":
-            row = np.minimum(sims[slot_a], sims[slot_b])
+            row = np.minimum(sims[lo], sims[hi])
         else:
-            size_a, size_b = sizes[slot_a], sizes[slot_b]
-            row = (size_a * sims[slot_a] + size_b * sims[slot_b]) / (size_a + size_b)
+            row = (sizes[lo] * sims[lo] + sizes[hi] * sims[hi]) / (sizes[lo] + sizes[hi])
         sims[slot_a, :] = row
         sims[:, slot_a] = row
         sims[slot_a, slot_a] = -np.inf
@@ -193,7 +199,7 @@ def _reference_hac(matrix: SimilarityMatrix, linkage: str) -> Dendrogram:
         sims[:, slot_b] = -np.inf
 
         new_id = n + step
-        merges.append((left, right, best, new_id))
+        merges.append((left, right, height, new_id))
         sizes[slot_a] += sizes[slot_b]
         cluster_id[slot_a] = new_id
         active.remove(slot_b)
@@ -236,6 +242,41 @@ def test_hac_matches_the_reference_on_a_tie_free_matrix(linkage):
     upper = matrix.values[np.triu_indices(120, 1)]
     assert len(set(upper.tolist())) == len(upper)
     _assert_same_merges(hac(matrix, linkage), _reference_hac(matrix, linkage))
+
+
+# SHA-256 of repr(merges) over `_signed_zero_matrices`, one digest per
+# linkage; a height's sign must not depend on numpy's SIMD kernels.
+SIGNED_ZERO_SHA256 = {
+    "single": "34f2f1b9d8224eb6e206c9edcfa8a730f9105f58005eb212d16ef062d3cd43da",
+    "complete": "1600ca17676ea57725d34ebfd3732c0cc1a2613bbca957444ef3fe370640ffc7",
+    "average": "e3aaa61857b216398debe6bb182d910d623dbb7bb4efdd91a7c067a132c587e6",
+}
+
+
+def _signed_zero_matrices():
+    """Seeded symmetric matrices with entries from {-0.0, 0.0, 5e-324, 1/3,
+    0.5}, mirrored bit for bit: six at each N in 2..39, two each at 60, 120
+    and 200."""
+    rng = np.random.default_rng(20)
+    for n in list(range(2, 40)) * 6 + [60, 120, 200] * 2:
+        values = rng.choice([-0.0, 0.0, 5e-324, 1 / 3, 0.5], (n, n))
+        lower = np.tril_indices(n, -1)
+        values[lower] = values.T[lower]
+        np.fill_diagonal(values, 1.0)
+        yield SimilarityMatrix("t", [f"d{i}" for i in range(n)], values)
+
+
+@pytest.mark.parametrize("linkage", LINKAGES)
+def test_hac_matches_the_reference_on_signed_zero_ties(linkage):
+    digest = hashlib.sha256()
+    heights = set()
+    for matrix in _signed_zero_matrices():
+        dendrogram = hac(matrix, linkage)
+        _assert_same_merges(dendrogram, _reference_hac(matrix, linkage))
+        digest.update(repr(dendrogram.merges).encode())
+        heights |= {repr(m[2]) for m in dendrogram.merges}
+    assert {"-0.0", "0.0"} <= heights
+    assert digest.hexdigest() == SIGNED_ZERO_SHA256[linkage]
 
 
 def _dendrogram_json(dendrogram: Dendrogram) -> str:
