@@ -2,7 +2,9 @@
 
 Every stage writes plain JSON/CSV artifacts to the output directory.  Run
 separately, each stage after ingest reads its inputs from those artifacts,
-and a missing one names the stage to run first; `experiment` passes each
+and a missing one names the stage to run first.  `ingest` and `experiment`
+start a chain, so each first deletes every artifact of an earlier one and a
+later stage never reads another run's artifacts; `experiment` passes each
 stage's result to the next in memory, so it writes every artifact once and
 reads none back.  Outputs are byte-identical across runs given the same
 inputs.  One function writes every artifact and one reads each back.
@@ -18,6 +20,7 @@ import json
 import math
 import sys
 import typing
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -107,9 +110,11 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
-def _write(path: Path, text: str) -> None:
-    """The one artifact write: UTF-8, with line endings as `text` has them."""
-    path.write_text(text, encoding="utf-8", newline="")
+def _write(path: Path, text: str | Iterable[str]) -> None:
+    """The one artifact write: UTF-8, with line endings as `text` has them.
+    Pieces of text are written one at a time, so they need not all be held."""
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        handle.writelines([text] if isinstance(text, str) else text)
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -117,17 +122,54 @@ def _write_json(path: Path, obj: dict) -> None:
     _write(path, json.dumps(obj, sort_keys=True) + "\n")
 
 
+def _vectors_json(df: dict, vectors: list[textpipe.TermVector]) -> Iterator[str]:
+    """`json.dumps(obj, sort_keys=True)` plus a newline for the `vectors.json`
+    object, in pieces: the C encoder holds every chunk of what it encodes
+    until the end, so each vector is encoded on its own."""
+    yield '{"df": ' + json.dumps(df, sort_keys=True)
+    yield ', "index": ' + json.dumps({t: i for i, t in enumerate(df)}, sort_keys=True)
+    yield f', "n_docs": {len(vectors)}, "vectors": {{'
+    for k, vector in enumerate(sorted(vectors, key=lambda v: v.doc_id)):
+        entries = json.dumps(vector.entries, sort_keys=True)
+        yield (", " if k else "") + json.dumps(vector.doc_id) + ": " + entries
+    yield "}}\n"
+
+
 def _csv_text(rows: list[tuple[str, ...]]) -> str:
     """Rows of text fields as CSV lines, each field written by `csv_fields`."""
     return "".join(",".join(csv_fields(row)) + "\n" for row in rows)
 
 
+# Every artifact a chain writes, besides forests/<doc_id>.json.
+_CHAIN_ARTIFACTS = ("manifest.json", "vectors.json", "run_config.json", "report.csv") + tuple(
+    name.format(measure)
+    for measure in MEASURE_CHOICES
+    for name in ("matrix_{}.csv", "dendrogram_{}.json", "assignment_{}.csv", "eval_{}.json")
+)
+
+
+def _delete_artifacts(out: Path) -> None:
+    """Delete every artifact of an earlier chain in `out`, so that a later
+    stage reads this chain's artifacts or exits 2 asking for the stage that
+    writes them.  Every name is tried; the first failure is raised after."""
+    failures = []
+    for path in [*(out / name for name in _CHAIN_ARTIFACTS), *(out / "forests").glob("*.json")]:
+        try:
+            path.unlink(missing_ok=True)
+        except OSError as exc:
+            failures.append(exc)
+    if failures:
+        raise failures[0]
+
+
 def _ingest_stage(
     config: ExperimentConfig, corpus: textpipe.Corpus, trees: dict, stopwords: frozenset | None
 ) -> tuple[dict, list, list]:
-    """Write the forests, vectors and manifest of a loaded corpus; return the
-    manifest, the forests (none unless tm-sim is measured) and the vectors, in doc order."""
+    """Delete an earlier chain's artifacts, then write the forests, vectors and
+    manifest of a loaded corpus; return the manifest, the forests (none unless
+    tm-sim is measured) and the vectors, in doc order."""
     out = Path(config.out_dir)
+    _delete_artifacts(out)
     (out / "forests").mkdir(parents=True, exist_ok=True)
 
     forests = []
@@ -144,12 +186,7 @@ def _ingest_stage(
     empty = [v.doc_id for v in vectors if v.is_zero]
     for doc_id in empty:
         print(f"warning: document {doc_id!r} has an empty term vector", file=sys.stderr)
-    _write_json(out / "vectors.json", {
-        "df": df,
-        "index": {t: i for i, t in enumerate(df)},
-        "n_docs": len(vectors),
-        "vectors": {v.doc_id: v.entries for v in vectors},
-    })
+    _write(out / "vectors.json", _vectors_json(df, vectors))
     manifest = {
         "dataset": corpus.name,
         "mode": config.mode,
@@ -337,9 +374,6 @@ def cmd_experiment(config: ExperimentConfig) -> Path:
     if k > n:
         raise ValidationError(f"k={k} out of range 1..{n}")
     out = Path(config.out_dir)
-    # A run that fails after its first write leaves no earlier run's report.
-    for name in ("report.csv", "run_config.json"):
-        (out / name).unlink(missing_ok=True)
     manifest, forests, vectors = _ingest_stage(config, corpus, trees, stopwords)
     rows = [("dataset", "measure", "linkage", "k", "purity", "entropy")]
     # Every baseline matrix comes from one pass over one term index.

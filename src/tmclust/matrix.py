@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
 import re
 from dataclasses import dataclass
 from itertools import chain
@@ -77,7 +76,7 @@ class SimilarityMatrix:
         value when the two texts are equal and is converted by itself
         otherwise, so `validate` judges symmetry by value.  A CRLF file
         reads too: `float()` strips the CR."""
-        header, pos = _header(text)
+        header, pos = _record(text, 0)
         if header[:1] != ["doc_id"]:
             raise ValidationError("matrix CSV must start with a doc_id header row")
         doc_ids = header[1:]
@@ -86,7 +85,7 @@ class SimilarityMatrix:
         n, rows = len(doc_ids), []
         for doc_id, field in zip(doc_ids, csv_fields(doc_ids)):
             if not text.startswith(field + ",", pos):
-                raise _row_error(text[pos:], doc_id)
+                raise _row_error(text, pos, doc_id)
             start = pos + len(field) + 1
             end = text.find("\n", start)
             if end < 0:
@@ -123,24 +122,32 @@ class SimilarityMatrix:
         return matrix
 
 
-def _header(text: str) -> tuple[list[str], int]:
-    """The first row of `text`, read as CSV, and where the text after it
-    starts.  The StringIO holds 4 bytes per character, so it is dropped
-    before the rows are split."""
-    buf = io.StringIO(text)
+def _record(text: str, pos: int) -> tuple[list[str], int]:
+    """The CSV record that starts at `pos` in `text`, and where the text
+    after it starts.  csv.reader takes the lines one at a time, each sliced
+    from `text` up to and including its LF, so the rest of the text is
+    never copied."""
+    ends = [pos]
+
+    def lines():
+        while ends[-1] < len(text):
+            end = text.find("\n", ends[-1]) + 1 or len(text)  # no LF left: to the end
+            ends.append(end)
+            yield text[ends[-2]:end]
+
     try:
-        return next(csv.reader(buf), []), buf.tell()
+        return next(csv.reader(lines()), []), ends[-1]
     except csv.Error as exc:
         raise ValidationError(f"matrix CSV is malformed: {exc}") from exc
 
 
-def _row_error(rest: str, doc_id: str) -> ValidationError:
-    """Why `rest`, the text where `doc_id`'s row should start, does not
+def _row_error(text: str, pos: int, doc_id: str) -> ValidationError:
+    """Why the text at `pos`, where `doc_id`'s row should start, does not
     start with that row in the form `to_csv` writes."""
     try:
-        row = next(csv.reader(io.StringIO(rest)), [])
-    except csv.Error as exc:
-        return ValidationError(f"matrix CSV is malformed: {exc}")
+        row, _ = _record(text, pos)
+    except ValidationError as exc:
+        return exc
     if not row:
         return ValidationError(f"matrix CSV has a ragged or non-numeric row: no row for {doc_id!r}")
     if row[0] != doc_id:

@@ -12,6 +12,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -665,19 +666,19 @@ def test_experiment_with_a_missing_stopwords_file_writes_nothing(tmp_path, capsy
     assert artifact_bytes(out) == before
 
 
-def test_a_failed_experiment_leaves_no_report_of_an_earlier_run(tmp_path, capsys):
+def test_a_failed_experiment_leaves_no_artifact_of_an_earlier_run(tmp_path, capsys):
     corpus = write_text_corpus(tmp_path / "corpus", dict(list(TEXT_DOCS.items())[:3]))
     out = tmp_path / "out"
     common = ["--corpus", str(corpus), "--out-dir", str(out)]
     assert main(["experiment", *common]) == 0
     write_text_corpus(corpus)  # a fourth document joins the corpus
     (out / "eval_kld.json").unlink()
-    (out / "eval_kld.json").mkdir()  # so writing it fails midway through the run
+    (out / "eval_kld.json").mkdir()  # an artifact name the run can neither delete nor write
     capsys.readouterr()
     assert main(["experiment", *common]) == 2
     assert "eval_kld.json" in capsys.readouterr().err
-    assert not (out / "report.csv").exists()
-    assert not (out / "run_config.json").exists()
+    # Every other artifact of the earlier run is deleted before the first write.
+    assert artifact_bytes(out) == {}
     (out / "eval_kld.json").rmdir()
     assert main(["experiment", *common]) == 0
     rerun = artifact_bytes(out)
@@ -685,6 +686,46 @@ def test_a_failed_experiment_leaves_no_report_of_an_earlier_run(tmp_path, capsys
     shutil.rmtree(out)
     assert main(["experiment", *common]) == 0
     assert rerun == artifact_bytes(out)
+
+
+def test_an_experiment_that_fails_midway_leaves_only_its_own_artifacts(tmp_path, monkeypatch):
+    corpus = write_text_corpus(tmp_path / "corpus", dict(list(TEXT_DOCS.items())[:3]))
+    out, clean = tmp_path / "out", tmp_path / "clean"
+    assert main(["experiment", "--corpus", str(corpus), "--out-dir", str(out)]) == 0
+    write_text_corpus(corpus)  # a fourth document joins the corpus
+    assert main(["experiment", "--corpus", str(corpus), "--out-dir", str(clean)]) == 0
+    evaluate = cli._evaluate_stage
+
+    def failing(out, measure, manifest, assignment):
+        if measure == "kld":
+            raise OSError("disk full")
+        return evaluate(out, measure, manifest, assignment)
+
+    monkeypatch.setattr(cli, "_evaluate_stage", failing)
+    assert main(["experiment", "--corpus", str(corpus), "--out-dir", str(out)]) == 2
+    left, want = artifact_bytes(out), artifact_bytes(clean)
+    assert "matrix_kld.csv" in left and "matrix_tm-sim.csv" not in left
+    assert {name: want.get(name) for name in left} == left
+
+
+def test_ingest_deletes_every_artifact_of_an_earlier_chain(tmp_path, capsys):
+    corpus = write_text_corpus(tmp_path / "corpus", dict(list(TEXT_DOCS.items())[:3]))
+    out = tmp_path / "out"
+    common = ["--corpus", str(corpus), "--out-dir", str(out)]
+    assert main(["experiment", *common, "--measures", "cosine"]) == 0
+    (corpus / "d1.txt").write_text(TEXT_DOCS["d4"][0], encoding="utf-8")  # same ids, new text
+    (out / "forests" / "gone.json").write_text("{}\n")  # a document no longer in the corpus
+    (out / "notes.txt").write_text("not an artifact\n")
+    assert main(["ingest", *common]) == 0
+    written = ["manifest.json", "vectors.json", *(f"forests/d{k}.json" for k in (1, 2, 3))]
+    assert sorted(artifact_bytes(out)) == sorted([*written, "notes.txt"])
+    capsys.readouterr()
+    assert main(["cluster", *common, "--measure", "cosine"]) == 2
+    path = out / "matrix_cosine.csv"
+    assert capsys.readouterr().err == f"error: missing {path}; run simmatrix first\n"
+    assert main(["simmatrix", *common, "--measure", "cosine"]) == 0
+    assert main(["cluster", *common, "--measure", "cosine"]) == 0
+    assert (out / "assignment_cosine.csv").read_text("utf-8") == "doc_id,cluster\nd1,0\nd2,1\nd3,0\n"
 
 
 def _crlf(text: str) -> str:
@@ -1175,6 +1216,30 @@ def test_every_json_artifact_is_one_canonical_line(tmp_path):
     assert vectors["n_docs"] == len(docs) and vectors["vectors"]["stop"] == {}
     dendrogram = json.loads((whole / "dendrogram_cosine.json").read_text("utf-8"))
     assert dendrogram["n_leaves"] == len(docs) and len(dendrogram["merges"]) == len(docs) - 1
+
+
+def test_vectors_json_write_holds_less_than_three_times_the_file(tmp_path, monkeypatch):
+    corpus = write_jsonl(make_planted_corpus(docs_per_cluster=30), tmp_path / "planted.jsonl")
+    vectorize, after = textpipe.vectorize, []
+
+    def traced(*args, **kwargs):
+        vectors = vectorize(*args, **kwargs)
+        after.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return vectors
+
+    # ingest writes vectors.json, then the small manifest, after vectorize returns.
+    monkeypatch.setattr(textpipe, "vectorize", traced)
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert main(["ingest", "--corpus", str(corpus), "--mode", "jsonl", "--out-dir", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - after[0]
+    finally:
+        tracemalloc.stop()
+    size = (out / "vectors.json").stat().st_size
+    assert size > 100_000
+    assert peak < 3 * size
 
 
 def test_vectors_json_matches_json_dumps_with_an_empty_vector(tmp_path):
