@@ -10,14 +10,7 @@ from .cluster import ClusterAssignment, Dendrogram, cut, hac
 from .errors import TmclustError, ValidationError, XtmParseError
 from .evalx import ContingencyTable, EvalReport, contingency, entropy, evaluate, purity
 from .matrix import SimilarityMatrix
-from .simbase import (
-    build_matrices_base,
-    build_matrix_base,
-    cosine_sim,
-    euclidean_sim,
-    jaccard_sim,
-    kld_sim,
-)
+from .simbase import build_matrices_base
 from .textpipe import (
     Corpus,
     CorpusDoc,
@@ -26,12 +19,7 @@ from .textpipe import (
     tokenize,
     vectorize,
 )
-from .treesim import (
-    Mapping,
-    build_matrix,
-    max_common_subtree,
-    tm_similarity,
-)
+from .treesim import build_matrix, max_common_subtree, tm_similarity
 from .xtm import (
     DOC_ROOT_LABEL,
     Association,

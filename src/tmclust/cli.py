@@ -183,7 +183,7 @@ def _ingest_stage(
             forests.append(forest)
 
     df, vectors = textpipe.vectorize(corpus, stopwords, config.stem)
-    empty = [v.doc_id for v in vectors if v.is_zero]
+    empty = [v.doc_id for v in vectors if not v.entries]
     for doc_id in empty:
         print(f"warning: document {doc_id!r} has an empty term vector", file=sys.stderr)
     _write(out / "vectors.json", _vectors_json(df, vectors))
@@ -294,7 +294,7 @@ def cmd_simmatrix(config: ExperimentConfig, measure: str) -> Path:
     if measure == treesim.TM_MEASURE:
         matrix = treesim.build_matrix(_read_forests(out, doc_ids))
     else:
-        matrix = simbase.build_matrix_base(measure, _read_vectors(out, doc_ids))
+        matrix = simbase.build_matrices_base([measure], _read_vectors(out, doc_ids))[measure]
     path = out / f"matrix_{measure}.csv"
     _write(path, matrix.to_csv())
     return path
@@ -337,7 +337,7 @@ def _evaluate_stage(
     doc_ids = manifest["doc_ids"]
     gold = [manifest["labels"].get(doc_id) for doc_id in doc_ids]
     report = evalx.evaluate(assignment, gold, measure, manifest["dataset"], doc_ids=doc_ids)
-    _write_json(out / f"eval_{measure}.json", report.to_json())
+    _write_json(out / f"eval_{measure}.json", asdict(report))
     return report
 
 

@@ -5,7 +5,7 @@ the class count (Zhao and Karypis, 2004), so it is 0 when there is one class."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .cluster import ClusterAssignment
@@ -33,9 +33,6 @@ class EvalReport:
     purity: float
     entropy: float
     per_cluster: list[dict] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def contingency(
@@ -84,17 +81,9 @@ def _sum_over_n(table: ContingencyTable, score) -> float:
     return sum(score(row) for row in table.counts if sum(row)) / total
 
 
-def per_cluster_purity(table: ContingencyTable) -> list[float]:
-    return [max(row) / sum(row) for row in table.counts if sum(row)]
-
-
 def purity(table: ContingencyTable) -> float:
     """Size-weighted dominant-class share, computed as sum(max) / N."""
     return _sum_over_n(table, max)
-
-
-def per_cluster_entropy(table: ContingencyTable) -> list[float]:
-    return [_cluster_entropy(table, row) for row in table.counts if sum(row)]
 
 
 def entropy(table: ContingencyTable) -> float:

@@ -1,23 +1,28 @@
-"""Baseline pairwise similarity measures on sparse term vectors.
+"""Baseline pairwise similarity measures on sparse term vectors:
 
-`_pairwise` computes the whole matrix of any set of measures in one pass;
-a pair function is its two-vector, one-measure case.  Weights are > 0, so
-a term that only one of two vectors holds adds exactly +0.0 to each of a
-pair's sums.  A pair's sums therefore run over the terms both vectors
-hold, in sorted-term order: a term -> document inverted index lists every
-shared term of every pair, and `np.bincount`, which adds in input order,
-sums each pair.  Row sums (norm, L1 mass) are bincounts too.  The flat
-arrays, the index and the pair lists are built once for every measure;
-each measure then gathers its own normalized weights.  Cosine and jaccard
+- euclidean: 1 / (1 + L2 distance) on L2-normalized inputs; zero vectors
+  stay at the origin.
+- cosine: dot(a, b) / (|a| * |b|); 0 when either vector is zero.
+- jaccard: dot(a, b) / (|a|^2 + |b|^2 - dot(a, b)); 0 when both are zero.
+- kld: 1 - Jensen-Shannon divergence (log base 2); 1 if identical, 0 if
+  disjoint or either vector is empty.
+
+`_pairwise` computes the whole matrix of any set of measures in one pass,
+and a pair's score is its two-vector case.  Weights are > 0, so a term
+that only one of two vectors holds adds exactly +0.0 to each of a pair's
+sums.  A pair's sums therefore run over the terms both vectors hold, in
+sorted-term order: a term -> document inverted index lists every shared
+term of every pair, and `np.bincount`, which adds in input order, sums
+each pair.  Row sums (norm, L1 mass) are bincounts too.  The flat arrays,
+the index and the pair lists are built once for every measure; each
+measure then gathers its own normalized weights.  Cosine and jaccard
 share one bincount of raw dot products.  Under euclidean and kld a pair
 entry counts only where both of its normalized weights are non-zero: a
 weight that underflows to 0 is one-sided, as if its term were absent, so
 each sum adds the same entries in the same order whichever measures run
-together.
-The pairs are generated for blocks of first documents of at most
-`_BLOCK_PAIRS` entries, and each block finishes its rows of every matrix,
-which keeps the working set bounded.  An empty vector scores 0 against
-any other under cosine, jaccard and kld.
+together.  The pairs are generated for blocks of first documents of at
+most `_BLOCK_PAIRS` entries, and each block finishes its rows of every
+matrix, which keeps the working set bounded.
 """
 
 from __future__ import annotations
@@ -28,6 +33,9 @@ from .errors import ValidationError
 from .textpipe import TermVector
 from .matrix import SimilarityMatrix
 
+
+# In this order in `cli.MEASURE_CHOICES` and so in the report rows.
+MEASURES = ("euclidean", "cosine", "jaccard", "kld")
 
 # Pair entries generated at a time: blocks of first documents are cut so that
 # each holds at most this many (or one document), which bounds the working set.
@@ -121,31 +129,6 @@ def _pairwise(measures: list[str], vectors: list[TermVector]) -> dict[str, np.nd
     return out
 
 
-def cosine_sim(a: TermVector, b: TermVector) -> float:
-    """dot(a, b) / (|a| * |b|); 0 when either vector is zero."""
-    return float(_pairwise(["cosine"], [a, b])["cosine"][0, 1])
-
-
-def euclidean_sim(a: TermVector, b: TermVector) -> float:
-    """1 / (1 + L2 distance) on L2-normalized inputs; zero vectors stay at the origin."""
-    return float(_pairwise(["euclidean"], [a, b])["euclidean"][0, 1])
-
-
-def jaccard_sim(a: TermVector, b: TermVector) -> float:
-    """dot(a, b) / (|a|^2 + |b|^2 - dot(a, b)); 0 when both vectors are zero."""
-    return float(_pairwise(["jaccard"], [a, b])["jaccard"][0, 1])
-
-
-def kld_sim(a: TermVector, b: TermVector) -> float:
-    """1 - Jensen-Shannon divergence (log base 2); 1 if identical, 0 if disjoint or empty."""
-    return float(_pairwise(["kld"], [a, b])["kld"][0, 1])
-
-
-MEASURES = {
-    "euclidean": euclidean_sim, "cosine": cosine_sim, "jaccard": jaccard_sim, "kld": kld_sim,
-}
-
-
 def build_matrices_base(
     measures: list[str], vectors: list[TermVector]
 ) -> dict[str, SimilarityMatrix]:
@@ -161,8 +144,3 @@ def build_matrices_base(
         matrices[measure] = SimilarityMatrix(measure, [v.doc_id for v in vectors], values)
         matrices[measure].validate()
     return matrices
-
-
-def build_matrix_base(measure: str, vectors: list[TermVector]) -> SimilarityMatrix:
-    """Pairwise matrix for one baseline measure; diagonal pinned to 1."""
-    return build_matrices_base([measure], vectors)[measure]

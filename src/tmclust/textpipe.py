@@ -82,10 +82,6 @@ class TermVector:
     doc_id: str
     entries: dict[str, float]
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
-
 
 def light_stem(token: str) -> str:
     """Strip a few common English suffixes; deliberately not a full stemmer."""
@@ -127,8 +123,7 @@ def vectorize(
     """Document frequencies (sorted by term) and TF-IDF vectors, one per
     document, with weight(t, d) = tf(t, d) * ln(1 + N / df(t)).
 
-    Documents with no surviving tokens get empty (zero) vectors; callers
-    can detect them via `TermVector.is_zero`.
+    Documents with no surviving tokens get empty (zero) vectors.
     """
     if not corpus.docs:
         raise ValidationError("cannot vectorize an empty corpus")
@@ -232,7 +227,7 @@ def _jsonl_record(line: str) -> tuple[CorpusDoc, TopicForest | None]:
     """One JSONL corpus line: the document and the forest its "tree" pins."""
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer over Python's digit limit
         raise ValidationError(f"bad JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise ValidationError("record is not a JSON object")
@@ -267,11 +262,17 @@ def load_corpus(
     is its topic names plus its occurrence values.  Every text file is read
     by `read_text`, and a data error names the file at fault (a JSONL error
     names its line too, and so does a JSONL line nested too deeply to parse).
-    `name` defaults to the path's stem.
+    `name` defaults to the path's stem, and is refused if UTF-8 cannot
+    encode it, before any file is read.
     """
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     base = Path(path)
+    name = name or base.stem
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, as argv or a file name can hold
+        raise ValidationError(f"dataset name {name!r} cannot be written as UTF-8") from None
     missing = f"corpus path not found: {base}"
     if not base.exists():
         raise ValidationError(missing)
@@ -323,4 +324,4 @@ def load_corpus(
             docs.append(CorpusDoc(doc_id=doc_id, text=text, label=labels[doc_id]))
     if not docs:
         raise ValidationError(f"no documents found in {base}")
-    return Corpus(docs=docs, name=name or base.stem), trees
+    return Corpus(docs=docs, name=name), trees

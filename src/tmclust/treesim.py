@@ -28,7 +28,6 @@ label contracts to two equal trees, so the equal-tree test pays there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, compress
 
 import numpy as np
@@ -38,16 +37,6 @@ from .matrix import SimilarityMatrix
 from .xtm import TopicForest, iter_bfs
 
 TM_MEASURE = "tm-sim"
-
-
-@dataclass(frozen=True)
-class Mapping:
-    """Pairs (i, j) of BFS node numbers, T1 side first."""
-
-    pairs: frozenset[tuple[int, int]]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
 
 class _Form:
@@ -202,11 +191,12 @@ def _forms(*forests: TopicForest) -> list[_Form]:
     return [_Form(forest, codec) for forest in forests]
 
 
-def max_common_subtree(a: TopicForest, b: TopicForest) -> Mapping:
-    """A maximum root-preserving mapping, as BFS node-number pairs."""
+def max_common_subtree(a: TopicForest, b: TopicForest) -> frozenset[tuple[int, int]]:
+    """A maximum root-preserving mapping: pairs (i, j) of BFS node numbers
+    (as `number_nodes` gives them), `a`'s side first."""
     collected: list[tuple[int, int]] = []
     _pair(*_forms(a, b), collected)
-    return Mapping(frozenset((i + 1, j + 1) for i, j in collected))
+    return frozenset((i + 1, j + 1) for i, j in collected)
 
 
 def tm_similarity(a: TopicForest, b: TopicForest) -> float:

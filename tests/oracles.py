@@ -33,7 +33,7 @@ import numpy as np
 from tmclust.errors import ValidationError, XtmParseError
 from tmclust.matrix import SimilarityMatrix
 from tmclust.textpipe import TermVector
-from tmclust.treesim import Mapping, _forms, _pair
+from tmclust.treesim import _forms, _pair
 from tmclust.xtm import (
     DOC_ROOT_LABEL,
     Association,
@@ -121,11 +121,13 @@ def _relation_table(forest: TopicForest) -> tuple[dict[int, str], list[list[int]
     return labels, rel
 
 
-def mapping_violations(a: TopicForest, b: TopicForest, mapping: Mapping) -> list[str]:
+def mapping_violations(
+    a: TopicForest, b: TopicForest, mapping: frozenset[tuple[int, int]]
+) -> list[str]:
     """Check a mapping against all five invariants, from first principles."""
     labels1, rel1 = _relation_table(a)
     labels2, rel2 = _relation_table(b)
-    pairs = sorted(mapping.pairs)
+    pairs = sorted(mapping)
     problems: list[str] = []
     seen_i: set[int] = set()
     seen_j: set[int] = set()
@@ -139,7 +141,7 @@ def mapping_violations(a: TopicForest, b: TopicForest, mapping: Mapping) -> list
             problems.append(f"pair ({i},{j}) breaks one-to-one")
         seen_i.add(i)
         seen_j.add(j)
-    if pairs and (1, 1) not in mapping.pairs:
+    if pairs and (1, 1) not in mapping:
         problems.append("non-empty mapping does not contain the root pair")
     for x in range(len(pairs)):
         i1, j1 = pairs[x]
@@ -152,7 +154,7 @@ def mapping_violations(a: TopicForest, b: TopicForest, mapping: Mapping) -> list
     return problems
 
 
-def brute_force_common_subtree(a: TopicForest, b: TopicForest) -> Mapping:
+def brute_force_common_subtree(a: TopicForest, b: TopicForest) -> frozenset[tuple[int, int]]:
     """Exhaustive maximum-mapping search; refuses trees above 10 nodes."""
     labels1, rel1 = _relation_table(a)
     labels2, rel2 = _relation_table(b)
@@ -188,7 +190,7 @@ def brute_force_common_subtree(a: TopicForest, b: TopicForest) -> Mapping:
 
     if labels1[1] == labels2[1]:
         search(2, [(1, 1)], {1})
-    return Mapping(frozenset(best))
+    return frozenset(best)
 
 
 def serialize_xtm(doc: TopicMapDoc) -> bytes:

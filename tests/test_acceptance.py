@@ -18,7 +18,7 @@ from oracles import brute_force_common_subtree, common_subtree_size, mapping_vio
 from tmclust.cli import ExperimentConfig, cmd_experiment
 from tmclust.cluster import ClusterAssignment, cut, hac
 from tmclust.evalx import contingency, entropy, purity
-from tmclust.simbase import MEASURES, build_matrix_base, kld_sim
+from tmclust.simbase import MEASURES, build_matrices_base
 from tmclust.synth import make_planted_corpus, write_jsonl
 from tmclust.textpipe import Corpus, CorpusDoc, TermVector, vectorize
 from tmclust.treesim import (
@@ -163,7 +163,7 @@ def test_criterion_6_measure_sanity(tmp_path):
     )
     _, vectors = vectorize(corpus)
     matrices = [build_matrix([d.forest for d in docs])]
-    matrices += [build_matrix_base(measure, vectors) for measure in MEASURES]
+    matrices += build_matrices_base(list(MEASURES), vectors).values()
     matrix_ok = True
     for matrix in matrices:
         matrix.validate()
@@ -188,7 +188,8 @@ def test_criterion_6_measure_sanity(tmp_path):
             kl_pm = np.where(p > 0, p * np.log2(np.divide(p, m, out=np.zeros_like(p), where=m > 0)), 0.0).sum()
             kl_qm = np.where(q > 0, q * np.log2(np.divide(q, m, out=np.zeros_like(q), where=m > 0)), 0.0).sum()
         oracle_jsd = 0.5 * kl_pm + 0.5 * kl_qm
-        worst = max(worst, abs(kld_sim(a, b) - (1.0 - oracle_jsd)))
+        kld = build_matrices_base(["kld"], [a, b])["kld"].values[0, 1]
+        worst = max(worst, abs(kld - (1.0 - oracle_jsd)))
     ok = matrix_ok and worst <= 1e-12
     _report(6, "measure-sanity", ok, f"max kld deviation {worst:.2e}")
     assert matrix_ok

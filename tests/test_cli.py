@@ -336,6 +336,25 @@ def test_readme_command_line_block_runs_as_written(tmp_path, monkeypatch, capsys
     assert (tmp_path / "out" / "report.csv").is_file()
 
 
+def test_readme_library_block_runs_as_written(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "zoo_a.xtm").write_bytes(XTM_ZOO)
+    (corpus / "zoo_b.xtm").write_bytes(XTM_ZOO.replace(b"Dogs", b"Wolves"))
+    (corpus / "labels.csv").write_text("zoo_a,pets\nzoo_b,wild\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    names: dict = {}
+    exec(compile(block, "README.md", "exec"), names)
+    similarity, mapped = capsys.readouterr().out.splitlines()
+    assert 0.0 < float(similarity) <= 1.0
+    assert int(mapped) == len(names["max_common_subtree"](names["a"], names["b"])) > 1
+    assert sorted(names["pinned"]) == [v.doc_id for v in names["vectors"]] == ["zoo_a", "zoo_b"]
+    assert list(names["df"]) == sorted(names["df"])
+
+
 def test_process_exit_status(tmp_path):
     corpus = write_text_corpus(tmp_path / "corpus")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
@@ -664,6 +683,27 @@ def test_experiment_with_a_missing_stopwords_file_writes_nothing(tmp_path, capsy
     assert main([*common, "--stopwords", str(tmp_path / "none.txt")]) == 2
     assert capsys.readouterr().err.startswith("error: stopwords file not found: ")
     assert artifact_bytes(out) == before
+
+
+def test_a_dataset_name_utf8_cannot_encode_is_refused_before_any_write(tmp_path, capsys):
+    # argv and file names decode bytes that are not UTF-8 to lone surrogates.
+    texts = write_text_corpus(tmp_path / "texts")
+    planted = write_planted_jsonl(tmp_path / "planted")
+    named = planted.rename(planted.with_name("c\udcff.jsonl"))
+    out = tmp_path / "out"
+    runs = [
+        ["--corpus", str(texts), "--dataset", "\udcff"],
+        ["--corpus", str(named), "--mode", "jsonl"],
+    ]
+    assert main(["experiment", "--corpus", str(texts), "--out-dir", str(out)]) == 0
+    before = artifact_bytes(out)
+    for command in ("ingest", "experiment"):
+        for flags, name in zip(runs, ("\udcff", "c\udcff")):
+            capsys.readouterr()
+            assert main([command, *flags, "--out-dir", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: dataset name {name!r} cannot be written as UTF-8\n"
+            assert artifact_bytes(out) == before
 
 
 def test_a_failed_experiment_leaves_no_artifact_of_an_earlier_run(tmp_path, capsys):
@@ -1104,6 +1144,10 @@ def _xtm_zoo_a(old: bytes, new: bytes):
 
 BAD_TREE = {"label": DOC_ROOT_LABEL, "children": [{"label": "t", "children": 5}]}
 
+# Over the 4300 digits that Python converts to an int by default; json.loads
+# refuses it with a ValueError that is no JSONDecodeError.
+LONG_INT = "9" * 5000
+
 
 @pytest.mark.parametrize(
     "mode, corrupt",
@@ -1123,6 +1167,8 @@ BAD_TREE = {"label": DOC_ROOT_LABEL, "children": [{"label": "t", "children": 5}]
         ("jsonl", _jsonl_line(json.dumps({"id": None, "text": "a", "label": "x"}), "id")),
         ("jsonl", _jsonl_line(json.dumps({"id": "t", "text": "a", "label": ""}), "label")),
         ("jsonl", _jsonl_duplicate_id),
+        ("jsonl", _jsonl_line('{"id": ' + LONG_INT + ', "text": "x y", "label": "q"}')),
+        ("jsonl", _jsonl_line('{"id": "t", "text": "x y", "label": "q", "n": ' + LONG_INT + "}")),
         ("text-dir", _labels_empty_label),
         ("xtm-dir", _corpus_file("zoo_a.xtm", lambda p: p.write_bytes(XTM_ZOO[:-12]))),
         (
@@ -1138,7 +1184,7 @@ BAD_TREE = {"label": DOC_ROOT_LABEL, "children": [{"label": "t", "children": 5}]
         "jsonl-number", "jsonl-null", "jsonl-string", "jsonl-tree-children",
         "jsonl-tree-label-null", "jsonl-tree-label-number",
         "jsonl-label-null", "jsonl-text-list", "jsonl-id-null", "jsonl-label-empty",
-        "jsonl-duplicate-id", "labels-empty-label",
+        "jsonl-duplicate-id", "jsonl-long-int-id", "jsonl-long-int-other-key", "labels-empty-label",
         "xtm-malformed", "xtm-duplicate-topic", "xtm-unknown-role-topic", "xtm-empty-topic-name",
         "text-dir-long-stem",
     ],

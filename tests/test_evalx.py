@@ -12,8 +12,6 @@ from tmclust.evalx import (
     contingency,
     entropy,
     evaluate,
-    per_cluster_entropy,
-    per_cluster_purity,
     purity,
 )
 
@@ -171,9 +169,19 @@ def test_evaluate_report_fields_and_weighting():
 
 
 def test_per_cluster_helpers_match_shapes():
-    t = table([[2, 0], [1, 1]])
-    assert per_cluster_purity(t) == [1.0, 0.5]
-    assert len(per_cluster_entropy(t)) == 2
+    report = evaluate(ClusterAssignment(k=2, labels=[0, 0, 1, 1]), ["a", "a", "a", "b"], "m", "d")
+    assert [c["purity"] for c in report.per_cluster] == [1.0, 0.5]
+    assert [c["entropy"] for c in report.per_cluster] == [0.0, 1.0]
+
+
+def _row_entropy(row: list[int], base: int) -> float:
+    """One cluster's class entropy, in the order of operations of `evaluate`."""
+    value = 0.0
+    if base > 1:
+        for count in row:
+            if count:
+                value -= count / sum(row) * math.log(count / sum(row), base)
+    return value
 
 
 def test_evaluate_scores_equal_the_table_scores_on_random_cuts():
@@ -192,8 +200,9 @@ def test_evaluate_scores_equal_the_table_scores_on_random_cuts():
         assert [c["cluster"] for c in rows] == t.cluster_ids
         assert [c["size"] for c in rows] == list(map(sum, t.counts))
         # repr tells 0.0 from -0.0 and every bit of a float.
-        assert [repr(c["purity"]) for c in rows] == list(map(repr, per_cluster_purity(t)))
-        assert [repr(c["entropy"]) for c in rows] == list(map(repr, per_cluster_entropy(t)))
+        base = len(t.class_labels)
+        assert [repr(c["purity"]) for c in rows] == [repr(max(r) / sum(r)) for r in t.counts]
+        assert [repr(c["entropy"]) for c in rows] == [repr(_row_entropy(r, base)) for r in t.counts]
         assert repr(report.purity) == repr(purity(t))
         assert repr(report.entropy) == repr(entropy(t))
     assert single_class > 0

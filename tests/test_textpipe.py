@@ -96,8 +96,8 @@ def test_vectorize_tf_scales_linearly():
 
 def test_vectorize_empty_doc_flagged_as_zero_vector():
     _, vectors = vectorize(_corpus("the a of", "cat dog"))
-    assert vectors[0].is_zero
-    assert not vectors[1].is_zero
+    assert vectors[0].entries == {}
+    assert vectors[1].entries
 
 
 def test_vectorize_rejects_empty_corpus():
