@@ -862,6 +862,113 @@ def test_golden_planted_experiment(tmp_path, flags):
     assert digests == GOLDEN_EXPERIMENT_SHA256[flags]
 
 
+# A text-dir corpus for the fallback forest path: sentence breaks of every
+# kind, CRLF, digits, `_`, capitals, letters outside a-z, topic ties, a
+# stopword-only sentence and a stopword-only document.
+GOLDEN_TEXT_DOCS = {
+    "ca": ("Red cars race fast... Red wins again?! The track is red.\r\nFast cars, fast laps.", "racing"),
+    "cb": ("RED CARS RACE HARD. Red_track wins 42 laps! Is it the car? It is.", "racing"),
+    "cc": ("Drivers race cars. Cars race drivers.\nLaps and laps and laps!", "racing"),
+    "sa": ("Soup recipe needs onions. Soup tastes great!! Café soup, İstanbul soup.", "cooking"),
+    "sb": ("Soup recipe wants garlic; soup smells great. Garlic, onions? Garlic.", "cooking"),
+    "sc": ("Onions and garlic. Recipe: soup... \u212aettle soup boils.", "cooking"),
+    "ga": ("Gardens grow roses. Roses need water! Water the gardens daily.", "garden"),
+    "gb": ("Roses and tulips grow. Tulips need sun?! Sun and water grow gardens.", "garden"),
+    "gc": ("The ΑΣ.Β garden. Grow tulips, grow roses; roses grow.", "garden"),
+    "zz": ("It is the... And it was not! Of the.", "garden"),
+}
+
+# SHA-256 of every artifact but run_config.json (which echoes the out dir)
+# that `experiment` writes for GOLDEN_TEXT_DOCS with all five measures,
+# recorded when each sentence was split off before it was tokenized.
+GOLDEN_TEXT_EXPERIMENT_SHA256 = {
+    (): {
+        "assignment_cosine.csv": "fd77689e8cd8bbf2eed7d217644e3be0fcd6b61a1f3dd1129ef1b01b4108b3a1",
+        "assignment_euclidean.csv": "6bef4fa54744348505611a6dd16fad7855af52a124b12bdc38ab95416c167544",
+        "assignment_jaccard.csv": "fd77689e8cd8bbf2eed7d217644e3be0fcd6b61a1f3dd1129ef1b01b4108b3a1",
+        "assignment_kld.csv": "acf2ea0f766c9133047c6ca7e5b181b667a26011a469bd4b3d694cabb6ee3b2c",
+        "assignment_tm-sim.csv": "6bef4fa54744348505611a6dd16fad7855af52a124b12bdc38ab95416c167544",
+        "dendrogram_cosine.json": "3078f94c3d6a55d55f4acbdd46e48afd9c2c55a4f67149a8b559f30bdb097e18",
+        "dendrogram_euclidean.json": "b37a5d773d8d7b9c5302f3ce2635b6ac65b66d66d54a1471df77c5e7de97b4cb",
+        "dendrogram_jaccard.json": "1ec9c433d2c25e1155125f5885258c0be87ff8bd2801c23c208cd07d58e0921a",
+        "dendrogram_kld.json": "befa00cf019726b567eec8864d3d7c22ec523f8cdbbd6cdecbe7a49edaea3129",
+        "dendrogram_tm-sim.json": "eb0be0cdb221ba176a36188d30ad51e6809759e5b608117d541189ff221cc4fa",
+        "eval_cosine.json": "4133379b34fb5169ee79ef4de1b1378428d158817366070d19c1504b75f31275",
+        "eval_euclidean.json": "5bbbb9d1a85c62846f3fe6f07202ce70c65b4e5475c12846a38c02c887b30f4e",
+        "eval_jaccard.json": "761eaa7f44a913476306511ff922cc0ce71824d487d0b9d6b0361f79433fe394",
+        "eval_kld.json": "6a52662baad332e264c21cc33f61beb3bdc58b3a32ff62cd376c386e2d30efad",
+        "eval_tm-sim.json": "edfd38646c4db4d17ce381e0c8deddbcebdbc31c9239d8f35a93fb51757ca97f",
+        "forests/ca.json": "984894c5de238fbaf7951e7ad5e4cf3a97b54bca75421fe45e4ba7310579d805",
+        "forests/cb.json": "11ca5030eb29e3e2f50bd6f6952f42df1cac057628d54d13d49d3caf173467b6",
+        "forests/cc.json": "e3475f2e60f9e1b162a2d47f485f0577672af7867e1604f8b1e8da5a4ac01cb1",
+        "forests/ga.json": "f30331ebf12082773400f142743b3521997a0e2f2d7545ac50c4871d88a8f98d",
+        "forests/gb.json": "9b8dd2d6a08ed7d2370d2b8ebe548e62eb5a76cf77aec8f94d72034c4b82f838",
+        "forests/gc.json": "d1539702fdcf9351fa37dbdc6fb3de265e2260c3d311139f768ac74e25c20bf8",
+        "forests/sa.json": "f0175b1f6d1758153ae5536deb4c7630aae852a0276e0e06e64d6e8ec4f2b8ef",
+        "forests/sb.json": "2ab38c1fc4a531fe756464f3ea88d672a97fff5502da87dd7769dbab0777f53a",
+        "forests/sc.json": "c6060de2922f8659baf814d0d35298b0c58ddca4b9f2b44626fb2c4b1be5f129",
+        "forests/zz.json": "e201d8cbd53b32ab46c60518ab7c66dd9ef4ef903e4f7f66fb1a73bb87ab0a43",
+        "manifest.json": "481a6c95e7cbead550d1d271abaa854192239b62c6a0f54c13c4ce26fb2dea5c",
+        "matrix_cosine.csv": "5ba749ceb24dd59547c061f34ae56926d63a87d8dfbea55e9c1f4a7e00a0feb2",
+        "matrix_euclidean.csv": "fccbb7c1c07c8241e939c45c72ceb141f17ffed39c13ef1f1a1910b1b143e16e",
+        "matrix_jaccard.csv": "c549bfdd8019738104ead7ffa03cd053f369abc74708c102ad2eb8dfc8b97811",
+        "matrix_kld.csv": "a9afd70f80f99a347e27945e49dffc88b99add3cf3c44b38a81d4d5de16b99e2",
+        "matrix_tm-sim.csv": "9fe6b2b5eb680b33970f8efa0c0b8ada0cdcf3f0b1de3339168bc86055d2f487",
+        "report.csv": "bfa5b0315bca7237204c4a0389fe2c48d09766be79540687d7dc32c6df049589",
+        "vectors.json": "e016c2234e190769c8fa24d7552b46a4f3c48a1d9ce4e1ffb9b18ad35d13829f",
+    },
+    ("--stem",): {
+        "assignment_cosine.csv": "acf2ea0f766c9133047c6ca7e5b181b667a26011a469bd4b3d694cabb6ee3b2c",
+        "assignment_euclidean.csv": "6bef4fa54744348505611a6dd16fad7855af52a124b12bdc38ab95416c167544",
+        "assignment_jaccard.csv": "acf2ea0f766c9133047c6ca7e5b181b667a26011a469bd4b3d694cabb6ee3b2c",
+        "assignment_kld.csv": "acf2ea0f766c9133047c6ca7e5b181b667a26011a469bd4b3d694cabb6ee3b2c",
+        "assignment_tm-sim.csv": "acf2ea0f766c9133047c6ca7e5b181b667a26011a469bd4b3d694cabb6ee3b2c",
+        "dendrogram_cosine.json": "ff91b0270fd6e389919c0cd837769c8ba8399bc69b36735d635d97703d549395",
+        "dendrogram_euclidean.json": "8f337ea2970a99df8b3938b7edfe51e510323ba87065becb47ac068a1fb041d7",
+        "dendrogram_jaccard.json": "75ba9e71331cd71cb22dbf641398484b2f701708907cd37ced475195d647180a",
+        "dendrogram_kld.json": "3c248f29599b77d0395166757eb545ba100d7128a7c7ffaf500819065620bf5c",
+        "dendrogram_tm-sim.json": "1e95489f8dc89d4077fdf9c186069ba13abfa76fc37017791b2a2fc2cced38d3",
+        "eval_cosine.json": "67863e3b084c0beb242165d1c24e211952f92dfbb9ae252af58b9af785135eec",
+        "eval_euclidean.json": "5bbbb9d1a85c62846f3fe6f07202ce70c65b4e5475c12846a38c02c887b30f4e",
+        "eval_jaccard.json": "9ac6cea0c9ee0e495e2d69e04cd4ae005f3e7688ee29d3f2b080c5d8a0f5f3bb",
+        "eval_kld.json": "6a52662baad332e264c21cc33f61beb3bdc58b3a32ff62cd376c386e2d30efad",
+        "eval_tm-sim.json": "faccea44a0e4c04fb282cf5faab8207f6c12166245e18e79ff4e6b514bc5a208",
+        "forests/ca.json": "03bc8c9a04ea62b545db04aefc8b5588ac915dbc2bbbd3b2dccf69525ab8108e",
+        "forests/cb.json": "b99b09aec967b29f6163d32339e0e7204fa299aa1785c71b56eb6c13268ada97",
+        "forests/cc.json": "6f5fdfc2f820ef536bfefe12ed4c813482edb38e34fc51a2f64dcd214b0d5b95",
+        "forests/ga.json": "bedb217e53cdefd14eb8fc700af81f91fbcff5d466751e39be34497cbb7dc4b2",
+        "forests/gb.json": "d41e6a8815664175671595590fcbbd6ad2b7c80791015a11a883321b153ffaf9",
+        "forests/gc.json": "618e920e1f8fb3c00b26122a25bc55ee8c5da5bf936a4f9719920d011b8a35ee",
+        "forests/sa.json": "66840814d2498a701dfdff0d7fea13ff7f34a8d6f2d623a831e559c508aee673",
+        "forests/sb.json": "bc9791b12a885068573d0097c871000cbe7c102b2d904c6ed113fa69a098c9d9",
+        "forests/sc.json": "8dec766adbd5351563e48d31090e69a03afd5df8b9f7bbf28b5328b5a8e14432",
+        "forests/zz.json": "e201d8cbd53b32ab46c60518ab7c66dd9ef4ef903e4f7f66fb1a73bb87ab0a43",
+        "manifest.json": "481a6c95e7cbead550d1d271abaa854192239b62c6a0f54c13c4ce26fb2dea5c",
+        "matrix_cosine.csv": "0b55a839ec92644cbf6b03122f711ef8e5479c08ee345b11cdcff0ce3e968b5e",
+        "matrix_euclidean.csv": "bebf5963a88e8de464c6a495886c17febd8821a9c85fd009bbea6e4e791747a1",
+        "matrix_jaccard.csv": "7aa23c42f15e5ba6b00819bbd8ee32a2a88384eb7c80673fc0f4ce49c97d5515",
+        "matrix_kld.csv": "aacb858fd7295976c78b1b0547c726314660eb17da68e583cfc60c7f9d7f9bd1",
+        "matrix_tm-sim.csv": "12ca8f47089ddce5ef4ab06d4e8a4603ed73ef5fb74a82c10da4365c3282978c",
+        "report.csv": "08ecf9dc830a04be45608a6a410ab9d06bb684498a9b5ab6db65dbedd58dbf6a",
+        "vectors.json": "964ca28b34da61276bb3cffb5488e35ee2ea9cb7a271708389a3f2526aa90c56",
+    },
+}
+
+
+@pytest.mark.parametrize("flags", list(GOLDEN_TEXT_EXPERIMENT_SHA256), ids=["default", "stem"])
+def test_golden_text_experiment(tmp_path, flags):
+    corpus = write_text_corpus(tmp_path / "corpus", GOLDEN_TEXT_DOCS)
+    out = tmp_path / "out"
+    common = ["--corpus", str(corpus), "--mode", "text-dir", "--out-dir", str(out)]
+    assert main(["experiment", *common, *flags]) == 0
+    digests = {
+        name: hashlib.sha256(data).hexdigest()
+        for name, data in artifact_bytes(out).items()
+        if name != "run_config.json"
+    }
+    assert digests == GOLDEN_TEXT_EXPERIMENT_SHA256[flags]
+
+
 def _bom_input(tmp_path: Path, corpus: Path, case: str) -> tuple[Path, list[str]]:
     """The file that `case` reads, and the flags that make a run read it."""
     if case == "jsonl":
