@@ -172,17 +172,18 @@ def _ingest_stage(
     _delete_artifacts(out)
     (out / "forests").mkdir(parents=True, exist_ok=True)
 
-    forests = []
+    forests, doc_counts, vocab = [], [], {}
     for doc in corpus.docs:
-        forest = trees.get(doc.doc_id)
-        if forest is None:
-            forest = textpipe.build_fallback_forest(doc.doc_id, doc.text, stopwords, config.stem)
+        tree = trees.get(doc.doc_id)
+        forest, counts = textpipe.analyse(doc.doc_id, doc.text, tree, stopwords, config.stem, vocab)
+        doc_counts.append(counts)
         _write(out / "forests" / f"{doc.doc_id}.json", xtm.forest_json_text(forest))
         # Only tm-sim reads forests; without it each one is dropped once written.
         if treesim.TM_MEASURE in config.measures:
             forests.append(forest)
 
-    df, vectors = textpipe.vectorize(corpus, stopwords, config.stem)
+    doc_ids = [d.doc_id for d in corpus.docs]
+    df, vectors = textpipe.tfidf(doc_ids, doc_counts)
     empty = [v.doc_id for v in vectors if not v.entries]
     for doc_id in empty:
         print(f"warning: document {doc_id!r} has an empty term vector", file=sys.stderr)
@@ -190,7 +191,7 @@ def _ingest_stage(
     manifest = {
         "dataset": corpus.name,
         "mode": config.mode,
-        "doc_ids": [d.doc_id for d in corpus.docs],
+        "doc_ids": doc_ids,
         "labels": {d.doc_id: d.label for d in corpus.docs},
         "classes": corpus.classes,
         "n_docs": len(corpus.docs),

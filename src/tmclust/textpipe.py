@@ -31,8 +31,9 @@ MODES = ("xtm-dir", "text-dir", "jsonl")
 # name limit of common file systems.
 _MAX_ID_BYTES = 255 - len(".json")
 
-_TOKEN_RE = re.compile(r"[a-z]+")
-_SENTENCE_RE = re.compile(r"[.!?]+")
+# A word, or a run of '.', '!' and '?', which ends a sentence.  Lowering makes
+# and removes none of the three, so lowering first splits as splitting first.
+_TOKEN_RE = re.compile(r"[a-z]+|[.!?]+")
 
 
 @lru_cache(maxsize=None)
@@ -98,46 +99,80 @@ def light_stem(token: str) -> str:
     return token
 
 
+def _sentence_tokens(text: str, stopwords: frozenset[str] | None, stem: bool) -> list[list[str]]:
+    """The tokens that `tokenize` keeps, one list per sentence of `text`."""
+    stop = default_stopwords() if stopwords is None else stopwords
+    sentences: list[list[str]] = [[]]
+    for tok in _TOKEN_RE.findall(text.lower()):
+        if tok < "a":  # '.', '!' and '?' sort before every letter
+            sentences.append([])
+        elif len(tok) >= 2 and tok not in stop:
+            sentences[-1].append(light_stem(tok) if stem else tok)
+    return sentences
+
+
 def tokenize(
     text: str, stopwords: frozenset[str] | None = None, stem: bool = False
 ) -> list[str]:
-    """Lower-cased alphabetic tokens, length >= 2, stopwords removed.
+    """Lower-cased tokens, length >= 2, stopwords removed.  A token is a run of
+    the letters a-z after lower-casing, so `café` gives `caf`.
 
     Stemming is off by default; `stem=True` applies `light_stem` to the
     surviving tokens.
     """
-    stop = default_stopwords() if stopwords is None else stopwords
-    tokens = [
-        tok
-        for tok in _TOKEN_RE.findall(text.lower())
-        if len(tok) >= 2 and tok not in stop
+    return [tok for tokens in _sentence_tokens(text, stopwords, stem) for tok in tokens]
+
+
+def analyse(
+    doc_id: str, text: str, tree: TopicForest | None, stopwords: frozenset | None, stem: bool, vocab: dict
+) -> tuple[TopicForest, dict[str, int]]:
+    """A document's forest and term counts from one tokenization of `text`.
+    The forest is `tree` if the input pins one, else the fallback forest that
+    `build_fallback_forest` describes.  Each count key is `vocab`'s string for
+    its term, added on first sight, so documents share one string per term."""
+    sentences = _sentence_tokens(text, stopwords, stem)
+    tf = Counter(tok for tokens in sentences for tok in tokens)
+    counts = {vocab.setdefault(term, term): n for term, n in tf.items()}
+    if tree is not None:
+        return tree, counts
+    rank = {term: i for i, term in enumerate(sorted(counts, key=lambda t: (-counts[t], t)))}
+    children_of: dict[str, set[str]] = {}
+    for tokens in filter(None, sentences):
+        distinct = set(tokens)
+        topic = min(distinct, key=rank.__getitem__)
+        children_of.setdefault(topic, set()).update(distinct - {topic})
+    topics = [
+        TopicNode(label=topic, children=[TopicNode(label=c) for c in sorted(children_of[topic])])
+        for topic in sorted(children_of)
     ]
-    if stem:
-        tokens = [light_stem(tok) for tok in tokens]
-    return tokens
+    return TopicForest(doc_id, TopicNode(label=DOC_ROOT_LABEL, children=topics)), counts
 
 
-def vectorize(
-    corpus: Corpus, stopwords: frozenset[str] | None = None, stem: bool = False
-) -> tuple[dict[str, int], list[TermVector]]:
+def tfidf(doc_ids: list[str], doc_counts: list[dict]) -> tuple[dict[str, int], list[TermVector]]:
     """Document frequencies (sorted by term) and TF-IDF vectors, one per
     document, with weight(t, d) = tf(t, d) * ln(1 + N / df(t)).
 
     Documents with no surviving tokens get empty (zero) vectors.
     """
+    df: Counter[str] = Counter()
+    for counts in doc_counts:
+        df.update(counts.keys())
+    idf = {term: math.log(1.0 + len(doc_ids) / count) for term, count in df.items()}
+    vectors = [
+        TermVector(doc_id, {term: tf * idf[term] for term, tf in sorted(counts.items())})
+        for doc_id, counts in zip(doc_ids, doc_counts)
+    ]
+    return dict(sorted(df.items())), vectors
+
+
+def vectorize(
+    corpus: Corpus, stopwords: frozenset[str] | None = None, stem: bool = False
+) -> tuple[dict[str, int], list[TermVector]]:
+    """`tfidf` of the corpus's documents, in corpus order."""
     if not corpus.docs:
         raise ValidationError("cannot vectorize an empty corpus")
     doc_terms = [Counter(tokenize(doc.text, stopwords, stem)) for doc in corpus.docs]
-    df: Counter[str] = Counter()
-    for counts in doc_terms:
-        df.update(counts.keys())
-    n_docs = len(corpus.docs)
-    idf = {term: math.log(1.0 + n_docs / count) for term, count in df.items()}
-    vectors = [
-        TermVector(doc.doc_id, {term: tf * idf[term] for term, tf in sorted(counts.items())})
-        for doc, counts in zip(corpus.docs, doc_terms)
-    ]
-    return dict(sorted(df.items())), vectors
+    return tfidf([doc.doc_id for doc in corpus.docs], doc_terms)
 
 
 def build_fallback_forest(
@@ -150,25 +185,7 @@ def build_fallback_forest(
     smallest).  The sentence's remaining distinct tokens become that topic's
     children; repeated topics merge and their child sets union.
     """
-    sentence_tokens = [tokenize(s, stopwords, stem) for s in _SENTENCE_RE.split(text)]
-    doc_counts: Counter[str] = Counter()
-    for tokens in sentence_tokens:
-        doc_counts.update(tokens)
-
-    children_of: dict[str, set[str]] = {}
-    for tokens in sentence_tokens:
-        if not tokens:
-            continue
-        distinct = set(tokens)
-        topic = min(distinct, key=lambda t: (-doc_counts[t], t))
-        children_of.setdefault(topic, set()).update(distinct - {topic})
-
-    root = TopicNode(label=DOC_ROOT_LABEL)
-    for topic in sorted(children_of):
-        node = TopicNode(label=topic)
-        node.children = [TopicNode(label=c) for c in sorted(children_of[topic])]
-        root.children.append(node)
-    return TopicForest(doc_id=doc_id, root=root)
+    return analyse(doc_id, text, None, stopwords, stem, {})[0]
 
 
 def read_labels(path: Path, doc_ids: list[str]) -> dict[str, str]:

@@ -255,13 +255,15 @@ def forest_json_text(forest: TopicForest) -> str:
         if type(node) is str:
             parts.append(node)
             continue
+        if not node.children:
+            parts.append('{"children": [], "label": ' + encode_basestring_ascii(node.label) + "}")
+            continue
         parts.append('{"children": [')
         stack.append('], "label": ' + encode_basestring_ascii(node.label) + "}")
         for child in reversed(node.children):
             stack.append(child)
             stack.append(", ")
-        if node.children:
-            stack.pop()  # no separator before the first child
+        stack.pop()  # no separator before the first child
     parts.append("\n")
     return "".join(parts)
 

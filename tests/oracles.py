@@ -20,19 +20,25 @@
 - `reference_from_csv` is the matrix reader that `SimilarityMatrix.from_csv`
   replaced: `csv.reader` splits every row, and numpy converts every cell,
   both halves of the symmetric matrix alike.
+- `tokenize_old`, `reference_sentence_tokens` and `reference_fallback_forest`
+  are the text analysis that `textpipe`'s one pass replaced: the text is
+  split into sentences first, each sentence is tokenized on its own, and the
+  whole text is tokenized again for its term counts.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import re
 import xml.etree.ElementTree as ET
+from collections import Counter
 
 import numpy as np
 
 from tmclust.errors import ValidationError, XtmParseError
 from tmclust.matrix import SimilarityMatrix
-from tmclust.textpipe import TermVector
+from tmclust.textpipe import TermVector, default_stopwords, light_stem
 from tmclust.treesim import _forms, _pair
 from tmclust.xtm import (
     DOC_ROOT_LABEL,
@@ -440,3 +446,42 @@ def reference_from_csv(text: str, measure: str) -> SimilarityMatrix:
     matrix = SimilarityMatrix(measure=measure, doc_ids=doc_ids, values=values)
     matrix.validate()
     return matrix
+
+
+def tokenize_old(
+    text: str, stopwords: frozenset[str] | None = None, stem: bool = False
+) -> list[str]:
+    """Lower-cased runs of a-z, length >= 2, stopwords removed, then stemmed."""
+    stop = default_stopwords() if stopwords is None else stopwords
+    tokens = [tok for tok in re.findall(r"[a-z]+", text.lower()) if len(tok) >= 2 and tok not in stop]
+    return [light_stem(tok) for tok in tokens] if stem else tokens
+
+
+def reference_sentence_tokens(
+    text: str, stopwords: frozenset[str] | None = None, stem: bool = False
+) -> list[list[str]]:
+    """The tokens of each sentence, each sentence split off before it is
+    tokenized."""
+    return [tokenize_old(s, stopwords, stem) for s in re.split(r"[.!?]+", text)]
+
+
+def reference_fallback_forest(
+    doc_id: str, text: str, stopwords: frozenset[str] | None = None, stem: bool = False
+) -> TopicForest:
+    """The fallback forest from split sentences, each topic picked by a key
+    computed per candidate."""
+    sentence_tokens = reference_sentence_tokens(text, stopwords, stem)
+    doc_counts = Counter(tokenize_old(text, stopwords, stem))
+    children_of: dict[str, set[str]] = {}
+    for tokens in sentence_tokens:
+        if not tokens:
+            continue
+        distinct = set(tokens)
+        topic = min(distinct, key=lambda t: (-doc_counts[t], t))
+        children_of.setdefault(topic, set()).update(distinct - {topic})
+    root = TopicNode(label=DOC_ROOT_LABEL)
+    for topic in sorted(children_of):
+        node = TopicNode(label=topic)
+        node.children = [TopicNode(label=c) for c in sorted(children_of[topic])]
+        root.children.append(node)
+    return TopicForest(doc_id=doc_id, root=root)

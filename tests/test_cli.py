@@ -1373,16 +1373,16 @@ def test_every_json_artifact_is_one_canonical_line(tmp_path):
 
 def test_vectors_json_write_holds_less_than_three_times_the_file(tmp_path, monkeypatch):
     corpus = write_jsonl(make_planted_corpus(docs_per_cluster=30), tmp_path / "planted.jsonl")
-    vectorize, after = textpipe.vectorize, []
+    tfidf, after = textpipe.tfidf, []
 
     def traced(*args, **kwargs):
-        vectors = vectorize(*args, **kwargs)
+        vectors = tfidf(*args, **kwargs)
         after.append(tracemalloc.get_traced_memory()[0])
         tracemalloc.reset_peak()
         return vectors
 
-    # ingest writes vectors.json, then the small manifest, after vectorize returns.
-    monkeypatch.setattr(textpipe, "vectorize", traced)
+    # ingest writes vectors.json, then the small manifest, after tfidf returns.
+    monkeypatch.setattr(textpipe, "tfidf", traced)
     out = tmp_path / "out"
     tracemalloc.start()
     try:

@@ -6,12 +6,17 @@ import random
 
 import pytest
 from conftest import forest_dict, make_forest, node
-from oracles import validate_forest
+from oracles import (
+    reference_fallback_forest,
+    reference_sentence_tokens,
+    validate_forest,
+)
 
 from tmclust.errors import ValidationError
 from tmclust.textpipe import (
     Corpus,
     CorpusDoc,
+    _sentence_tokens,
     build_fallback_forest,
     load_corpus,
     tokenize,
@@ -150,6 +155,36 @@ def test_fallback_forest_satisfies_forest_invariants():
         ]
         forest = build_fallback_forest("d", ". ".join(sentences))
         validate_forest(forest)
+
+
+# Pieces of random texts for the one-pass tokenizer: every kind of sentence
+# break, CRLF, digits, `_`, and characters whose lower case leaves a-z or
+# changes length: `İ` lowers to `i` plus a combining dot, the Kelvin sign to
+# `k`, and a capital sigma lowers by what follows it.
+_TOKENIZER_PIECES = [
+    "red", "Cars", "RACE", "racing", "boxes", "ties", "the", "of", "a", "i",
+    " ", " ", " ", "\r\n", "\n", ".", "...", "?!", "!", "?", "42", "_",
+    "İ", "İstanbul", "\u212aelvin", "ΑΣ.Β", "café", "ß",
+]
+
+
+@pytest.mark.parametrize("stem", [False, True], ids=["plain", "stem"])
+@pytest.mark.parametrize(
+    "stopwords",
+    [None, frozenset(), frozenset({"red", "cars", "rac", "kelvin"})],
+    ids=["default", "none", "custom"],
+)
+def test_one_pass_tokenizer_matches_splitting_sentences_first(stopwords, stem):
+    rng = random.Random(23)
+    for _ in range(400):
+        text = "".join(rng.choice(_TOKENIZER_PIECES) for _ in range(rng.randint(0, 30)))
+        want = reference_sentence_tokens(text, stopwords, stem)
+        got = _sentence_tokens(text, stopwords, stem)
+        assert [s for s in got if s] == [s for s in want if s], text
+        assert tokenize(text, stopwords, stem) == [tok for s in want for tok in s], text
+        forest = build_fallback_forest("d", text, stopwords, stem)
+        reference = reference_fallback_forest("d", text, stopwords, stem)
+        assert forest_dict(forest) == forest_dict(reference), text
 
 
 def test_load_text_dir(tmp_path):
