@@ -142,7 +142,7 @@ def test_criterion_5_planted_topic_experiment(tmp_path):
         )
         report_path = cmd_experiment(config)
         elapsed = time.perf_counter() - started
-        rows = list(csv.reader(report_path.read_text().splitlines()))
+        rows = list(csv.reader(report_path.read_text("utf-8").splitlines()))
         by_measure = {row[1]: float(row[4]) for row in rows[1:]}
         results.append((seed, by_measure["tm-sim"], by_measure["cosine"], elapsed))
     ok = all(tm >= 0.9 and tm >= cos and secs < 120.0 for _, tm, cos, secs in results)

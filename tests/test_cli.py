@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -105,7 +106,7 @@ def test_ingest_text_dir_writes_forests_and_vectors(tmp_path):
         "d1", "d2", "d3", "d4",
     ]
     assert (out / "vectors.json").exists()
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text("utf-8"))
     assert manifest["doc_ids"] == ["d1", "d2", "d3", "d4"]
     assert manifest["classes"] == ["cooking", "racing"]
 
@@ -126,7 +127,7 @@ def test_ingest_xtm_dir_skips_fallback_builder(tmp_path):
     (corpus / "zoo.xtm").write_bytes(XTM_ZOO)
     (corpus / "labels.csv").write_text("doc_id,label\nzoo,animals\n", encoding="utf-8")
     out = cmd_ingest(config_for(tmp_path, corpus, "xtm-dir"))
-    tree = json.loads((out / "forests" / "zoo.json").read_text())
+    tree = json.loads((out / "forests" / "zoo.json").read_text("utf-8"))
     # Hierarchy comes from the associations, not from sentence statistics.
     assert [c["label"] for c in tree["children"]] == ["animals"]
     assert [c["label"] for c in tree["children"][0]["children"]] == ["cats", "dogs"]
@@ -141,7 +142,7 @@ def test_simmatrix_tm_sim_identical_docs(tmp_path):
     config = config_for(tmp_path, corpus, "text-dir")
     cmd_ingest(config)
     path = cmd_simmatrix(config, "tm-sim")
-    rows = list(csv.reader(path.read_text().splitlines()))
+    rows = list(csv.reader(path.read_text("utf-8").splitlines()))
     assert rows[1][1:] == ["1.0", "1.0"]
     assert rows[2][1:] == ["1.0", "1.0"]
 
@@ -155,7 +156,7 @@ def test_simmatrix_cosine_disjoint_docs(tmp_path):
     config = config_for(tmp_path, corpus, "text-dir")
     cmd_ingest(config)
     path = cmd_simmatrix(config, "cosine")
-    rows = list(csv.reader(path.read_text().splitlines()))
+    rows = list(csv.reader(path.read_text("utf-8").splitlines()))
     assert rows[1][1:] == ["1.0", "0.0"]
     assert rows[2][1:] == ["0.0", "1.0"]
 
@@ -179,7 +180,7 @@ def test_experiment_with_stopword_only_document_scores_kld_zero(tmp_path):
     code = main(["experiment", "--corpus", str(corpus), "--mode", "text-dir", "--out-dir", str(out)])
     assert code == 0
     assert (out / "report.csv").exists()
-    rows = list(csv.reader((out / "matrix_kld.csv").read_text().splitlines()))
+    rows = list(csv.reader((out / "matrix_kld.csv").read_text("utf-8").splitlines()))
     assert rows[3] == ["d3", "0.0", "0.0", "1.0", "0.0"]
 
 
@@ -189,7 +190,7 @@ def test_cluster_and_evaluate_stage_chain(tmp_path):
     cmd_ingest(config)
     cmd_simmatrix(config, "tm-sim")
     assignment_path = cmd_cluster(config, "tm-sim")
-    rows = list(csv.reader(assignment_path.read_text().splitlines()))
+    rows = list(csv.reader(assignment_path.read_text("utf-8").splitlines()))
     assert rows[0] == ["doc_id", "cluster"]
     assert len(rows) == 5
     report = cmd_evaluate(config, "tm-sim")
@@ -202,13 +203,13 @@ def test_experiment_writes_report_and_config_echo(tmp_path):
     corpus = write_text_corpus(tmp_path / "corpus")
     config = config_for(tmp_path, corpus, "text-dir")
     report_path = cmd_experiment(config)
-    rows = list(csv.reader(report_path.read_text().splitlines()))
+    rows = list(csv.reader(report_path.read_text("utf-8").splitlines()))
     assert rows[0] == ["dataset", "measure", "linkage", "k", "purity", "entropy"]
     assert len(rows) == 6
     assert [row[1] for row in rows[1:]] == [
         "euclidean", "cosine", "jaccard", "kld", "tm-sim",
     ]
-    echo = json.loads((Path(config.out_dir) / "run_config.json").read_text())
+    echo = json.loads((Path(config.out_dir) / "run_config.json").read_text("utf-8"))
     assert echo["corpus"] == str(corpus)
     assert echo["measures"] == list(config.measures)
     # CSV is the one matrix format.
@@ -248,7 +249,7 @@ def test_experiment_jsonl_with_trees(tmp_path):
         measures=["cosine", "tm-sim"],
     )
     report_path = cmd_experiment(config)
-    rows = list(csv.reader(report_path.read_text().splitlines()))
+    rows = list(csv.reader(report_path.read_text("utf-8").splitlines()))
     assert len(rows) == 3
     by_measure = {row[1]: row for row in rows[1:]}
     assert float(by_measure["tm-sim"][4]) == 1.0
@@ -364,7 +365,7 @@ def test_process_exit_status(tmp_path):
         (["--corpus", str(corpus), "--mode", "bogus"], 1),
         (["--corpus", str(tmp_path / "nowhere"), "--mode", "text-dir"], 2),
     ):
-        done = subprocess.run([*common, *flags], env=env, capture_output=True, text=True)
+        done = subprocess.run([*common, *flags], env=env, capture_output=True, encoding="utf-8")
         assert done.returncode == status, done.stderr
         assert "Traceback" not in done.stderr
 
@@ -460,7 +461,7 @@ def test_seed_is_an_experiment_flag_echoed_into_run_config(tmp_path):
             assert main([stage, *common, *measure, *flag]) == 1
     assert not out.exists()
     assert main(["experiment", *common, "--measures", "cosine"]) == 0
-    echo = json.loads((out / "run_config.json").read_text())
+    echo = json.loads((out / "run_config.json").read_text("utf-8"))
     assert echo["measures"] == ["cosine"]
     assert sorted(echo) == [
         "corpus", "dataset", "k", "linkage", "measures", "mode", "out_dir", "stem", "stopwords",
@@ -559,7 +560,7 @@ def test_zero_valued_flags_are_set_flags(tmp_path):
     assert not out.exists()
     # Unset, the file's k = 3 stands, and that run succeeds.
     assert main([*common, "--out-dir", str(out)]) == 0
-    assert json.loads((out / "run_config.json").read_text())["k"] == 3
+    assert json.loads((out / "run_config.json").read_text("utf-8"))["k"] == 3
 
 
 def test_cli_rejects_unknown_config_key(tmp_path):
@@ -748,14 +749,111 @@ def test_an_experiment_that_fails_midway_leaves_only_its_own_artifacts(tmp_path,
     assert {name: want.get(name) for name in left} == left
 
 
+def test_write_rewrites_a_file_to_exactly_the_new_bytes(tmp_path, monkeypatch):
+    # A truncating open makes ext4 start writeback at close; _write never asks for one.
+    opens, os_open = [], os.open
+
+    def recording_open(name, flags, *mode):
+        opens.append(flags)
+        return os_open(name, flags, *mode)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    path = tmp_path / "artifact.csv"
+    long, short = "doc,1\r\n" * 300, "é\n"
+    cli._write(path, long)
+    assert path.read_bytes() == long.encode("utf-8")
+    inode = path.stat().st_ino
+    cli._write(path, short)  # shorter over longer: the old tail is cut
+    assert path.read_bytes() == short.encode("utf-8")
+    cli._write(path, long)  # longer over shorter
+    assert path.read_bytes() == long.encode("utf-8")
+    cli._write(path, iter(["x,1\r", "", "\n", "é" * 5]))  # streamed pieces over a longer file
+    assert path.read_bytes() == "x,1\r\nééééé".encode("utf-8")
+    assert path.stat().st_ino == inode  # rewritten in place, never replaced
+    assert len(opens) == 4 and not any(flags & os.O_TRUNC for flags in opens)
+
+
+def _raises_after_one_piece(exc: Exception):
+    def pieces():
+        yield "doc_id,cluster\n"
+        raise exc
+
+    return pieces
+
+
+@pytest.mark.parametrize(
+    "pieces, error",
+    [
+        (_raises_after_one_piece(OSError(errno.ENOSPC, "No space left on device")), OSError),
+        (_raises_after_one_piece(RuntimeError("generator failed")), RuntimeError),
+        (lambda: iter(["doc_id,cluster\n", "lone surrogate \ud800\n"]), UnicodeEncodeError),
+    ],
+    ids=["enospc", "generator", "encode"],
+)
+def test_a_write_that_fails_part_way_leaves_no_file(tmp_path, pieces, error):
+    path = tmp_path / "artifact.csv"
+    cli._write(path, "d1,0\n" * 1000)
+    with pytest.raises(error):
+        cli._write(path, pieces())
+    assert not path.exists()
+
+
+def test_a_staged_write_that_fails_part_way_exits_2_and_leaves_no_file(tmp_path, monkeypatch, capsys):
+    corpus = write_text_corpus(tmp_path / "corpus")
+    out = tmp_path / "out"
+    common = ["--corpus", str(corpus), "--out-dir", str(out)]
+    assert main(["experiment", *common, "--measures", "cosine"]) == 0
+    full = OSError(errno.ENOSPC, "No space left on device")
+    monkeypatch.setattr(SimilarityMatrix, "to_csv", lambda self: _raises_after_one_piece(full)())
+    capsys.readouterr()
+    assert main(["simmatrix", *common, "--measure", "cosine"]) == 2
+    assert capsys.readouterr().err == f"error: {full}\n"
+    path = out / "matrix_cosine.csv"
+    assert not path.exists()
+    assert main(["cluster", *common, "--measure", "cosine"]) == 2
+    assert capsys.readouterr().err == f"error: missing {path}; run simmatrix first\n"
+
+
+def test_staged_reclusters_in_one_out_dir_write_what_a_fresh_one_gets(tmp_path):
+    # 16 documents, so that k >= 11 writes two-digit cluster ids.
+    corpus = write_jsonl(make_planted_corpus(docs_per_cluster=4, seed=3), tmp_path / "p.jsonl")
+    common = ["--corpus", str(corpus), "--mode", "jsonl"]
+    prepared, out = tmp_path / "prepared", tmp_path / "out"
+    assert main(["ingest", *common, "--out-dir", str(prepared)]) == 0
+    measures = ("cosine", "tm-sim")
+    for measure in measures:
+        assert main(["simmatrix", *common, "--out-dir", str(prepared), "--measure", measure]) == 0
+    shutil.copytree(prepared, out)
+    sizes: dict[str, list[int]] = {}
+    runs = [("complete", "16"), ("single", "1"), ("average", "12"), ("single", "4"), ("complete", "2")]
+    for n, (linkage, k) in enumerate(runs):
+        fresh = tmp_path / f"fresh{n}"
+        shutil.copytree(prepared, fresh)
+        for where in (out, fresh):
+            for measure in measures:
+                flags = [*common, "--out-dir", str(where), "--measure", measure]
+                assert main(["cluster", *flags, "--linkage", linkage, "--k", k]) == 0
+                assert main(["evaluate", *flags]) == 0
+        written = artifact_bytes(out)
+        assert written == artifact_bytes(fresh)
+        for name, data in written.items():
+            sizes.setdefault(name, []).append(len(data))
+    # Each artifact of cluster and evaluate was rewritten both shorter and longer.
+    rewritten = [name for name in sizes if name.startswith(("dendrogram_", "assignment_", "eval_"))]
+    assert len(rewritten) == 3 * len(measures)
+    for name in rewritten:
+        steps = list(zip(sizes[name], sizes[name][1:]))
+        assert any(a > b for a, b in steps) and any(a < b for a, b in steps), (name, sizes[name])
+
+
 def test_ingest_deletes_every_artifact_of_an_earlier_chain(tmp_path, capsys):
     corpus = write_text_corpus(tmp_path / "corpus", dict(list(TEXT_DOCS.items())[:3]))
     out = tmp_path / "out"
     common = ["--corpus", str(corpus), "--out-dir", str(out)]
     assert main(["experiment", *common, "--measures", "cosine"]) == 0
     (corpus / "d1.txt").write_text(TEXT_DOCS["d4"][0], encoding="utf-8")  # same ids, new text
-    (out / "forests" / "gone.json").write_text("{}\n")  # a document no longer in the corpus
-    (out / "notes.txt").write_text("not an artifact\n")
+    (out / "forests" / "gone.json").write_text("{}\n", encoding="utf-8")  # a document no longer in the corpus
+    (out / "notes.txt").write_text("not an artifact\n", encoding="utf-8")
     assert main(["ingest", *common]) == 0
     written = ["manifest.json", "vectors.json", *(f"forests/d{k}.json" for k in (1, 2, 3))]
     assert sorted(artifact_bytes(out)) == sorted([*written, "notes.txt"])
@@ -1029,7 +1127,7 @@ def test_labels_csv_duplicate_and_stray_ids_are_warned(tmp_path, capsys, mode):
         f"warning: labels.csv lists document {first!r} more than once; the last row wins",
         "warning: labels.csv names 'ghost', which is not a document of the corpus",
     ]
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = json.loads((out / "manifest.json").read_text("utf-8"))
     assert manifest["labels"][first] == "relabelled"
     assert "ghost" not in manifest["doc_ids"]
 
@@ -1130,6 +1228,35 @@ def test_corrupt_stage_input_exits_2_naming_the_file(tmp_path, capsys, name, cor
         assert err.endswith(f"; run {WRITTEN_BY[name]} again\n")
     if corrupt is _nest_deeply:
         assert err.startswith(f"error: bad {out / name}: ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "doc_id,cluster\nd1,0\ndoc_id,cluster\nd2,1,junk\nd3,0\nd4,1\n",
+        "doc_id,cluster\nd1,0\ndoc_id,cluster\nd2,1\nd3,0\nd4,1\n",
+        "doc_id,cluster\nd1,0\nd2,1,junk\nd3,0\nd4,1\n",
+        "doc_id,cluster\nd1,0\n\nd2,1\nd3,0\nd4,1\n",
+        "d1,0\nd2,1\nd3,0\nd4,1\ndoc_id,cluster\n",
+    ],
+    ids=["header-and-extra-field", "header-later", "extra-field", "empty-row", "header-last"],
+)
+def test_evaluate_reads_an_assignment_only_in_the_form_cluster_writes(tmp_path, capsys, text):
+    corpus = write_text_corpus(tmp_path / "corpus")
+    out = tmp_path / "out"
+    common = ["--corpus", str(corpus), "--out-dir", str(out), "--measure", "cosine"]
+    assert main(["experiment", *common[:-2], "--measures", "cosine"]) == 0
+    path = out / "assignment_cosine.csv"
+    # The header may open the file, and only there.
+    path.write_bytes(b"d1,0\nd2,1\nd3,0\nd4,1\n")
+    assert main(["evaluate", *common]) == 0
+    path.write_bytes(text.encode("utf-8"))
+    before = artifact_bytes(out)
+    capsys.readouterr()
+    assert main(["evaluate", *common]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: bad row in {path}: ") and err.count("\n") == 1
+    assert artifact_bytes(out) == before
 
 
 def _weight(value):
