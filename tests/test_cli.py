@@ -53,13 +53,15 @@ def write_text_corpus(base: Path, docs: dict[str, tuple[str, str]] = TEXT_DOCS) 
     return base
 
 
-def write_xtm_corpus(base: Path) -> Path:
+XTM_DOCS = {
+    "zoo_a": (XTM_ZOO, "pets"),
+    "zoo_b": (XTM_ZOO.replace(b"Dogs", b"Wolves"), "wild"),
+    "zoo_c": (XTM_ZOO.replace(b"Cats", b"Lynxes"), "wild"),
+}
+
+
+def write_xtm_corpus(base: Path, docs: dict[str, tuple[bytes, str]] = XTM_DOCS) -> Path:
     base.mkdir(parents=True, exist_ok=True)
-    docs = {
-        "zoo_a": (XTM_ZOO, "pets"),
-        "zoo_b": (XTM_ZOO.replace(b"Dogs", b"Wolves"), "wild"),
-        "zoo_c": (XTM_ZOO.replace(b"Cats", b"Lynxes"), "wild"),
-    }
     rows = ["doc_id,label"]
     for doc_id, (xml, label) in docs.items():
         (base / f"{doc_id}.xtm").write_bytes(xml)
@@ -1065,6 +1067,100 @@ def test_golden_text_experiment(tmp_path, flags):
         if name != "run_config.json"
     }
     assert digests == GOLDEN_TEXT_EXPERIMENT_SHA256[flags]
+
+
+def _taxonomy_map(chain: list[str], note: str) -> bytes:
+    """An XTM_ZOO-style map whose tags carry the `xtm:` prefix: `chain` is a
+    superclass-subclass path, a broader-narrower association leads from its
+    last topic back to its first (a cycle, so one edge is skipped), the first
+    topic is named by an XTM 2.0 `<name>` and the last holds the occurrence
+    text `note`."""
+    topics = []
+    for k, name in enumerate(chain):
+        tag = "name" if k == 0 else "topicName"
+        occurrence = (
+            f"<xtm:occurrence><xtm:resourceData>{note}</xtm:resourceData></xtm:occurrence>"
+            if k == len(chain) - 1
+            else ""
+        )
+        topics.append(
+            f'<xtm:topic id="t{k}"><xtm:{tag}><xtm:value>{name}</xtm:value></xtm:{tag}>'
+            f"{occurrence}</xtm:topic>"
+        )
+    links = [("superclass-subclass", "superclass", "subclass", k, k + 1) for k in range(len(chain) - 1)]
+    links.append(("broader-narrower", "broader", "narrower", len(chain) - 1, 0))
+    associations = [
+        f'<xtm:association><xtm:type><xtm:topicRef href="#{kind}"/></xtm:type>'
+        f'<xtm:role><xtm:type><xtm:topicRef href="#{up}"/></xtm:type>'
+        f'<xtm:topicRef href="#t{a}"/></xtm:role>'
+        f'<xtm:role><xtm:type><xtm:topicRef href="#{down}"/></xtm:type>'
+        f'<xtm:topicRef href="#t{b}"/></xtm:role>'
+        f"</xtm:association>"
+        for kind, up, down, a, b in links
+    ]
+    return (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<xtm:topicMap xmlns:xtm="http://www.topicmaps.org/xtm/" version="2.0">\n'
+        + "\n".join(topics + associations)
+        + "\n</xtm:topicMap>\n"
+    ).encode("utf-8")
+
+
+# An xtm-dir corpus: XTM_ZOO itself beside four maps of _taxonomy_map, each a
+# hierarchy 5 deep under the synthetic root once its cycle edge is skipped.
+GOLDEN_XTM_DOCS = {
+    "zoo": (XTM_ZOO, "animals"),
+    "lions": (_taxonomy_map(["Animals", "Mammals", "Big  Cats", "Lions", "Cubs"], "cubs hunt"), "animals"),
+    "wolves": (_taxonomy_map(["Animals", "Mammals", "Canines", "Wolves", "Pups"], "pups howl"), "animals"),
+    "oaks": (_taxonomy_map(["Plants", "Trees", "Broadleaf", "Oaks", "Acorns"], "acorns fall"), "plants"),
+    "roses": (_taxonomy_map(["Plants", "Flowers", "Shrubs", "Roses", "Buds"], "buds open"), "plants"),
+}
+
+# SHA-256 of every artifact but run_config.json (which echoes the out dir)
+# that `experiment` writes for GOLDEN_XTM_DOCS with all five measures,
+# recorded before the library-only text and tm-sim functions were deleted.
+GOLDEN_XTM_EXPERIMENT_SHA256 = {
+    "assignment_cosine.csv": "269b9ef25e61302ec5046c3dcb646e197db0ff88b1bb48ed2da83dc8dc0b9587",
+    "assignment_euclidean.csv": "269b9ef25e61302ec5046c3dcb646e197db0ff88b1bb48ed2da83dc8dc0b9587",
+    "assignment_jaccard.csv": "269b9ef25e61302ec5046c3dcb646e197db0ff88b1bb48ed2da83dc8dc0b9587",
+    "assignment_kld.csv": "269b9ef25e61302ec5046c3dcb646e197db0ff88b1bb48ed2da83dc8dc0b9587",
+    "assignment_tm-sim.csv": "269b9ef25e61302ec5046c3dcb646e197db0ff88b1bb48ed2da83dc8dc0b9587",
+    "dendrogram_cosine.json": "1c28605becbc70ae5a3d3b0d93f3780c42405a9639f464e303e5e919d78e31f3",
+    "dendrogram_euclidean.json": "d1dcf4e2e0b36e34fd8a71f37e2dad5a54d5ff62f1ce40750a83353ada82f50b",
+    "dendrogram_jaccard.json": "5357d8c80cb128ef427a4f6fe9d63fad1f89e0fefcba5441fc5cfcf1c2411bce",
+    "dendrogram_kld.json": "ac94061c689cdddf96787801e56b9a9d95c5e5b062914d56f3173622c3959674",
+    "dendrogram_tm-sim.json": "320038640a69b263665c65417188dcb984e024e8abb73523d5aa9feb9cc691a9",
+    "eval_cosine.json": "c509cbab9c7f4cce9e9de040cdefff636adaa843351cb9cadf7b5d3421bc81af",
+    "eval_euclidean.json": "35fb28c4efc1da8fefb18bc2495321842a2a74672ce4f702740bcaefc44af00c",
+    "eval_jaccard.json": "031d3bf32f839cb802db10299891b7f12069a722fad442dd0ff3c68885b15725",
+    "eval_kld.json": "d92a4006adf139b9a396447513a4c9a572af1cf48e08439a55c40ab8c71033b1",
+    "eval_tm-sim.json": "073191f3b7279d4a0a8671bbb84510d13149439e5af06d81e63e72af64b6a91c",
+    "forests/lions.json": "91fdc30a29167ed5729c71c464f262e1c9d2e4b1efc217a1379f610704c585f3",
+    "forests/oaks.json": "3ba69c68f2e6bff035a8be643522f2659edc899dbd3c071ec48ed7e09a78106f",
+    "forests/roses.json": "bc359b7aa27af2e3d8cd147bc89e6bdf913b7753c5fa40ba141b339d7fd2e74e",
+    "forests/wolves.json": "d335b07e64edf264745aad933ed49545c389a08d1c5092919c42548cce57e2ea",
+    "forests/zoo.json": "4c0352fad3fe3e637e14c195d57d460235a00158a35130498c110939dc13246f",
+    "manifest.json": "4406c81d39df5ec5c8888d7b2c68ec9a72db8d497f32eceaf5b116851ecff5f9",
+    "matrix_cosine.csv": "15d8fdd16c60b24c2957f4825bc580d46958f57bf099be8f9851544053015df3",
+    "matrix_euclidean.csv": "b0133b28d042228dd5c6c1df420345daa241b3de0273d003169d468fe269c34b",
+    "matrix_jaccard.csv": "3fe433caeac1175bddc071869955ba878742e93e8cf1186de7536fd78cb76f0d",
+    "matrix_kld.csv": "0e46ec73244c092e9be914ef8219684650ecfc47bb27a02b946b87b89ca22afc",
+    "matrix_tm-sim.csv": "0bdcc40a5b59ea87148d2764a12b6a1048d7ecd5fba43718e70b7b5b2ee5a81e",
+    "report.csv": "ab4526b3949bfe1975a2318c75fef63e7465302b16863fc7c99712e450da9081",
+    "vectors.json": "baae39762c7b03b9f9b9828ca03a5e8ca364dbacd0ddc84f94b5d49df8ef02fc",
+}
+
+
+def test_golden_xtm_experiment(tmp_path):
+    corpus = write_xtm_corpus(tmp_path / "corpus", GOLDEN_XTM_DOCS)
+    out = tmp_path / "out"
+    assert main(["experiment", "--corpus", str(corpus), "--mode", "xtm-dir", "--out-dir", str(out)]) == 0
+    digests = {
+        name: hashlib.sha256(data).hexdigest()
+        for name, data in artifact_bytes(out).items()
+        if name != "run_config.json"
+    }
+    assert digests == GOLDEN_XTM_EXPERIMENT_SHA256
 
 
 def _bom_input(tmp_path: Path, corpus: Path, case: str) -> tuple[Path, list[str]]:
