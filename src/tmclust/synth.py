@@ -14,8 +14,8 @@ from pathlib import Path
 
 from .xtm import DOC_ROOT_LABEL, TopicForest, TopicNode, forest_json_text, sort_forest
 
-# Term ids spell their digits as letters, because `tokenize` keeps only
-# [a-z]+: "common03" would reach the vectors as "common".
+# Term ids spell their digits as letters, because `textpipe.analyse` keeps
+# only runs of [a-z]: "common03" would reach the vectors as "common".
 _DIGIT_LETTERS = str.maketrans("0123456789", "abcdefghij")
 
 

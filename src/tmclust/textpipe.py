@@ -100,7 +100,10 @@ def light_stem(token: str) -> str:
 
 
 def _sentence_tokens(text: str, stopwords: frozenset[str] | None, stem: bool) -> list[list[str]]:
-    """The tokens that `tokenize` keeps, one list per sentence of `text`."""
+    """The tokens of `text`, one list per sentence: lower-cased, length >= 2,
+    stopwords removed.  A token is a run of the letters a-z after
+    lower-casing, so `café` gives `caf`.  With `stem`, `light_stem` applies
+    to the surviving tokens."""
     stop = default_stopwords() if stopwords is None else stopwords
     sentences: list[list[str]] = [[]]
     for tok in _TOKEN_RE.findall(text.lower()):
@@ -111,25 +114,20 @@ def _sentence_tokens(text: str, stopwords: frozenset[str] | None, stem: bool) ->
     return sentences
 
 
-def tokenize(
-    text: str, stopwords: frozenset[str] | None = None, stem: bool = False
-) -> list[str]:
-    """Lower-cased tokens, length >= 2, stopwords removed.  A token is a run of
-    the letters a-z after lower-casing, so `café` gives `caf`.
-
-    Stemming is off by default; `stem=True` applies `light_stem` to the
-    surviving tokens.
-    """
-    return [tok for tokens in _sentence_tokens(text, stopwords, stem) for tok in tokens]
-
-
 def analyse(
     doc_id: str, text: str, tree: TopicForest | None, stopwords: frozenset | None, stem: bool, vocab: dict
 ) -> tuple[TopicForest, dict[str, int]]:
     """A document's forest and term counts from one tokenization of `text`.
-    The forest is `tree` if the input pins one, else the fallback forest that
-    `build_fallback_forest` describes.  Each count key is `vocab`'s string for
-    its term, added on first sight, so documents share one string per term."""
+    Each count key is `vocab`'s string for its term, added on first sight, so
+    documents share one string per term.
+
+    The forest is `tree` if the input pins one.  Else it is the fallback
+    forest, a deterministic two-level forest: each sentence contributes one
+    depth-1 topic, the sentence token that is most frequent in the whole
+    document (ties to the lexicographically smallest).  The sentence's
+    remaining distinct tokens become that topic's children; repeated topics
+    merge and their child sets union.
+    """
     sentences = _sentence_tokens(text, stopwords, stem)
     tf = Counter(tok for tokens in sentences for tok in tokens)
     counts = {vocab.setdefault(term, term): n for term, n in tf.items()}
@@ -163,29 +161,6 @@ def tfidf(doc_ids: list[str], doc_counts: list[dict]) -> tuple[dict[str, int], l
         for doc_id, counts in zip(doc_ids, doc_counts)
     ]
     return dict(sorted(df.items())), vectors
-
-
-def vectorize(
-    corpus: Corpus, stopwords: frozenset[str] | None = None, stem: bool = False
-) -> tuple[dict[str, int], list[TermVector]]:
-    """`tfidf` of the corpus's documents, in corpus order."""
-    if not corpus.docs:
-        raise ValidationError("cannot vectorize an empty corpus")
-    doc_terms = [Counter(tokenize(doc.text, stopwords, stem)) for doc in corpus.docs]
-    return tfidf([doc.doc_id for doc in corpus.docs], doc_terms)
-
-
-def build_fallback_forest(
-    doc_id: str, text: str, stopwords: frozenset[str] | None = None, stem: bool = False
-) -> TopicForest:
-    """Deterministic two-level topic forest for plain text.
-
-    Each sentence contributes one depth-1 topic: the sentence token that is
-    most frequent in the whole document (ties to the lexicographically
-    smallest).  The sentence's remaining distinct tokens become that topic's
-    children; repeated topics merge and their child sets union.
-    """
-    return analyse(doc_id, text, None, stopwords, stem, {})[0]
 
 
 def read_labels(path: Path, doc_ids: list[str]) -> dict[str, str]:

@@ -11,6 +11,13 @@ maximum mapping M gives the edit distance n1 + n2 - 2|M|.  So
 Comput. 18(6), 1989) over postorder arrays, with no recursion at any
 depth, and reads its mapping back from that table.
 
+The similarity of two forests of n1 and n2 nodes with a maximum mapping M
+is (2|M| - 2) / (n1 + n2 - 2), in [0, 1]: a Dice overlap over non-root
+nodes, with the shared synthetic root discounted.  Forests whose roots
+differ have an empty mapping and score 0.0; two root-only forests with one
+root label score 1.0.  `build_matrix` holds it for every pair, and
+`build_matrix([a, b]).values[0, 1]` is the similarity of one pair.
+
 Every entry point goes through one pair routine, and `build_matrix`
 builds each forest's full postorder once.  Before the table, both forests
 are contracted: each non-root node whose label does not occur among the
@@ -197,16 +204,6 @@ def max_common_subtree(a: TopicForest, b: TopicForest) -> frozenset[tuple[int, i
     collected: list[tuple[int, int]] = []
     _pair(*_forms(a, b), collected)
     return frozenset((i + 1, j + 1) for i, j in collected)
-
-
-def tm_similarity(a: TopicForest, b: TopicForest) -> float:
-    """Dice-style similarity over non-root nodes, in [0, 1].
-
-    sim = (2*|mapping| - 2) / (n1 + n2 - 2); the shared synthetic root is
-    discounted.  Forests whose roots differ have an empty mapping and
-    score 0.0; two root-only forests with one root label score 1.0.
-    """
-    return _similarity(*_forms(a, b))
 
 
 def build_matrix(forests: list[TopicForest]) -> SimilarityMatrix:

@@ -20,7 +20,7 @@ from tmclust.cluster import ClusterAssignment, cut, hac
 from tmclust.evalx import contingency, entropy, purity
 from tmclust.simbase import MEASURES, build_matrices_base
 from tmclust.synth import make_planted_corpus, write_jsonl
-from tmclust.textpipe import Corpus, CorpusDoc, TermVector, vectorize
+from tmclust.textpipe import TermVector, analyse, tfidf
 from tmclust.treesim import (
     SimilarityMatrix,
     build_matrix,
@@ -158,10 +158,9 @@ def test_criterion_5_planted_topic_experiment(tmp_path):
 
 def test_criterion_6_measure_sanity(tmp_path):
     docs = make_planted_corpus(n_clusters=3, docs_per_cluster=5, seed=11)
-    corpus = Corpus(
-        docs=[CorpusDoc(d.doc_id, d.text, d.label) for d in docs], name="sanity"
-    )
-    _, vectors = vectorize(corpus)
+    vocab: dict[str, str] = {}
+    counts = [analyse(d.doc_id, d.text, None, None, False, vocab)[1] for d in docs]
+    _, vectors = tfidf([d.doc_id for d in docs], counts)
     matrices = [build_matrix([d.forest for d in docs])]
     matrices += build_matrices_base(list(MEASURES), vectors).values()
     matrix_ok = True

@@ -1629,11 +1629,11 @@ def test_vectors_json_matches_json_dumps_with_an_empty_vector(tmp_path):
     corpus_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     out = tmp_path / "out"
     assert main(["ingest", "--corpus", str(corpus_path), "--mode", "jsonl", "--out-dir", str(out)]) == 0
-    corpus = textpipe.Corpus(docs=[textpipe.CorpusDoc(r["id"], r["text"], r["label"]) for r in records])
-    df, vectors = textpipe.vectorize(corpus)
+    counts = [textpipe.analyse(r["id"], r["text"], None, None, False, {})[1] for r in records]
+    df, vectors = textpipe.tfidf([r["id"] for r in records], counts)
     assert vectors[2].entries == {}
     expected = {
-        "n_docs": len(corpus.docs),
+        "n_docs": len(records),
         "df": df,
         "index": {term: i for i, term in enumerate(sorted(df))},
         "vectors": {v.doc_id: v.entries for v in vectors},

@@ -3,7 +3,7 @@ from __future__ import annotations
 from oracles import validate_forest
 
 from tmclust.synth import make_planted_corpus, write_jsonl
-from tmclust.textpipe import load_corpus, tokenize
+from tmclust.textpipe import analyse, load_corpus
 from tmclust.xtm import number_nodes
 
 
@@ -25,7 +25,7 @@ def test_planted_words_survive_tokenize():
     # and of the four cluster pools.
     assert len(words) == 30 + 4 * 30
     for word in sorted(words):
-        assert tokenize(word) == [word]
+        assert analyse("d", word, None, None, False, {})[1] == {word: 1}
 
 
 def test_planted_corpus_deterministic_for_seed(tmp_path):

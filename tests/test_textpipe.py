@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 from conftest import forest_dict, make_forest, node
@@ -13,66 +14,77 @@ from oracles import (
 )
 
 from tmclust.errors import ValidationError
-from tmclust.textpipe import (
-    Corpus,
-    CorpusDoc,
-    _sentence_tokens,
-    build_fallback_forest,
-    load_corpus,
-    tokenize,
-    vectorize,
-)
-from tmclust.xtm import DOC_ROOT_LABEL, number_nodes
+from tmclust.textpipe import TermVector, _sentence_tokens, analyse, load_corpus, tfidf
+from tmclust.xtm import DOC_ROOT_LABEL, TopicForest, number_nodes
+
+
+def _tokens(text: str, stopwords: frozenset[str] | None = None, stem: bool = False) -> list[str]:
+    """Every token of `text` in order: its sentence tokens, flattened."""
+    return [tok for tokens in _sentence_tokens(text, stopwords, stem) for tok in tokens]
+
+
+def _counts(text: str, stem: bool = False) -> dict[str, int]:
+    return analyse("d", text, None, None, stem, {})[1]
+
+
+def _fallback(doc_id: str, text: str) -> TopicForest:
+    return analyse(doc_id, text, None, None, False, {})[0]
+
+
+def _tfidf(*texts: str, ids: list[str] | None = None) -> tuple[dict[str, int], list[TermVector]]:
+    """`tfidf` of the counts that `analyse` gives each text, as `ingest` runs
+    them: one vocabulary for the corpus, documents `d0`, `d1`, ... unless
+    `ids` names them."""
+    ids = ids or [f"d{i}" for i in range(len(texts))]
+    vocab: dict[str, str] = {}
+    return tfidf(ids, [analyse(i, text, None, None, False, vocab)[1] for i, text in zip(ids, texts)])
 
 
 def test_tokenize_basic():
-    assert tokenize("The cat sat.") == ["cat", "sat"]
+    assert _tokens("The cat sat.") == ["cat", "sat"]
+    assert _counts("The cat sat.") == {"cat": 1, "sat": 1}
 
 
 def test_tokenize_empty():
-    assert tokenize("") == []
+    assert _tokens("") == []
+    assert _counts("") == {}
 
 
 def test_tokenize_drops_short_and_stopwords():
-    assert tokenize("A a I") == []
+    assert _counts("A a I") == {}
 
 
 def test_tokenize_is_alphabetic_only():
-    assert tokenize("alpha42 beta_gamma 3.14") == ["alpha", "beta", "gamma"]
+    assert _tokens("alpha42 beta_gamma 3.14") == ["alpha", "beta", "gamma"]
 
 
 def test_tokenize_stemming_is_optional():
     text = "racing cars raced past boxes"
-    assert tokenize(text) == ["racing", "cars", "raced", "past", "boxes"]
-    assert tokenize(text, stem=True) == ["rac", "car", "rac", "past", "box"]
-
-
-def _corpus(*texts: str) -> Corpus:
-    return Corpus(
-        docs=[CorpusDoc(doc_id=f"d{i}", text=t, label="x") for i, t in enumerate(texts)]
-    )
+    assert _tokens(text) == ["racing", "cars", "raced", "past", "boxes"]
+    assert _tokens(text, stem=True) == ["rac", "car", "rac", "past", "box"]
+    assert _counts(text, stem=True) == {"rac": 2, "car": 1, "past": 1, "box": 1}
 
 
 def test_vectorize_single_doc_weights():
-    _, vectors = vectorize(_corpus("cat cat dog"))
+    _, vectors = _tfidf("cat cat dog")
     assert vectors[0].entries == pytest.approx(
         {"cat": 2 * math.log(2), "dog": math.log(2)}
     )
 
 
 def test_vectorize_absent_term_has_no_entry():
-    _, vectors = vectorize(_corpus("cat cat", "dog"))
+    _, vectors = _tfidf("cat cat", "dog")
     assert "dog" not in vectors[0].entries
     assert "cat" not in vectors[1].entries
 
 
 def test_vectorize_identical_docs_identical_vectors():
-    _, vectors = vectorize(_corpus("tree map tree", "tree map tree"))
+    _, vectors = _tfidf("tree map tree", "tree map tree")
     assert vectors[0].entries == vectors[1].entries
 
 
 def test_vectorize_formula_uses_df_across_corpus():
-    df, vectors = vectorize(_corpus("cat dog", "cat bird"))
+    df, vectors = _tfidf("cat dog", "cat bird")
     n, df_cat = 2, 2
     assert df == {"bird": 1, "cat": 2, "dog": 1}
     assert vectors[0].entries["cat"] == pytest.approx(math.log(1 + n / df_cat))
@@ -81,11 +93,8 @@ def test_vectorize_formula_uses_df_across_corpus():
 
 def test_vectorize_permutation_invariant_weights():
     docs = ["cat dog", "dog bird fish", "cat cat fish"]
-    _, forward = vectorize(_corpus(*docs))
-    corpus_rev = Corpus(
-        docs=[CorpusDoc(doc_id=f"d{2 - i}", text=t, label="x") for i, t in enumerate(reversed(docs))]
-    )
-    _, backward = vectorize(corpus_rev)
+    _, forward = _tfidf(*docs)
+    _, backward = _tfidf(*reversed(docs), ids=["d2", "d1", "d0"])
     by_id_fwd = {v.doc_id: v.entries for v in forward}
     by_id_bwd = {v.doc_id: v.entries for v in backward}
     assert by_id_fwd == by_id_bwd
@@ -93,25 +102,28 @@ def test_vectorize_permutation_invariant_weights():
 
 def test_vectorize_tf_scales_linearly():
     text = "cat dog dog fish"
-    _, base = vectorize(_corpus(text, "other words"))
-    _, doubled = vectorize(_corpus(text + " " + text, "other words"))
+    _, base = _tfidf(text, "other words")
+    _, doubled = _tfidf(text + " " + text, "other words")
     for term, weight in base[0].entries.items():
         assert doubled[0].entries[term] == pytest.approx(2 * weight)
 
 
 def test_vectorize_empty_doc_flagged_as_zero_vector():
-    _, vectors = vectorize(_corpus("the a of", "cat dog"))
+    _, vectors = _tfidf("the a of", "cat dog")
     assert vectors[0].entries == {}
     assert vectors[1].entries
 
 
-def test_vectorize_rejects_empty_corpus():
-    with pytest.raises(ValidationError):
-        vectorize(Corpus(docs=[]))
+def test_vectorize_rejects_empty_corpus(tmp_path):
+    # A corpus with no document never reaches `analyse` or `tfidf`.
+    (tmp_path / "empty.jsonl").write_text("\n", encoding="utf-8")
+    for path, mode in ((tmp_path, "text-dir"), (tmp_path / "empty.jsonl", "jsonl")):
+        with pytest.raises(ValidationError, match="no documents found"):
+            load_corpus(path, mode)
 
 
 def test_fallback_forest_modal_topic_merging():
-    forest = build_fallback_forest("d", "red cars race. red wins.")
+    forest = _fallback("d", "red cars race. red wins.")
     assert forest_dict(forest) == {
         "label": DOC_ROOT_LABEL,
         "children": [
@@ -128,19 +140,19 @@ def test_fallback_forest_modal_topic_merging():
 
 
 def test_fallback_forest_single_word():
-    forest = build_fallback_forest("d", "alpha")
+    forest = _fallback("d", "alpha")
     assert len(number_nodes(forest)) == 2
     assert forest.root.children[0].label == "alpha"
 
 
 def test_fallback_forest_deterministic():
-    a = build_fallback_forest("d1", "blue moon rises. blue star fades.")
-    b = build_fallback_forest("d2", "blue moon rises. blue star fades.")
+    a = _fallback("d1", "blue moon rises. blue star fades.")
+    b = _fallback("d2", "blue moon rises. blue star fades.")
     assert forest_dict(a) == forest_dict(b)
 
 
 def test_fallback_forest_empty_text_gives_root_only():
-    forest = build_fallback_forest("d", "the of and.")
+    forest = _fallback("d", "the of and.")
     assert len(number_nodes(forest)) == 1
     assert forest.root.label == DOC_ROOT_LABEL
 
@@ -153,7 +165,7 @@ def test_fallback_forest_satisfies_forest_invariants():
             " ".join(rng.choice(words) for _ in range(rng.randint(1, 6)))
             for _ in range(rng.randint(1, 4))
         ]
-        forest = build_fallback_forest("d", ". ".join(sentences))
+        forest = _fallback("d", ". ".join(sentences))
         validate_forest(forest)
 
 
@@ -181,8 +193,9 @@ def test_one_pass_tokenizer_matches_splitting_sentences_first(stopwords, stem):
         want = reference_sentence_tokens(text, stopwords, stem)
         got = _sentence_tokens(text, stopwords, stem)
         assert [s for s in got if s] == [s for s in want if s], text
-        assert tokenize(text, stopwords, stem) == [tok for s in want for tok in s], text
-        forest = build_fallback_forest("d", text, stopwords, stem)
+        assert _tokens(text, stopwords, stem) == [tok for s in want for tok in s], text
+        forest, counts = analyse("d", text, None, stopwords, stem, {})
+        assert counts == Counter(tok for s in want for tok in s), text
         reference = reference_fallback_forest("d", text, stopwords, stem)
         assert forest_dict(forest) == forest_dict(reference), text
 

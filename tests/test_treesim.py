@@ -25,14 +25,13 @@ from oracles import (
 from tmclust.errors import ValidationError
 from tmclust.matrix import csv_fields
 from tmclust.synth import make_planted_corpus
-from tmclust.textpipe import build_fallback_forest
+from tmclust.textpipe import analyse
 from tmclust.treesim import (
     SimilarityMatrix,
     _Form,
     _postorder,
     build_matrix,
     max_common_subtree,
-    tm_similarity,
 )
 from tmclust.xtm import (
     DOC_ROOT_LABEL,
@@ -49,6 +48,11 @@ from tmclust.xtm import (
 )
 
 
+def sim(a: TopicForest, b: TopicForest) -> float:
+    """The tm-sim of one pair, as the matrix of the two holds it."""
+    return build_matrix([a, b]).values[0, 1]
+
+
 def test_identical_trees_map_completely():
     forest = make_forest("d", node("a", node("b"), node("c")), node("d"))
     twin = make_forest("e", node("a", node("b"), node("c")), node("d"))
@@ -62,7 +66,7 @@ def test_conflicting_ancestry_limits_mapping():
     mapping = max_common_subtree(t1, t2)
     assert len(mapping) == 3
     assert len(brute_force_common_subtree(t1, t2)) == 3
-    assert tm_similarity(t1, t2) == pytest.approx(2 / 3)
+    assert sim(t1, t2) == pytest.approx(2 / 3)
 
 
 def test_disjoint_trees_share_only_root():
@@ -70,7 +74,7 @@ def test_disjoint_trees_share_only_root():
     t2 = make_forest("d2", node("x"), node("y"))
     mapping = max_common_subtree(t1, t2)
     assert mapping == frozenset({(1, 1)})
-    assert tm_similarity(t1, t2) == 0.0
+    assert sim(t1, t2) == 0.0
 
 
 def test_level_skip_is_allowed():
@@ -81,7 +85,7 @@ def test_level_skip_is_allowed():
 
 
 def test_root_only_forests_are_identical():
-    assert tm_similarity(make_forest("a"), make_forest("b")) == 1.0
+    assert sim(make_forest("a"), make_forest("b")) == 1.0
 
 
 @pytest.mark.parametrize(
@@ -96,15 +100,15 @@ def test_root_only_forests_are_identical():
 def test_forests_with_different_roots_score_zero(a, b):
     t1, t2 = TopicForest("d1", a), TopicForest("d2", b)
     assert len(brute_force_common_subtree(t1, t2)) == 0
-    assert tm_similarity(t1, t2) == 0.0
-    assert tm_similarity(t2, t1) == 0.0
+    assert sim(t1, t2) == 0.0
+    assert sim(t2, t1) == 0.0
 
 
 def test_identity_similarity_is_one():
     rng = random.Random(2)
     for _ in range(20):
         forest = random_forest(rng)
-        assert tm_similarity(forest, forest) == 1.0
+        assert sim(forest, forest) == 1.0
 
 
 def test_similarity_symmetric_and_in_range():
@@ -112,9 +116,9 @@ def test_similarity_symmetric_and_in_range():
     for _ in range(200):
         a = random_forest(rng)
         b = random_forest(rng)
-        sim = tm_similarity(a, b)
-        assert sim == tm_similarity(b, a)
-        assert 0.0 <= sim <= 1.0
+        score = sim(a, b)
+        assert score == sim(b, a)
+        assert 0.0 <= score <= 1.0
 
 
 def test_dp_matches_brute_force_on_random_pairs():
@@ -450,7 +454,7 @@ def test_golden_planted_matrices():
     docs = make_planted_corpus(4, 10, seed=0)
     pinned = build_matrix([d.forest for d in docs]).to_csv()
     fallback = build_matrix(
-        [build_fallback_forest(d.doc_id, d.text) for d in docs]
+        [analyse(d.doc_id, d.text, None, None, False, {})[0] for d in docs]
     ).to_csv()
     assert hashlib.sha256(pinned.encode("utf-8")).hexdigest() == GOLDEN_PINNED_SHA256
     assert hashlib.sha256(fallback.encode("utf-8")).hexdigest() == GOLDEN_FALLBACK_SHA256
@@ -507,8 +511,8 @@ def test_pair_routine_matches_oracle_by_label_overlap():
         if not _nonroot_labels(a) & _nonroot_labels(b):
             assert mapping == frozenset({(1, 1)})
             if len(number_nodes(a)) + len(number_nodes(b)) > 2:
-                sim = tm_similarity(a, b)
-                assert sim == 0.0 and str(sim) == "0.0"
+                score = sim(a, b)
+                assert score == 0.0 and str(score) == "0.0"
     assert kinds == {"disjoint", "one-shared", "repeated", "interleaved"}
 
 
@@ -528,7 +532,7 @@ def test_build_matrix_equals_pairwise_similarity_bitwise():
     for i, a in enumerate(forests):
         for j, b in enumerate(forests):
             if i != j:
-                assert matrix.values[i, j] == tm_similarity(a, b)
+                assert matrix.values[i, j] == sim(a, b)
     off_diagonal = matrix.values[~np.eye(len(forests), dtype=bool)]
     assert (off_diagonal == 0.0).any() and (off_diagonal > 0.0).any()
 
@@ -607,7 +611,7 @@ def test_differently_ordered_600_label_chains_compare_without_recursion():
     a = _chain("a", labels)
     b = _chain("b", labels[::2] + labels[1::2])
     # The longest common subsequence is the evens up to t2k, then the odds.
-    assert tm_similarity(a, b) == 602 / 1200
+    assert sim(a, b) == 602 / 1200
     assert len(max_common_subtree(a, b)) == 302
 
 
@@ -622,7 +626,7 @@ def _fallback_forests(seed: int, count: int) -> list[TopicForest]:
             " ".join(rng.choice(WORDS) for _ in range(rng.randint(3, 7)))
             for _ in range(rng.randint(3, 6))
         ]
-        forests.append(build_fallback_forest(f"t{k}", ". ".join(sentences) + "."))
+        forests.append(analyse(f"t{k}", ". ".join(sentences) + ".", None, None, False, {})[0])
     return forests
 
 
@@ -703,12 +707,12 @@ def _oracle_matrix(forests: list[TopicForest]) -> SimilarityMatrix:
             b = forests[j]
             n1, n2 = len(number_nodes(a)), len(number_nodes(b))
             if a.root.label != b.root.label:
-                sim = 0.0
+                score = 0.0
             elif n1 == 1 and n2 == 1:
-                sim = 1.0
+                score = 1.0
             else:
-                sim = (2.0 * _reference_pair(a, b) - 2.0) / (n1 + n2 - 2.0)
-            values[i, j] = values[j, i] = sim
+                score = (2.0 * _reference_pair(a, b) - 2.0) / (n1 + n2 - 2.0)
+            values[i, j] = values[j, i] = score
     return SimilarityMatrix("tm-sim", [f.doc_id for f in forests], values)
 
 
