@@ -22,6 +22,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import typing
 from collections.abc import Iterable, Iterator
@@ -378,6 +379,9 @@ def cmd_evaluate(config: ExperimentConfig, measure: str) -> evalx.EvalReport:
         for row in rows:
             if len(row) != 2:
                 raise ValueError(f"{row!r} has {len(row)} fields, not 2")
+            # The form str() gives a non-negative int; \d would match any digit.
+            if not re.fullmatch("0|[1-9][0-9]*", row[1]):
+                raise ValueError(f"{row!r} has a cluster id that cluster does not write")
         doc_ids = [row[0] for row in rows]
         labels = [int(row[1]) for row in rows]
     except (csv.Error, ValueError) as exc:

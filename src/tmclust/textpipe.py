@@ -164,7 +164,8 @@ def tfidf(doc_ids: list[str], doc_counts: list[dict]) -> tuple[dict[str, int], l
 
 
 def read_labels(path: Path, doc_ids: list[str]) -> dict[str, str]:
-    """Read labels.csv (doc_id,label rows) for the documents `doc_ids`.
+    """Read labels.csv (doc_id,label rows, exactly two fields each) for the
+    documents `doc_ids`.
 
     Only the first row can be the optional header `doc_id,label`; a later
     such row labels a document named `doc_id`.  A document without a label
@@ -177,8 +178,8 @@ def read_labels(path: Path, doc_ids: list[str]) -> dict[str, str]:
         del rows[0]
     labels: dict[str, str] = {}
     for row in rows:
-        if len(row) < 2:
-            raise ValidationError(f"{path}: bad row {row!r}")
+        if len(row) != 2:
+            raise ValidationError(f"{path}: bad row {row!r} has {len(row)} fields, not 2")
         if row[0] in labels:
             print(
                 f"warning: labels.csv lists document {row[0]!r} more than once; "

@@ -1334,8 +1334,24 @@ def test_corrupt_stage_input_exits_2_naming_the_file(tmp_path, capsys, name, cor
         "doc_id,cluster\nd1,0\nd2,1,junk\nd3,0\nd4,1\n",
         "doc_id,cluster\nd1,0\n\nd2,1\nd3,0\nd4,1\n",
         "d1,0\nd2,1\nd3,0\nd4,1\ndoc_id,cluster\n",
+        "d1, 0\nd2,1\nd3,0\nd4,1\n",
+        "d1,+0\nd2,1\nd3,0\nd4,1\n",
+        "d1,1_0\nd2,1\nd3,0\nd4,1\n",
+        "d1,0\nd2,\u0663\nd3,0\nd4,1\n",
+        "d1,00\nd2,1\nd3,0\nd4,1\n",
     ],
-    ids=["header-and-extra-field", "header-later", "extra-field", "empty-row", "header-last"],
+    ids=[
+        "header-and-extra-field",
+        "header-later",
+        "extra-field",
+        "empty-row",
+        "header-last",
+        "id-space",
+        "id-plus",
+        "id-underscore",
+        "id-arabic-indic-digit",
+        "id-leading-zero",
+    ],
 )
 def test_evaluate_reads_an_assignment_only_in_the_form_cluster_writes(tmp_path, capsys, text):
     corpus = write_text_corpus(tmp_path / "corpus")
@@ -1456,6 +1472,13 @@ def _labels_empty_label(corpus: Path) -> tuple[str, list[str]]:
     return f"{path}: document 'd1' has an empty label", []
 
 
+def _labels_extra_field(corpus: Path) -> tuple[str, list[str]]:
+    """A label with an unquoted comma splits into a third field."""
+    path = corpus / "labels.csv"
+    path.write_text(re.sub(r"(?m)^d1,.*$", "d1,sports,news", path.read_text("utf-8")), encoding="utf-8")
+    return f"{path}: bad row ['d1', 'sports', 'news'] has 3 fields, not 2", []
+
+
 def _long_stem(corpus: Path) -> tuple[str, list[str]]:
     """A legal 255-byte file name whose 251-byte stem is too long for a doc id."""
     path = corpus / ("d" * 251 + ".txt")
@@ -1500,6 +1523,7 @@ LONG_INT = "9" * 5000
         ("jsonl", _jsonl_line('{"id": ' + LONG_INT + ', "text": "x y", "label": "q"}')),
         ("jsonl", _jsonl_line('{"id": "t", "text": "x y", "label": "q", "n": ' + LONG_INT + "}")),
         ("text-dir", _labels_empty_label),
+        ("text-dir", _labels_extra_field),
         ("xtm-dir", _corpus_file("zoo_a.xtm", lambda p: p.write_bytes(XTM_ZOO[:-12]))),
         (
             "xtm-dir",
@@ -1515,7 +1539,7 @@ LONG_INT = "9" * 5000
         "jsonl-tree-label-null", "jsonl-tree-label-number",
         "jsonl-label-null", "jsonl-text-list", "jsonl-id-null", "jsonl-label-empty",
         "jsonl-duplicate-id", "jsonl-long-int-id", "jsonl-long-int-other-key", "labels-empty-label",
-        "xtm-malformed", "xtm-duplicate-topic", "xtm-unknown-role-topic", "xtm-empty-topic-name",
+        "labels-extra-field", "xtm-malformed", "xtm-duplicate-topic", "xtm-unknown-role-topic", "xtm-empty-topic-name",
         "text-dir-long-stem",
     ],
 )
