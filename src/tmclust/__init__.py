@@ -20,10 +20,8 @@ from .xtm import (
     Topic,
     TopicForest,
     TopicMapDoc,
-    TopicNode,
     derive_forest,
     forest_from_json,
-    number_nodes,
     parse_xtm,
 )
 

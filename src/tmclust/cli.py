@@ -279,8 +279,6 @@ def _read_forests(out: Path, doc_ids: list[str]) -> list[xtm.TopicForest]:
             forests.append(xtm.forest_from_json(doc_id, stored))
         except ValidationError as exc:
             raise ValidationError(f"bad {path}: {exc}") from exc
-        except RecursionError:  # json.loads may read deeper than forest_from_json
-            raise ValidationError(f"bad {path}: input is nested too deeply") from None
     return forests
 
 
@@ -376,18 +374,22 @@ def cmd_evaluate(config: ExperimentConfig, measure: str) -> evalx.EvalReport:
         rows = list(csv.reader(io.StringIO(text, newline="")))
         if rows[:1] == [["doc_id", "cluster"]]:  # the header, only as the first row
             del rows[0]
+        labels: list[int] = []
+        k = 0  # cut numbers clusters in row order, so a new id is always k
         for row in rows:
             if len(row) != 2:
                 raise ValueError(f"{row!r} has {len(row)} fields, not 2")
             # The form str() gives a non-negative int; \d would match any digit.
-            if not re.fullmatch("0|[1-9][0-9]*", row[1]):
+            if not re.fullmatch("0|[1-9][0-9]*", row[1]) or int(row[1]) > k:
                 raise ValueError(f"{row!r} has a cluster id that cluster does not write")
+            labels.append(int(row[1]))
+            if labels[-1] == k:
+                k += 1
         doc_ids = [row[0] for row in rows]
-        labels = [int(row[1]) for row in rows]
     except (csv.Error, ValueError) as exc:
         raise ValidationError(f"bad row in {path}: {exc}") from exc
     _check_doc_ids(path, doc_ids, manifest, "cluster")
-    assignment = _cluster.ClusterAssignment(k=len(set(labels)), labels=labels)
+    assignment = _cluster.ClusterAssignment(k=k, labels=labels)
     report = _evaluate_stage(out, measure, manifest, assignment)
     print(
         f"{report.dataset} {report.measure} k={report.k} "

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .xtm import DOC_ROOT_LABEL, TopicForest, TopicNode, forest_json_text, sort_forest
+from .xtm import DOC_ROOT_LABEL, TopicForest, forest_from_json, forest_json_text
 
 # Term ids spell their digits as letters, because `textpipe.analyse` keeps
 # only runs of [a-z]: "common03" would reach the vectors as "common".
@@ -64,19 +64,19 @@ def make_planted_corpus(
                 noise_counter += 1
                 return f"zz{doc_id}n{noise_counter}"
 
-            root = TopicNode(label=DOC_ROOT_LABEL)
+            branches = []
             for branch_label, leaf_labels in skeleton:
                 label = noise_label() if rng.random() < node_noise else branch_label
-                branch = TopicNode(label=label)
+                leaves = []
                 for leaf in leaf_labels:
                     if rng.random() < node_noise:
                         if rng.random() < 0.5:
                             continue
-                        branch.children.append(TopicNode(label=noise_label()))
+                        leaves.append({"label": noise_label(), "children": []})
                     else:
-                        branch.children.append(TopicNode(label=leaf))
-                root.children.append(branch)
-            forest = sort_forest(TopicForest(doc_id=doc_id, root=root))
+                        leaves.append({"label": leaf, "children": []})
+                branches.append({"label": label, "children": leaves})
+            forest = forest_from_json(doc_id, {"label": DOC_ROOT_LABEL, "children": branches})
 
             tokens = [
                 rng.choice(shared_pool)

@@ -15,14 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import TmclustError, ValidationError
-from .xtm import (
-    DOC_ROOT_LABEL,
-    TopicForest,
-    TopicNode,
-    derive_forest,
-    forest_from_json,
-    parse_xtm,
-)
+from .xtm import DOC_ROOT_LABEL, TopicForest, derive_forest, forest_from_json, parse_xtm
 
 # Corpus input modes, as `load_corpus` takes them.
 MODES = ("xtm-dir", "text-dir", "jsonl")
@@ -139,11 +132,13 @@ def analyse(
         distinct = set(tokens)
         topic = min(distinct, key=rank.__getitem__)
         children_of.setdefault(topic, set()).update(distinct - {topic})
-    topics = [
-        TopicNode(label=topic, children=[TopicNode(label=c) for c in sorted(children_of[topic])])
-        for topic in sorted(children_of)
-    ]
-    return TopicForest(doc_id, TopicNode(label=DOC_ROOT_LABEL, children=topics)), counts
+    topics = sorted(children_of)
+    labels, parents = [DOC_ROOT_LABEL, *topics], [-1] + [0] * len(topics)
+    for k, topic in enumerate(topics, start=1):
+        kids = sorted(children_of[topic])
+        labels += kids
+        parents += [k] * len(kids)
+    return TopicForest(doc_id, labels, parents), counts
 
 
 def tfidf(doc_ids: list[str], doc_counts: list[dict]) -> tuple[dict[str, int], list[TermVector]]:

@@ -19,7 +19,8 @@ root label score 1.0.  `build_matrix` holds it for every pair, and
 `build_matrix([a, b]).values[0, 1]` is the similarity of one pair.
 
 Every entry point goes through one pair routine, and `build_matrix`
-builds each forest's full postorder once.  Before the table, both forests
+builds each forest's full postorder once, straight from its level-order
+parent indices.  Before the table, both forests
 are contracted: each non-root node whose label does not occur among the
 other forest's non-root nodes is deleted and its children are promoted
 into its place.  A pair that shares no non-root label scores exactly 0,
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .matrix import SimilarityMatrix
-from .xtm import TopicForest, iter_bfs
+from .xtm import TopicForest
 
 TM_MEASURE = "tm-sim"
 
@@ -58,24 +59,24 @@ class _Form:
     __slots__ = ("bfs", "labels", "leftmost", "nonroot")
 
     def __init__(self, forest: TopicForest, codec: dict[str, int]) -> None:
-        nodes = list(iter_bfs(forest.root))
-        index = {id(node): k for k, node in enumerate(nodes)}
-        ids = [codec.setdefault(node.label, len(codec)) for node in nodes]
-        size = [1] * len(nodes)
-        for k in range(len(nodes) - 1, -1, -1):
-            for child in nodes[k].children:
-                size[k] += size[index[id(child)]]
-        # The postorder is a root-first, right-to-left preorder reversed.
-        post: list[int] = []
-        stack = [forest.root]
-        while stack:
-            node = stack.pop()
-            post.append(index[id(node)])
-            stack.extend(node.children)
-        post.reverse()
+        parents = forest.parents
+        n = len(parents)
+        size = [1] * n
+        for k in range(n - 1, 0, -1):
+            size[parents[k]] += size[k]
+        # Node k's subtree starts where its previous sibling's ends, or where
+        # its parent's starts if it is a first child, and ends at node k.
+        first = [0] * n
+        for k in range(1, n):
+            p = parents[k]
+            first[k] = first[k - 1] + size[k - 1] if parents[k - 1] == p else first[p]
+        post = [0] * n
+        for k in range(n):
+            post[first[k] + size[k] - 1] = k
+        ids = [codec.setdefault(label, len(codec)) for label in forest.labels]
         self.bfs = post
         self.labels = [ids[k] for k in post]
-        self.leftmost = [p + 1 - size[k] for p, k in enumerate(post)]
+        self.leftmost = [first[k] for k in post]
         self.nonroot = frozenset(self.labels[:-1])
 
 
@@ -199,8 +200,8 @@ def _forms(*forests: TopicForest) -> list[_Form]:
 
 
 def max_common_subtree(a: TopicForest, b: TopicForest) -> frozenset[tuple[int, int]]:
-    """A maximum root-preserving mapping: pairs (i, j) of BFS node numbers
-    (as `number_nodes` gives them), `a`'s side first."""
+    """A maximum root-preserving mapping: pairs (i, j) of node numbers, each
+    a node's index in its forest's `labels` plus 1, `a`'s side first."""
     collected: list[tuple[int, int]] = []
     _pair(*_forms(a, b), collected)
     return frozenset((i + 1, j + 1) for i, j in collected)

@@ -1,8 +1,9 @@
 """XTM topic-map ingestion and topic-tree derivation.
 
-Parses a small XTM subset, turns each document into a deterministic
-ordered forest of topic labels under a synthetic root, and numbers forest
-nodes in level order.  The subset `parse_xtm` reads:
+Parses a small XTM subset and turns each document into a deterministic
+ordered forest of topic labels under a synthetic root.  A forest is held
+flat, in level order: `TopicForest.labels` and `TopicForest.parents`, with
+node k numbered k + 1.  The subset `parse_xtm` reads:
 
 - tags match on their local name, in any namespace or none;
 - a topic is a `topic` child of the root element with an `id` (one without
@@ -24,10 +25,9 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
-from typing import Iterator
 
 from .errors import ValidationError, XtmParseError
 
@@ -73,34 +73,20 @@ class TopicMapDoc:
     occurrences: list[Occurrence] = field(default_factory=list)
 
 
-@dataclass(eq=False)
-class TopicNode:
-    """One positional node of a topic tree; labels may repeat."""
-
-    label: str
-    children: list["TopicNode"] = field(default_factory=list)
-
-
-@dataclass(eq=False)
+@dataclass
 class TopicForest:
-    """A document's topic trees under one synthetic root node."""
+    """A document's topic trees under one synthetic root node, in level order.
+
+    Node k is labelled `labels[k]`, its node number is k + 1, and its parent
+    is node `parents[k]`.  The root is node 0, with parent -1.  Every other
+    node comes after its parent, and a node's children are consecutive and,
+    when the forest is built, sorted by label (stably); so `parents[1:]`
+    never decreases.
+    """
 
     doc_id: str
-    root: TopicNode
-
-
-def iter_bfs(root: TopicNode) -> Iterator[TopicNode]:
-    """Yield nodes level by level, left to right."""
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        yield node
-        queue.extend(node.children)
-
-
-def number_nodes(forest: TopicForest) -> dict[TopicNode, int]:
-    """Number nodes breadth-first starting from the root at 1."""
-    return {node: k for k, node in enumerate(iter_bfs(forest.root), start=1)}
+    labels: list[str]
+    parents: list[int]
 
 
 def _ref_fragment(href: str) -> str:
@@ -118,6 +104,8 @@ def parse_xtm(data: bytes, doc_id: str = "") -> TopicMapDoc:
             f"malformed XML at byte offset {offset} (line {line}, column {column}): {exc}",
             offset=offset,
         ) from exc
+    except LookupError as exc:  # an XML declaration naming an encoding Python lacks
+        raise XtmParseError(f"cannot decode XML: {exc}") from exc
     # Local names, so that the plain-tag lookups below match in any namespace.
     for elem in root.iter():
         elem.tag = elem.tag.rpartition("}")[2]
@@ -221,21 +209,19 @@ def derive_forest(doc: TopicMapDoc) -> TopicForest:
         if ancestor is None:  # the edge closes no cycle
             parent_of[child] = parent
 
-    nodes = {t.id: TopicNode(label=t.name) for t in doc.topics}
-    root = TopicNode(label=DOC_ROOT_LABEL)
-    # Each topic joins its parent's list in (label, id) order, which leaves
-    # every sibling list sorted; no walk, so a hierarchy of any depth works.
+    kids: dict[str | None, list[str]] = {}
     for topic in sorted(doc.topics, key=lambda t: (t.name, t.id)):
-        parent = parent_of.get(topic.id)
-        (root if parent is None else nodes[parent]).children.append(nodes[topic.id])
-    return TopicForest(doc_id=doc.doc_id, root=root)
-
-
-def sort_forest(forest: TopicForest) -> TopicForest:
-    """Re-sort every sibling list by label (stable), in place."""
-    for node in iter_bfs(forest.root):
-        node.children.sort(key=lambda c: c.label)
-    return forest
+        kids.setdefault(parent_of.get(topic.id), []).append(topic.id)
+    # Topic ids in level order, None for the root; the list grows as the walk
+    # goes, so a hierarchy of any depth needs no recursion.
+    order: list[str | None] = [None]
+    labels, parents = [DOC_ROOT_LABEL], [-1]
+    for k, topic_id in enumerate(order):
+        for child in kids.get(topic_id, ()):
+            order.append(child)
+            labels.append(names[child])
+            parents.append(k)
+    return TopicForest(doc.doc_id, labels, parents)
 
 
 def forest_json_text(forest: TopicForest) -> str:
@@ -247,41 +233,56 @@ def forest_json_text(forest: TopicForest) -> str:
     intermediate dict and no recursion, so a forest of any depth is written,
     where `json.dumps` raises `RecursionError` at about 500 levels.
     """
+    labels, parents = forest.labels, forest.parents
+    # Node k's children are nodes first[k] .. first[k + 1] - 1.
+    counts = [0] * len(labels)
+    for parent in parents[1:]:
+        counts[parent] += 1
+    first = list(accumulate(counts, initial=1))
     parts: list[str] = []
-    # A node still to write, or a text to emit as it is.
-    stack: list = [forest.root]
+    # A node still to write, or ~k once node k's children are written.
+    stack = [0]
     while stack:
-        node = stack.pop()
-        if type(node) is str:
-            parts.append(node)
+        k = stack.pop()
+        if k < 0:
+            parts.append('], "label": ' + encode_basestring_ascii(labels[~k]) + "}")
             continue
-        if not node.children:
-            parts.append('{"children": [], "label": ' + encode_basestring_ascii(node.label) + "}")
+        if k and parents[k - 1] == parents[k]:  # a later sibling
+            parts.append(", ")
+        if first[k] == first[k + 1]:
+            parts.append('{"children": [], "label": ' + encode_basestring_ascii(labels[k]) + "}")
             continue
         parts.append('{"children": [')
-        stack.append('], "label": ' + encode_basestring_ascii(node.label) + "}")
-        for child in reversed(node.children):
-            stack.append(child)
-            stack.append(", ")
-        stack.pop()  # no separator before the first child
+        stack.append(~k)
+        stack.extend(range(first[k + 1] - 1, first[k] - 1, -1))
     parts.append("\n")
     return "".join(parts)
 
 
+def _fixture_node(doc_id: str, item) -> tuple[str, list]:
+    """The label and children of one node of a JSON tree fixture."""
+    children = item.get("children", []) if isinstance(item, dict) else None
+    if not isinstance(children, list) or not isinstance(item.get("label"), str):
+        raise ValidationError(f"bad tree node in fixture for {doc_id!r}: {item!r}")
+    return item["label"], children
+
+
 def forest_from_json(doc_id: str, obj: dict) -> TopicForest:
-    """Load the JSON tree fixture form, canonicalizing sibling order."""
-
-    def convert(item: dict) -> TopicNode:
-        children = item.get("children", []) if isinstance(item, dict) else None
-        if not isinstance(children, list) or not isinstance(item.get("label"), str):
-            raise ValidationError(f"bad tree node in fixture for {doc_id!r}: {item!r}")
-        return TopicNode(label=item["label"], children=[convert(c) for c in children])
-
-    root = convert(obj)
-    if root.label != DOC_ROOT_LABEL:
+    """Load the JSON tree fixture form, sorting each sibling list by label
+    (stably).  One walk in level order reads it, with no recursion, so a
+    fixture of any depth loads."""
+    label, children = _fixture_node(doc_id, obj)
+    labels, parents, pending = [label], [-1], [children]
+    # pending[k] is node k's children list; it grows as the walk goes.
+    for k, items in enumerate(pending):
+        nodes = sorted((_fixture_node(doc_id, item) for item in items), key=lambda node: node[0])
+        for label, children in nodes:
+            labels.append(label)
+            parents.append(k)
+            pending.append(children)
+    if labels[0] != DOC_ROOT_LABEL:
         raise ValidationError(
             f"tree fixture for {doc_id!r} must be rooted at {DOC_ROOT_LABEL!r}, "
-            f"got {root.label!r}"
+            f"got {labels[0]!r}"
         )
-    return sort_forest(TopicForest(doc_id=doc_id, root=root))
-
+    return TopicForest(doc_id, labels, parents)

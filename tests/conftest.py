@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from tmclust.xtm import DOC_ROOT_LABEL, TopicForest, TopicNode, sort_forest
+from tmclust.xtm import DOC_ROOT_LABEL, TopicForest, forest_from_json
 
 XTM_ZOO = b"""<?xml version="1.0" encoding="UTF-8"?>
 <topicMap xmlns="http://www.topicmaps.org/xtm/" version="2.0">
@@ -29,21 +29,19 @@ XTM_ZOO = b"""<?xml version="1.0" encoding="UTF-8"?>
 
 def forest_dict(forest: TopicForest) -> dict:
     """The JSON tree fixture form as a dict: {"label": str, "children": [...]}."""
-
-    def convert(node: TopicNode) -> dict:
-        return {"label": node.label, "children": [convert(c) for c in node.children]}
-
-    return convert(forest.root)
-
-
-def node(label: str, *children: TopicNode) -> TopicNode:
-    return TopicNode(label=label, children=list(children))
+    nodes = [{"label": label, "children": []} for label in forest.labels]
+    for k, parent in enumerate(forest.parents[1:], start=1):
+        nodes[parent]["children"].append(nodes[k])
+    return nodes[0]
 
 
-def make_forest(doc_id: str, *children: TopicNode) -> TopicForest:
-    return sort_forest(
-        TopicForest(doc_id=doc_id, root=node(DOC_ROOT_LABEL, *children))
-    )
+def node(label: str, *children: dict) -> dict:
+    """One node of the JSON tree fixture form, with its children."""
+    return {"label": label, "children": list(children)}
+
+
+def make_forest(doc_id: str, *children: dict) -> TopicForest:
+    return forest_from_json(doc_id, node(DOC_ROOT_LABEL, *children))
 
 
 def random_forest(
@@ -53,11 +51,11 @@ def random_forest(
     doc_id: str = "rnd",
     min_nodes: int = 1,
 ) -> TopicForest:
-    root = TopicNode(label=DOC_ROOT_LABEL)
+    root = node(DOC_ROOT_LABEL)
     nodes = [root]
     for _ in range(rng.randint(min_nodes, max_nodes) - 1):
         parent = rng.choice(nodes)
-        child = TopicNode(label=rng.choice(alphabet))
-        parent.children.append(child)
+        child = node(rng.choice(alphabet))
+        parent["children"].append(child)
         nodes.append(child)
-    return sort_forest(TopicForest(doc_id=doc_id, root=root))
+    return forest_from_json(doc_id, root)

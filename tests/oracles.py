@@ -47,10 +47,8 @@ from tmclust.xtm import (
     Topic,
     TopicForest,
     TopicMapDoc,
-    TopicNode,
-    iter_bfs,
+    forest_from_json,
     normalize_label,
-    number_nodes,
 )
 
 
@@ -61,11 +59,11 @@ def common_subtree_size(a: TopicForest, b: TopicForest) -> int:
 
 def bfs_arrays(forest: TopicForest, codec: dict[str, int]) -> tuple[list[int], list[tuple[int, ...]]]:
     """BFS label ids and child index tuples (index k <-> node number k + 1)."""
-    order = list(iter_bfs(forest.root))
-    index = {id(node): k for k, node in enumerate(order)}
-    labels = [codec.setdefault(node.label, len(codec)) for node in order]
-    children = [tuple(index[id(c)] for c in node.children) for node in order]
-    return labels, children
+    labels = [codec.setdefault(label, len(codec)) for label in forest.labels]
+    children: list[list[int]] = [[] for _ in labels]
+    for k, parent in enumerate(forest.parents[1:], start=1):
+        children[parent].append(k)
+    return labels, [tuple(kids) for kids in children]
 
 
 def lifted_postorder(
@@ -89,20 +87,16 @@ _SELF, _ANC, _DESC, _LEFT, _RIGHT = 0, 1, 2, 3, 4
 
 def _relation_table(forest: TopicForest) -> tuple[dict[int, str], list[list[int]]]:
     """Full pairwise relation matrix over BFS node numbers, 1-based."""
-    numbers = number_nodes(forest)
-    labels = {k: node.label for node, k in numbers.items()}
-    parent: dict[int, int] = {}
+    labels = {k: label for k, label in enumerate(forest.labels, start=1)}
+    parent = {k: p + 1 for k, p in enumerate(forest.parents, start=1) if p >= 0}
+    _, children = bfs_arrays(forest, {})
     preorder: dict[int, int] = {}
-
-    def walk(node: TopicNode, counter: list[int]) -> None:
-        preorder[numbers[node]] = counter[0]
-        counter[0] += 1
-        for child in node.children:
-            parent[numbers[child]] = numbers[node]
-            walk(child, counter)
-
-    walk(forest.root, [0])
-    n = len(numbers)
+    stack = [0]
+    while stack:
+        k = stack.pop()
+        preorder[k + 1] = len(preorder)
+        stack.extend(reversed(children[k]))
+    n = len(labels)
     ancestors: dict[int, set[int]] = {}
     for k in range(1, n + 1):
         chain = set()
@@ -230,20 +224,22 @@ def serialize_xtm(doc: TopicMapDoc) -> bytes:
 
 
 def validate_forest(forest: TopicForest) -> None:
-    """Raise ValidationError unless the forest meets its invariants."""
-    if forest.root.label != DOC_ROOT_LABEL:
-        raise ValidationError(
-            f"forest root of {forest.doc_id!r} is labeled {forest.root.label!r}"
-        )
-    seen: set[int] = set()
-    for node in iter_bfs(forest.root):
-        if id(node) in seen:
-            raise ValidationError(f"forest of {forest.doc_id!r} is not a tree")
-        seen.add(id(node))
-        labels = [c.label for c in node.children]
-        if labels != sorted(labels):
+    """Raise ValidationError unless the forest meets its invariants: as many
+    labels as parents, the root at 0 with parent -1 and the synthetic label,
+    every other parent earlier than its node and `parents[1:]` non-decreasing
+    (so siblings are consecutive, in level order), and each run of siblings
+    sorted by label."""
+    labels, parents = forest.labels, forest.parents
+    if len(labels) != len(parents) or not labels or parents[0] != -1:
+        raise ValidationError(f"forest of {forest.doc_id!r} has no root at node 0")
+    if labels[0] != DOC_ROOT_LABEL:
+        raise ValidationError(f"forest root of {forest.doc_id!r} is labeled {labels[0]!r}")
+    for k in range(1, len(labels)):
+        if not 0 <= parents[k] < k or parents[k] < parents[k - 1]:
+            raise ValidationError(f"forest of {forest.doc_id!r} is not in level order at node {k}")
+        if parents[k] == parents[k - 1] and labels[k] < labels[k - 1]:
             raise ValidationError(
-                f"unsorted sibling labels {labels!r} in forest of {forest.doc_id!r}"
+                f"unsorted sibling labels {labels[k - 1]!r}, {labels[k]!r} in forest of {forest.doc_id!r}"
             )
 
 
@@ -479,9 +475,8 @@ def reference_fallback_forest(
         distinct = set(tokens)
         topic = min(distinct, key=lambda t: (-doc_counts[t], t))
         children_of.setdefault(topic, set()).update(distinct - {topic})
-    root = TopicNode(label=DOC_ROOT_LABEL)
-    for topic in sorted(children_of):
-        node = TopicNode(label=topic)
-        node.children = [TopicNode(label=c) for c in sorted(children_of[topic])]
-        root.children.append(node)
-    return TopicForest(doc_id=doc_id, root=root)
+    topics = [
+        {"label": topic, "children": [{"label": c, "children": []} for c in sorted(children_of[topic])]}
+        for topic in sorted(children_of)
+    ]
+    return forest_from_json(doc_id, {"label": DOC_ROOT_LABEL, "children": topics})

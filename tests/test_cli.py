@@ -135,6 +135,16 @@ def test_ingest_xtm_dir_skips_fallback_builder(tmp_path):
     assert [c["label"] for c in tree["children"][0]["children"]] == ["cats", "dogs"]
 
 
+def test_xtm_in_an_unknown_encoding_exits_2_naming_the_file(tmp_path, capsys):
+    unknown = b'<?xml version="1.0" encoding="UTF98"?><topicMap/>'
+    corpus = write_xtm_corpus(tmp_path / "corpus", {"a": (unknown, "x"), "b": (unknown, "y")})
+    out = tmp_path / "out"
+    assert main(["experiment", "--corpus", str(corpus), "--mode", "xtm-dir", "--out-dir", str(out)]) == 2
+    path = corpus / "a.xtm"
+    assert capsys.readouterr().err == f"error: {path}: cannot decode XML: unknown encoding: UTF98\n"
+    assert not out.exists()
+
+
 def test_simmatrix_tm_sim_identical_docs(tmp_path):
     docs = {
         "a": ("red cars race. red wins.", "x"),
@@ -1339,6 +1349,8 @@ def test_corrupt_stage_input_exits_2_naming_the_file(tmp_path, capsys, name, cor
         "d1,1_0\nd2,1\nd3,0\nd4,1\n",
         "d1,0\nd2,\u0663\nd3,0\nd4,1\n",
         "d1,00\nd2,1\nd3,0\nd4,1\n",
+        "d1,0\nd2,7\nd3,7\nd4,0\n",
+        "d1,1\nd2,0\nd3,1\nd4,0\n",
     ],
     ids=[
         "header-and-extra-field",
@@ -1351,6 +1363,8 @@ def test_corrupt_stage_input_exits_2_naming_the_file(tmp_path, capsys, name, cor
         "id-underscore",
         "id-arabic-indic-digit",
         "id-leading-zero",
+        "id-skipped",
+        "id-out-of-order",
     ],
 )
 def test_evaluate_reads_an_assignment_only_in_the_form_cluster_writes(tmp_path, capsys, text):

@@ -4,7 +4,6 @@ from oracles import validate_forest
 
 from tmclust.synth import make_planted_corpus, write_jsonl
 from tmclust.textpipe import analyse, load_corpus
-from tmclust.xtm import number_nodes
 
 
 def test_planted_corpus_shape_and_validity():
@@ -14,7 +13,7 @@ def test_planted_corpus_shape_and_validity():
     assert labels == {f"cluster{c}" for c in range(4)}
     for doc in docs:
         validate_forest(doc.forest)
-        assert len(number_nodes(doc.forest)) >= 2
+        assert len(doc.forest.labels) >= 2
         assert doc.text
 
 

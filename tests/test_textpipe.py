@@ -15,7 +15,7 @@ from oracles import (
 
 from tmclust.errors import ValidationError
 from tmclust.textpipe import TermVector, _sentence_tokens, analyse, load_corpus, tfidf
-from tmclust.xtm import DOC_ROOT_LABEL, TopicForest, number_nodes
+from tmclust.xtm import DOC_ROOT_LABEL, TopicForest
 
 
 def _tokens(text: str, stopwords: frozenset[str] | None = None, stem: bool = False) -> list[str]:
@@ -141,8 +141,8 @@ def test_fallback_forest_modal_topic_merging():
 
 def test_fallback_forest_single_word():
     forest = _fallback("d", "alpha")
-    assert len(number_nodes(forest)) == 2
-    assert forest.root.children[0].label == "alpha"
+    assert forest.labels == [DOC_ROOT_LABEL, "alpha"]
+    assert forest.parents == [-1, 0]
 
 
 def test_fallback_forest_deterministic():
@@ -153,8 +153,8 @@ def test_fallback_forest_deterministic():
 
 def test_fallback_forest_empty_text_gives_root_only():
     forest = _fallback("d", "the of and.")
-    assert len(number_nodes(forest)) == 1
-    assert forest.root.label == DOC_ROOT_LABEL
+    assert forest.labels == [DOC_ROOT_LABEL]
+    assert forest.parents == [-1]
 
 
 def test_fallback_forest_satisfies_forest_invariants():

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import copy
 import csv
 import hashlib
 import inspect
@@ -11,7 +10,7 @@ from itertools import compress
 
 import numpy as np
 import pytest
-from conftest import make_forest, node, random_forest
+from conftest import forest_dict, make_forest, node, random_forest
 from oracles import (
     bfs_arrays,
     brute_force_common_subtree,
@@ -39,12 +38,9 @@ from tmclust.xtm import (
     Topic,
     TopicForest,
     TopicMapDoc,
-    TopicNode,
     derive_forest,
-    iter_bfs,
-    number_nodes,
+    forest_from_json,
     parse_xtm,
-    sort_forest,
 )
 
 
@@ -56,7 +52,7 @@ def sim(a: TopicForest, b: TopicForest) -> float:
 def test_identical_trees_map_completely():
     forest = make_forest("d", node("a", node("b"), node("c")), node("d"))
     twin = make_forest("e", node("a", node("b"), node("c")), node("d"))
-    assert len(max_common_subtree(forest, twin)) == len(number_nodes(forest))
+    assert len(max_common_subtree(forest, twin)) == len(forest.labels)
 
 
 def test_conflicting_ancestry_limits_mapping():
@@ -91,14 +87,14 @@ def test_root_only_forests_are_identical():
 @pytest.mark.parametrize(
     "a, b",
     [
-        (node("x", node("p")), node("y", node("p"))),
-        (node("x"), node("y")),
-        (node("x", node("p")), node("y")),
+        ((["x", "p"], [-1, 0]), (["y", "p"], [-1, 0])),
+        ((["x"], [-1]), (["y"], [-1])),
+        ((["x", "p"], [-1, 0]), (["y"], [-1])),
     ],
     ids=["shared-child", "root-only", "one-root-only"],
 )
 def test_forests_with_different_roots_score_zero(a, b):
-    t1, t2 = TopicForest("d1", a), TopicForest("d2", b)
+    t1, t2 = TopicForest("d1", *a), TopicForest("d2", *b)
     assert len(brute_force_common_subtree(t1, t2)) == 0
     assert sim(t1, t2) == 0.0
     assert sim(t2, t1) == 0.0
@@ -145,23 +141,19 @@ def test_grafting_same_subtree_never_decreases_mapping():
         a = random_forest(rng, max_nodes=8)
         b = random_forest(rng, max_nodes=8)
         before = common_subtree_size(a, b)
-        graft = random_forest(rng, max_nodes=4).root.children
-        extra = [copy.deepcopy(child) for child in graft]
-        a2 = sort_forest(
-            TopicForest("a2", copy.deepcopy(a.root))
-        )
-        b2 = sort_forest(TopicForest("b2", copy.deepcopy(b.root)))
-        a2.root.children.extend(copy.deepcopy(extra))
-        b2.root.children.extend(copy.deepcopy(extra))
-        sort_forest(a2)
-        sort_forest(b2)
-        assert common_subtree_size(a2, b2) >= before
+        graft = forest_dict(random_forest(rng, max_nodes=4))["children"]
+        grafted = []
+        for doc_id, forest in (("a2", a), ("b2", b)):
+            tree = forest_dict(forest)
+            tree["children"] += graft
+            grafted.append(forest_from_json(doc_id, tree))
+        assert common_subtree_size(*grafted) >= before
 
 
 def test_brute_force_single_nodes():
-    same_a = TopicForest("x", TopicNode(label="a"))
-    same_b = TopicForest("y", TopicNode(label="a"))
-    other = TopicForest("z", TopicNode(label="b"))
+    same_a = TopicForest("x", ["a"], [-1])
+    same_b = TopicForest("y", ["a"], [-1])
+    other = TopicForest("z", ["b"], [-1])
     assert len(brute_force_common_subtree(same_a, same_b)) == 1
     assert len(brute_force_common_subtree(same_a, other)) == 0
 
@@ -212,7 +204,7 @@ def test_build_matrix_matches_oracle_recomputation():
     for i, a in enumerate(forests):
         for j, b in enumerate(forests):
             size = len(brute_force_common_subtree(a, b))
-            n1, n2 = len(number_nodes(a)), len(number_nodes(b))
+            n1, n2 = len(a.labels), len(b.labels)
             if n1 == 1 and n2 == 1:
                 expected = 1.0
             else:
@@ -460,17 +452,20 @@ def test_golden_planted_matrices():
     assert hashlib.sha256(fallback.encode("utf-8")).hexdigest() == GOLDEN_FALLBACK_SHA256
 
 
-def _relabel_one(rng: random.Random, forest: TopicForest, label: str, depth: int) -> None:
-    """Give `label` to a node as close to `depth` (1 = root's child) as exists."""
-    level = forest.root.children
+def _relabel_one(rng: random.Random, forest: TopicForest, label: str, depth: int) -> TopicForest:
+    """`forest` with `label` given to a node as close to `depth` (1 = root's
+    child) as exists."""
+    tree = forest_dict(forest)
+    level = tree["children"]
     target = None
     for _ in range(depth):
         if not level:
             break
         target = rng.choice(level)
-        level = target.children
+        level = target["children"]
     if target is not None:
-        target.label = label
+        target["label"] = label
+    return forest_from_json(forest.doc_id, tree)
 
 
 def _overlap_pairs(seed: int):
@@ -481,9 +476,9 @@ def _overlap_pairs(seed: int):
     for _ in range(60):
         a = random_forest(rng, alphabet="abc")
         b = random_forest(rng, alphabet="xyz")
-        _relabel_one(rng, a, "s", rng.randint(1, 4))
-        _relabel_one(rng, b, "s", rng.randint(1, 4))
-        yield "one-shared", sort_forest(a), sort_forest(b)
+        a = _relabel_one(rng, a, "s", rng.randint(1, 4))
+        b = _relabel_one(rng, b, "s", rng.randint(1, 4))
+        yield "one-shared", a, b
     for _ in range(60):
         yield "repeated", random_forest(rng, alphabet="aab"), random_forest(rng, alphabet="abb")
     for _ in range(60):
@@ -496,7 +491,7 @@ def _overlap_pairs(seed: int):
 
 
 def _nonroot_labels(forest: TopicForest) -> set[str]:
-    return {n.label for n in iter_bfs(forest.root)} - {forest.root.label}
+    return set(forest.labels) - {forest.labels[0]}
 
 
 def test_pair_routine_matches_oracle_by_label_overlap():
@@ -510,7 +505,7 @@ def test_pair_routine_matches_oracle_by_label_overlap():
         assert mapping_violations(a, b, mapping) == [], kind
         if not _nonroot_labels(a) & _nonroot_labels(b):
             assert mapping == frozenset({(1, 1)})
-            if len(number_nodes(a)) + len(number_nodes(b)) > 2:
+            if len(a.labels) + len(b.labels) > 2:
                 score = sim(a, b)
                 assert score == 0.0 and str(score) == "0.0"
     assert kinds == {"disjoint", "one-shared", "repeated", "interleaved"}
@@ -598,12 +593,7 @@ def _reference_pair(a: TopicForest, b: TopicForest) -> int:
 
 def _chain(doc_id: str, labels: list[str]) -> TopicForest:
     """A forest whose nodes form one parent-child chain, root first."""
-    root = TopicNode(label=DOC_ROOT_LABEL)
-    tip = root
-    for label in labels:
-        tip.children.append(TopicNode(label=label))
-        tip = tip.children[0]
-    return TopicForest(doc_id=doc_id, root=root)
+    return TopicForest(doc_id, [DOC_ROOT_LABEL, *labels], list(range(-1, len(labels))))
 
 
 def test_differently_ordered_600_label_chains_compare_without_recursion():
@@ -705,8 +695,8 @@ def _oracle_matrix(forests: list[TopicForest]) -> SimilarityMatrix:
     for i, a in enumerate(forests):
         for j in range(i + 1, n):
             b = forests[j]
-            n1, n2 = len(number_nodes(a)), len(number_nodes(b))
-            if a.root.label != b.root.label:
+            n1, n2 = len(a.labels), len(b.labels)
+            if a.labels[0] != b.labels[0]:
                 score = 0.0
             elif n1 == 1 and n2 == 1:
                 score = 1.0

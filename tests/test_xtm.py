@@ -9,18 +9,18 @@ from conftest import XTM_ZOO, forest_dict, make_forest, node, random_forest
 from oracles import reference_parse_xtm, serialize_xtm, validate_forest
 
 from tmclust.errors import ValidationError, XtmParseError
-from tmclust.textpipe import load_corpus
+from tmclust.synth import make_planted_corpus
+from tmclust.textpipe import analyse, load_corpus
 from tmclust.xtm import (
     DOC_ROOT_LABEL,
     Association,
     Topic,
+    TopicForest,
     TopicMapDoc,
     derive_forest,
     forest_from_json,
     forest_json_text,
-    iter_bfs,
     normalize_label,
-    number_nodes,
     parse_xtm,
 )
 
@@ -67,6 +67,11 @@ def test_parse_malformed_xml_reports_byte_offset():
     assert "byte offset" in str(excinfo.value)
     assert excinfo.value.offset is not None
     assert 0 <= excinfo.value.offset <= len(data)
+
+
+def test_parse_an_unknown_xml_encoding_is_a_parse_error():
+    with pytest.raises(XtmParseError, match="unknown encoding: UTF98"):
+        parse_xtm(b'<?xml version="1.0" encoding="UTF98"?><topicMap/>')
 
 
 def test_parse_topic_id_collision():
@@ -316,7 +321,7 @@ def _doc(topics: list[str], edges: list[tuple[str, str]]) -> TopicMapDoc:
 
 def test_derive_forest_basic_hierarchy():
     forest = derive_forest(_doc(["a", "b", "c"], [("a", "b"), ("a", "c")]))
-    assert len(number_nodes(forest)) == 4
+    assert len(forest.labels) == 4
     assert forest_dict(forest) == {
         "label": DOC_ROOT_LABEL,
         "children": [
@@ -333,8 +338,8 @@ def test_derive_forest_basic_hierarchy():
 
 def test_derive_forest_flat_when_no_associations():
     forest = derive_forest(_doc(["x", "y"], []))
-    assert len(number_nodes(forest)) == 3
-    assert [c.label for c in forest.root.children] == ["x", "y"]
+    assert len(forest.labels) == 3
+    assert [c["label"] for c in forest_dict(forest)["children"]] == ["x", "y"]
 
 
 def test_derive_forest_breaks_cycle_deterministically():
@@ -350,9 +355,9 @@ def test_derive_forest_breaks_cycle_deterministically():
 
 def test_derive_forest_single_parent_smallest_label_wins():
     forest = derive_forest(_doc(["a", "z", "kid"], [("z", "kid"), ("a", "kid")]))
-    top = {c.label: c for c in forest.root.children}
-    assert [c.label for c in top["a"].children] == ["kid"]
-    assert top["z"].children == []
+    top = {c["label"]: c for c in forest_dict(forest)["children"]}
+    assert [c["label"] for c in top["a"]["children"]] == ["kid"]
+    assert top["z"]["children"] == []
 
 
 def test_derive_forest_ignores_non_hierarchical_associations():
@@ -362,7 +367,7 @@ def test_derive_forest_ignores_non_hierarchical_associations():
         associations=[Association(assoc_type="mentions", parent_role="a", child_role="b")],
     )
     forest = derive_forest(doc)
-    assert [c.label for c in forest.root.children] == ["a", "b"]
+    assert [c["label"] for c in forest_dict(forest)["children"]] == ["a", "b"]
 
 
 def test_derive_forest_deterministic_under_permutation():
@@ -390,41 +395,41 @@ def test_derive_forest_node_count_is_topics_plus_root():
                 edges.append((topics[rng.randrange(i)], topics[i]))
         forest = derive_forest(_doc(topics, edges))
         validate_forest(forest)
-        assert len(number_nodes(forest)) == n + 1
+        assert len(forest.labels) == n + 1
+
+
+def _numbered(forest) -> dict[str, int]:
+    """Each label's node number, its index in `labels` plus 1."""
+    return {label: k for k, label in enumerate(forest.labels, start=1)}
 
 
 def test_number_nodes_two_children():
     forest = make_forest("d", node("a"), node("b"))
-    numbered = {n.label: k for n, k in number_nodes(forest).items()}
-    assert numbered == {DOC_ROOT_LABEL: 1, "a": 2, "b": 3}
+    assert _numbered(forest) == {DOC_ROOT_LABEL: 1, "a": 2, "b": 3}
+    assert forest.parents == [-1, 0, 0]
 
 
 def test_number_nodes_single_node():
     forest = make_forest("d")
-    assert list(number_nodes(forest).values()) == [1]
+    assert (forest.labels, forest.parents) == ([DOC_ROOT_LABEL], [-1])
 
 
 def test_number_nodes_chain():
     forest = make_forest("d", node("a", node("b")))
-    numbered = {n.label: k for n, k in number_nodes(forest).items()}
-    assert numbered == {DOC_ROOT_LABEL: 1, "a": 2, "b": 3}
+    assert _numbered(forest) == {DOC_ROOT_LABEL: 1, "a": 2, "b": 3}
+    assert forest.parents == [-1, 0, 1]
 
 
 def test_number_nodes_bijective_and_depth_monotone():
     rng = random.Random(11)
     for _ in range(50):
         forest = random_forest(rng, max_nodes=12)
-        numbered = number_nodes(forest)
-        values = sorted(numbered.values())
-        assert values == list(range(1, len(list(iter_bfs(forest.root))) + 1))
-        depth = {id(forest.root): 0}
-        for parent in iter_bfs(forest.root):
-            for child in parent.children:
-                depth[id(child)] = depth[id(parent)] + 1
-        for u, nu in numbered.items():
-            for v, nv in numbered.items():
-                if depth[id(u)] < depth[id(v)]:
-                    assert nu < nv
+        validate_forest(forest)
+        depth = [0]
+        for parent in forest.parents[1:]:
+            depth.append(depth[parent] + 1)
+        # Level order: a deeper node never has a smaller node number.
+        assert depth == sorted(depth)
 
 
 def test_forest_json_roundtrip():
@@ -496,11 +501,59 @@ def test_forest_from_json_rejects_children_that_are_not_a_list(children):
 
 
 def test_validate_forest_rejects_unsorted_siblings():
-    from tmclust.xtm import TopicForest, TopicNode
-
-    bad = TopicNode(
-        label=DOC_ROOT_LABEL,
-        children=[TopicNode(label="b"), TopicNode(label="a")],
-    )
     with pytest.raises(ValidationError, match="unsorted"):
-        validate_forest(TopicForest(doc_id="d", root=bad))
+        validate_forest(TopicForest("d", [DOC_ROOT_LABEL, "b", "a"], [-1, 0, 0]))
+
+
+@pytest.mark.parametrize(
+    "labels, parents",
+    [
+        (["a"], [-1]),
+        ([DOC_ROOT_LABEL], [0]),
+        ([DOC_ROOT_LABEL, "a"], [-1]),
+        ([DOC_ROOT_LABEL, "a", "b"], [-1, 2, 0]),
+        ([DOC_ROOT_LABEL, "a", "b", "c"], [-1, 0, 1, 0]),
+    ],
+    ids=["root-label", "root-parent", "lengths", "parent-after-node", "siblings-apart"],
+)
+def test_validate_forest_rejects_a_forest_out_of_level_order(labels, parents):
+    with pytest.raises(ValidationError):
+        validate_forest(TopicForest("d", labels, parents))
+
+
+def test_forest_from_json_reads_a_5000_level_chain_without_recursion():
+    # Built in Python, since json.loads stops at about 1000 levels.
+    depth = 5000
+    chain = node(f"c{depth - 1}")
+    for level in range(depth - 2, -1, -1):
+        chain = node(f"c{level}", chain)
+    forest = forest_from_json("chain", node(DOC_ROOT_LABEL, chain))
+    assert forest.labels == [DOC_ROOT_LABEL] + [f"c{level}" for level in range(depth)]
+    assert forest.parents == [k - 1 for k in range(depth + 1)]
+
+
+def test_forest_from_json_sorts_siblings_stably_in_level_order():
+    tree = node(DOC_ROOT_LABEL, node("b", node("y"), node("x")), node("a", node("z")), node("b"))
+    forest = forest_from_json("d", tree)
+    # The b with children keeps its place before the childless b.
+    assert forest.labels == [DOC_ROOT_LABEL, "a", "b", "b", "z", "x", "y"]
+    assert forest.parents == [-1, 0, 0, 0, 1, 2, 2]
+    assert forest_dict(forest)["children"][1] == node("b", node("x"), node("y"))
+
+
+def test_every_builder_emits_a_valid_forest_that_its_json_text_reads_back_as():
+    rng = random.Random(17)
+    forests = [random_forest(rng, max_nodes=30, alphabet="aabc") for _ in range(50)]
+    forests += [doc.forest for doc in make_planted_corpus(3, 5, seed=2)]
+    words = ["tree", "map", "graph", "node", "edge"]
+    for k in range(30):
+        text = ". ".join(" ".join(rng.choices(words, k=rng.randint(1, 5))) for _ in range(rng.randint(0, 4)))
+        forests.append(analyse(f"t{k}", text, None, None, False, {})[0])
+    for k in range(30):
+        # Repeated names and random edges, cycles among them.
+        topics = [Topic(f"t{i}", rng.choice("abc")) for i in range(rng.randint(0, 12))]
+        edges = [Association("broader-narrower", rng.choice(topics).id, rng.choice(topics).id) for _ in topics]
+        forests.append(derive_forest(TopicMapDoc(f"x{k}", topics, edges)))
+    for forest in forests:
+        validate_forest(forest)
+        assert forest_from_json(forest.doc_id, json.loads(forest_json_text(forest))) == forest
