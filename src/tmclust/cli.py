@@ -20,7 +20,6 @@ import csv
 import functools
 import io
 import json
-import math
 import os
 import re
 import sys
@@ -84,21 +83,19 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "config", None):
         path = Path(args.config)
         try:
-            loaded = json.loads(path.read_bytes().decode("utf-8-sig"))
-        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
-            raise UsageError(f"bad config file {path}: {exc}") from exc
-        except RecursionError:
-            raise UsageError(f"bad config file {path}: input is nested too deeply") from None
-        if not isinstance(loaded, dict):
-            raise UsageError(f"config file {path} must hold a JSON object")
-        hints = typing.get_type_hints(ExperimentConfig)
-        for key, value in loaded.items():
-            if key not in hints:
-                raise UsageError(f"unknown config key {key!r}")
-            if not _fits(value, hints[key]):
-                wanted = ExperimentConfig.__annotations__[key]
-                raise UsageError(f"config key {key!r} must be {wanted}, got {value!r}")
-            values[key] = value
+            with textpipe.parsing(path, f"config file not found: {path}") as text:
+                values = json.loads(text)
+                if not isinstance(values, dict):
+                    raise ValidationError("must hold a JSON object")
+                hints = typing.get_type_hints(ExperimentConfig)
+                for key, value in values.items():
+                    if key not in hints:
+                        raise ValidationError(f"unknown config key {key!r}")
+                    if not _fits(value, hints[key]):
+                        wanted = ExperimentConfig.__annotations__[key]
+                        raise ValidationError(f"config key {key!r} must be {wanted}, got {value!r}")
+        except (OSError, ValidationError) as exc:  # a bad config file is a usage error
+            raise UsageError(str(exc)) from exc
     for name in (f.name for f in fields(ExperimentConfig)):
         # An unset flag is None, or False for a switch; the file's value stands.
         flag = getattr(args, name, None)
@@ -233,18 +230,9 @@ def cmd_ingest(config: ExperimentConfig) -> Path:
     return Path(config.out_dir)
 
 
-def _read(path: Path, stage: str) -> str:
-    """The one artifact read; `stage` is the stage that writes `path`."""
-    return textpipe.read_text(path, f"missing {path}; run {stage} first")
-
-
-def _read_json(path: Path, stage: str):
-    try:
-        return json.loads(_read(path, stage))
-    except ValueError as exc:
-        raise ValidationError(f"bad JSON in {path}: {exc}") from exc
-    except RecursionError:
-        raise ValidationError(f"bad {path}: input is nested too deeply") from None
+def _stage_input(path: Path, stage: str, prefix: str = "bad "):
+    """`textpipe.parsing` of an input that `stage` writes, named `<prefix><path>`."""
+    return textpipe.parsing(path, f"missing {path}; run {stage} first", f"{prefix}{path}")
 
 
 # The manifest keys that a later stage reads, with the type of each.
@@ -252,15 +240,17 @@ _MANIFEST_TYPES = {"classes": list, "dataset": str, "doc_ids": list, "labels": d
 
 
 def _read_manifest(out: Path) -> dict:
-    path = out / "manifest.json"
-    manifest = _read_json(path, "ingest")
-    if not isinstance(manifest, dict):
-        raise ValidationError(f"bad {path}: not a JSON object")
-    for key, kind in _MANIFEST_TYPES.items():
-        if not isinstance(manifest.get(key), kind):
-            raise ValidationError(f"bad {path}: {key!r} is not a {kind.__name__}")
-    if not all(isinstance(doc_id, str) for doc_id in manifest["doc_ids"]):
-        raise ValidationError(f"bad {path}: a doc id is not a str")
+    with _stage_input(out / "manifest.json", "ingest") as text:
+        manifest = json.loads(text)
+        if not isinstance(manifest, dict):
+            raise ValidationError("not a JSON object")
+        for key, kind in _MANIFEST_TYPES.items():
+            if not isinstance(manifest.get(key), kind):
+                raise ValidationError(f"{key!r} is not a {kind.__name__}")
+        if not all(isinstance(doc_id, str) for doc_id in manifest["doc_ids"]):
+            raise ValidationError("a doc id is not a str")
+        if sorted(manifest["labels"]) != sorted(manifest["doc_ids"]):  # as ingest writes them
+            raise ValidationError("'labels' does not hold one label per doc id")
     return manifest
 
 
@@ -273,40 +263,32 @@ def _check_doc_ids(path: Path, doc_ids: list[str], manifest: dict, stage: str) -
 def _read_forests(out: Path, doc_ids: list[str]) -> list[xtm.TopicForest]:
     forests = []
     for doc_id in doc_ids:
-        path = out / "forests" / f"{doc_id}.json"
-        stored = _read_json(path, "ingest")
-        try:
-            forests.append(xtm.forest_from_json(doc_id, stored))
-        except ValidationError as exc:
-            raise ValidationError(f"bad {path}: {exc}") from exc
+        with _stage_input(out / "forests" / f"{doc_id}.json", "ingest") as text:
+            forests.append(xtm.forest_from_json(doc_id, json.loads(text)))
     return forests
 
 
 def _read_vectors(out: Path, doc_ids: list[str]) -> list[textpipe.TermVector]:
-    path = out / "vectors.json"
-    stored = _read_json(path, "ingest")
-    stored = stored.get("vectors") if isinstance(stored, dict) else None
-    if not isinstance(stored, dict):
-        raise ValidationError(f"bad {path}: no \"vectors\" object")
-    vectors = []
-    for doc_id in doc_ids:
-        if doc_id not in stored:
-            raise ValidationError(f"bad {path}: no vector stored for document {doc_id!r}")
-        vector = stored[doc_id]
-        if not isinstance(vector, dict):
-            raise ValidationError(f"bad {path}: vector of {doc_id!r} is not a JSON object")
-        entries = {}
-        for term, weight in vector.items():
-            try:
-                entries[term] = float(weight) if type(weight) in (int, float) else math.nan
-            except OverflowError:  # an integer beyond the float range
-                entries[term] = math.inf
-            if not 0.0 < entries[term] < math.inf:  # NaN fails too
-                raise ValidationError(
-                    f"bad {path}: vector of {doc_id!r}: weight {weight!r} of term {term!r} "
-                    "is not a finite number > 0"
-                )
-        vectors.append(textpipe.TermVector(doc_id, entries))
+    with _stage_input(out / "vectors.json", "ingest") as text:
+        stored = json.loads(text)
+        stored = stored.get("vectors") if isinstance(stored, dict) else None
+        if not isinstance(stored, dict):
+            raise ValidationError("no \"vectors\" object")
+        vectors = []
+        for doc_id in doc_ids:
+            if doc_id not in stored:
+                raise ValidationError(f"no vector stored for document {doc_id!r}")
+            vector = stored[doc_id]
+            if not isinstance(vector, dict):
+                raise ValidationError(f"vector of {doc_id!r} is not a JSON object")
+            for term, weight in vector.items():
+                # An int compares exactly, so one beyond the float range fails; so does NaN.
+                if type(weight) not in (int, float) or not 0 < weight <= sys.float_info.max:
+                    raise ValidationError(
+                        f"vector of {doc_id!r}: weight {weight!r} of term {term!r} "
+                        "is not a finite number > 0"
+                    )
+            vectors.append(textpipe.TermVector(doc_id, {t: float(w) for t, w in vector.items()}))
     return vectors
 
 
@@ -343,11 +325,8 @@ def cmd_cluster(config: ExperimentConfig, measure: str) -> Path:
     out = Path(config.out_dir)
     manifest = _read_manifest(out)
     path = out / f"matrix_{measure}.csv"
-    text = _read(path, "simmatrix")
-    try:
+    with _stage_input(path, "simmatrix", prefix="") as text:
         matrix = SimilarityMatrix.from_csv(text, measure)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
     _check_doc_ids(path, matrix.doc_ids, manifest, "simmatrix")
     _cluster_stage(out, matrix, config.linkage, config.k or len(manifest["classes"]))
     return out / f"assignment_{measure}.csv"
@@ -369,8 +348,7 @@ def cmd_evaluate(config: ExperimentConfig, measure: str) -> evalx.EvalReport:
     out = Path(config.out_dir)
     manifest = _read_manifest(out)
     path = out / f"assignment_{measure}.csv"
-    text = _read(path, "cluster")
-    try:
+    with _stage_input(path, "cluster", prefix="bad row in ") as text:
         rows = list(csv.reader(io.StringIO(text, newline="")))
         if rows[:1] == [["doc_id", "cluster"]]:  # the header, only as the first row
             del rows[0]
@@ -378,16 +356,14 @@ def cmd_evaluate(config: ExperimentConfig, measure: str) -> evalx.EvalReport:
         k = 0  # cut numbers clusters in row order, so a new id is always k
         for row in rows:
             if len(row) != 2:
-                raise ValueError(f"{row!r} has {len(row)} fields, not 2")
+                raise ValidationError(f"{row!r} has {len(row)} fields, not 2")
             # The form str() gives a non-negative int; \d would match any digit.
             if not re.fullmatch("0|[1-9][0-9]*", row[1]) or int(row[1]) > k:
-                raise ValueError(f"{row!r} has a cluster id that cluster does not write")
+                raise ValidationError(f"{row!r} has a cluster id that cluster does not write")
             labels.append(int(row[1]))
             if labels[-1] == k:
                 k += 1
         doc_ids = [row[0] for row in rows]
-    except (csv.Error, ValueError) as exc:
-        raise ValidationError(f"bad row in {path}: {exc}") from exc
     _check_doc_ids(path, doc_ids, manifest, "cluster")
     assignment = _cluster.ClusterAssignment(k=k, labels=labels)
     report = _evaluate_stage(out, measure, manifest, assignment)

@@ -8,7 +8,9 @@ import json
 import math
 import re
 import sys
+import xml.etree.ElementTree as ET
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -35,23 +37,48 @@ def default_stopwords() -> frozenset[str]:
     return frozenset(w.strip() for w in text.splitlines() if w.strip())
 
 
-def read_text(path: str | Path, missing: str) -> str:
-    """The one text-file read: UTF-8 with no newline translation, which would
-    turn a quoted CR into LF, and with a leading byte-order mark dropped.  A
-    missing file raises ValidationError(missing); bytes that are not UTF-8
-    raise a ValidationError naming the file."""
+# What a parse raises on a file that is not in the form it reads.
+_BAD_INPUT = (
+    ValueError, RecursionError, OverflowError, csv.Error, ET.ParseError, LookupError, TmclustError
+)
+
+
+@contextmanager
+def parsing(path: str | Path, missing: str, named: str | None = None, *, xml: bool = False):
+    """The one read of an input or artifact file, for the `with` block that
+    parses it: the block gets the file's text, UTF-8 with a leading
+    byte-order mark dropped and no newline translation (which would turn a
+    quoted CR into LF), or with `xml` its bytes, as an XML declaration names
+    their encoding.
+
+    The one rule for a bad file: a missing file raises
+    ValidationError(missing).  Text that is not UTF-8, or a block that raises
+    any of `_BAD_INPUT` (a ValueError such as a JSON error, a RecursionError
+    from nesting too deep, an OverflowError, a csv.Error such as a field over
+    the csv module's limit, an XML ParseError, a LookupError for an unknown
+    XML encoding, or the block's own ValidationError), raises one
+    ValidationError whose message starts with the path: `<path>: <reason>`,
+    or `<path>:<line>: <reason>` if the block set the error's `line`.  The
+    caller may name the file otherwise, as `bad <path>`.  The CLI prints the
+    message as one `error:` line and exits 2, or 1 for the `--config` file.
+    Any other OSError is raised as it is."""
     try:
-        return Path(path).read_bytes().decode("utf-8-sig")
+        data = Path(path).read_bytes()
     except FileNotFoundError:
         raise ValidationError(missing) from None
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    try:
+        yield data if xml else data.decode("utf-8-sig")
+    except _BAD_INPUT as exc:
+        line = getattr(exc, "line", None)
+        where = f"{path}:{line}" if line else named or path
+        reason = "input is nested too deeply" if isinstance(exc, RecursionError) else exc
+        raise ValidationError(f"{where}: {reason}") from exc
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Load a one-word-per-line stopword file."""
-    words = read_text(path, f"stopwords file not found: {path}").splitlines()
-    return frozenset(w.strip().lower() for w in words if w.strip())
+    with parsing(path, f"stopwords file not found: {path}") as text:
+        return frozenset(w.strip().lower() for w in text.splitlines() if w.strip())
 
 
 @dataclass(frozen=True)
@@ -167,45 +194,46 @@ def read_labels(path: Path, doc_ids: list[str]) -> dict[str, str]:
     is an error.  An id listed twice keeps its last row and an id that names
     no document is ignored; each prints a `warning:` line on stderr.
     """
-    text = read_text(path, f"labels file not found: {path}")
-    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
-    if rows[:1] == [["doc_id", "label"]]:
-        del rows[0]
-    labels: dict[str, str] = {}
-    for row in rows:
-        if len(row) != 2:
-            raise ValidationError(f"{path}: bad row {row!r} has {len(row)} fields, not 2")
-        if row[0] in labels:
-            print(
-                f"warning: labels.csv lists document {row[0]!r} more than once; "
-                "the last row wins",
-                file=sys.stderr,
-            )
-        labels[row[0]] = row[1]
-    for doc_id in doc_ids:
-        if doc_id not in labels:
-            raise ValidationError(f"{path}: no row for document {doc_id!r}")
-        if not labels[doc_id]:
-            raise ValidationError(f"{path}: document {doc_id!r} has an empty label")
-    known = set(doc_ids)
-    for doc_id in labels:
-        if doc_id not in known:
-            print(
-                f"warning: labels.csv names {doc_id!r}, which is not a document of the corpus",
-                file=sys.stderr,
-            )
+    with parsing(path, f"labels file not found: {path}") as text:
+        rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+        if rows[:1] == [["doc_id", "label"]]:
+            del rows[0]
+        labels: dict[str, str] = {}
+        for row in rows:
+            if len(row) != 2:
+                raise ValidationError(f"bad row {row!r} has {len(row)} fields, not 2")
+            if row[0] in labels:
+                print(
+                    f"warning: labels.csv lists document {row[0]!r} more than once; "
+                    "the last row wins",
+                    file=sys.stderr,
+                )
+            labels[row[0]] = row[1]
+        for doc_id in doc_ids:
+            if doc_id not in labels:
+                raise ValidationError(f"no row for document {doc_id!r}")
+            if not labels[doc_id]:
+                raise ValidationError(f"document {doc_id!r} has an empty label")
+        known = set(doc_ids)
+        for doc_id in labels:
+            if doc_id not in known:
+                print(
+                    f"warning: labels.csv names {doc_id!r}, which is not a document of the corpus",
+                    file=sys.stderr,
+                )
     return labels
 
 
-def _check_doc_id(doc_id: str) -> str:
-    """Return `doc_id` if it can name its forest file, `forests/<id>.json`."""
+def _check_doc_id(doc_id: str, where: str = "") -> str:
+    """Return `doc_id` if it can name its forest file, `forests/<id>.json`;
+    else raise a ValidationError whose message starts with `where`."""
     try:
         size = len(doc_id.encode("utf-8"))
     except UnicodeEncodeError:  # a lone surrogate, which no file name holds
         size = _MAX_ID_BYTES + 1
     if "/" in doc_id or "\0" in doc_id or size > _MAX_ID_BYTES:
         raise ValidationError(
-            f"doc id {doc_id!r} cannot be a file name: it holds '/', NUL or a lone "
+            f"{where}doc id {doc_id!r} cannot be a file name: it holds '/', NUL or a lone "
             f"surrogate, or is over {_MAX_ID_BYTES} UTF-8 bytes"
         )
     return doc_id
@@ -213,10 +241,7 @@ def _check_doc_id(doc_id: str) -> str:
 
 def _jsonl_record(line: str) -> tuple[CorpusDoc, TopicForest | None]:
     """One JSONL corpus line: the document and the forest its "tree" pins."""
-    try:
-        record = json.loads(line)
-    except ValueError as exc:  # also an integer over Python's digit limit
-        raise ValidationError(f"bad JSON: {exc}") from exc
+    record = json.loads(line)
     if not isinstance(record, dict):
         raise ValidationError("record is not a JSON object")
     for key, kinds in (("id", (str, int)), ("text", (str,)), ("label", (str,))):
@@ -247,9 +272,9 @@ def load_corpus(
     labels.csv, read by `read_labels`; a document's id is its file stem, under
     the same rule as a JSONL id, checked before labels.csv is read.  An
     XTM document's forest is derived from its topic map, and its vector text
-    is its topic names plus its occurrence values.  Every text file is read
-    by `read_text`, and a data error names the file at fault (a JSONL error
-    names its line too, and so does a JSONL line nested too deeply to parse).
+    is its topic names plus its occurrence values.  Every file is read by
+    `parsing`, so a data error names the file at fault (a JSONL error its
+    line too).
     `name` defaults to the path's stem, and is refused if UTF-8 cannot
     encode it, before any file is read.
     """
@@ -268,47 +293,39 @@ def load_corpus(
     trees: dict[str, TopicForest] = {}
     if mode == "jsonl":
         first_line: dict[str, int] = {}
-        # newline=None splits lines as a file opened in text mode does.
-        lines = io.StringIO(read_text(base, missing), newline=None)
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc, tree = _jsonl_record(line)
-            except RecursionError:
-                raise ValidationError(f"{base}:{lineno}: input is nested too deeply") from None
-            except ValidationError as exc:
-                raise ValidationError(f"{base}:{lineno}: {exc}") from exc
-            if doc.doc_id in first_line:
-                raise ValidationError(
-                    f"{base}:{lineno}: duplicate doc id {doc.doc_id!r} "
-                    f"(first on line {first_line[doc.doc_id]})"
-                )
-            first_line[doc.doc_id] = lineno
-            docs.append(doc)
-            if tree is not None:
-                trees[doc.doc_id] = tree
+        with parsing(base, missing) as text:
+            # newline=None splits lines as a file opened in text mode does.
+            for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    doc, tree = _jsonl_record(line)
+                    if doc.doc_id in first_line:
+                        raise ValidationError(
+                            f"duplicate doc id {doc.doc_id!r} "
+                            f"(first on line {first_line[doc.doc_id]})"
+                        )
+                except _BAD_INPUT as exc:
+                    exc.line = lineno  # so that parsing names the file as path:line
+                    raise
+                first_line[doc.doc_id] = lineno
+                docs.append(doc)
+                if tree is not None:
+                    trees[doc.doc_id] = tree
     else:
         paths = sorted(base.glob("*.xtm" if mode == "xtm-dir" else "*.txt"))
         for doc_path in paths:
-            try:
-                _check_doc_id(doc_path.stem)
-            except ValidationError as exc:
-                raise ValidationError(f"{doc_path}: {exc}") from exc
+            _check_doc_id(doc_path.stem, f"{doc_path}: ")
         labels = read_labels(base / "labels.csv", [p.stem for p in paths]) if paths else {}
         for doc_path in paths:
-            doc_id = doc_path.stem
-            if mode == "xtm-dir":
-                try:
-                    parsed = parse_xtm(doc_path.read_bytes(), doc_id=doc_id)
-                except TmclustError as exc:
-                    raise ValidationError(f"{doc_path}: {exc}") from exc
-                trees[doc_id] = derive_forest(parsed)
-                words = [t.name for t in parsed.topics] + [o.value for o in parsed.occurrences]
-                text = " ".join(words)
-            else:
-                text = read_text(doc_path, f"document not found: {doc_path}")
+            doc_id, xml = doc_path.stem, mode == "xtm-dir"
+            with parsing(doc_path, f"document not found: {doc_path}", xml=xml) as text:
+                if xml:  # `text` holds the bytes of a topic map
+                    parsed = parse_xtm(text, doc_id=doc_id)
+                    trees[doc_id] = derive_forest(parsed)
+                    words = [t.name for t in parsed.topics] + [o.value for o in parsed.occurrences]
+                    text = " ".join(words)
             docs.append(CorpusDoc(doc_id=doc_id, text=text, label=labels[doc_id]))
     if not docs:
         raise ValidationError(f"no documents found in {base}")

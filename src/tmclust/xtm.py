@@ -24,6 +24,7 @@ node k numbered k + 1.  The subset `parse_xtm` reads:
 from __future__ import annotations
 
 import re
+import reprlib
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -260,11 +261,16 @@ def forest_json_text(forest: TopicForest) -> str:
 
 
 def _fixture_node(doc_id: str, item) -> tuple[str, list]:
-    """The label and children of one node of a JSON tree fixture."""
-    children = item.get("children", []) if isinstance(item, dict) else None
-    if not isinstance(children, list) or not isinstance(item.get("label"), str):
-        raise ValidationError(f"bad tree node in fixture for {doc_id!r}: {item!r}")
-    return item["label"], children
+    """The label and children of one node of a JSON tree fixture.  A bad node
+    is named by its label, cut short, and its children's type, not its subtree."""
+    if isinstance(item, dict):
+        label, children = item.get("label"), item.get("children", [])
+        if isinstance(label, str) and isinstance(children, list):
+            return label, children
+        what = f"label {reprlib.repr(label)} and children of type {type(children).__name__}"
+    else:
+        what = f"{reprlib.repr(item)}, not an object"
+    raise ValidationError(f"bad tree node in fixture for {doc_id!r}: {what}")
 
 
 def forest_from_json(doc_id: str, obj: dict) -> TopicForest:
@@ -283,6 +289,6 @@ def forest_from_json(doc_id: str, obj: dict) -> TopicForest:
     if labels[0] != DOC_ROOT_LABEL:
         raise ValidationError(
             f"tree fixture for {doc_id!r} must be rooted at {DOC_ROOT_LABEL!r}, "
-            f"got {labels[0]!r}"
+            f"got {reprlib.repr(labels[0])}"
         )
     return TopicForest(doc_id, labels, parents)

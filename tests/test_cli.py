@@ -90,6 +90,13 @@ def artifact_bytes(out: Path) -> dict[str, bytes]:
     return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
 
+def assert_one_error_line(err: str, named, prefix: str = "error: ") -> None:
+    """Check that stderr is one `error:` line (`prefix`) that names `named`,
+    a path or a `path:line`, with no traceback."""
+    assert err.startswith(prefix) and str(named) in err, err
+    assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err, err
+
+
 def config_for(tmp_path: Path, corpus: Path, mode: str, **overrides) -> ExperimentConfig:
     values = {
         "corpus": str(corpus),
@@ -399,8 +406,8 @@ def test_deeply_nested_tree_exits_2_without_traceback(tmp_path, capsys):
     )
     err = capsys.readouterr().err
     assert code == 2
+    assert_one_error_line(err, f"{corpus}:1: ")
     assert err.startswith(f"error: {corpus}:1: ") and "nested too deeply" in err
-    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 # The longest id a forest file name holds: 250 UTF-8 bytes, as "é" takes two.
@@ -423,8 +430,8 @@ def test_jsonl_doc_id_that_cannot_be_a_file_name_exits_2(tmp_path, capsys, doc_i
     ingest = ["ingest", "--corpus", str(corpus), "--mode", "jsonl", "--out-dir", str(out)]
     assert main(ingest) == 2
     err = capsys.readouterr().err
+    assert_one_error_line(err, f"{corpus}:2: ")
     assert err.startswith(f"error: {corpus}:2: ") and repr(doc_id) in err
-    assert err.count("\n") == 1 and "Traceback" not in err
     assert list(tmp_path.rglob("*")) == [corpus]
     # Without the bad line, the 250-byte id names its forest file.
     corpus.write_text(json.dumps(records[0]) + "\n", encoding="utf-8")
@@ -607,9 +614,7 @@ def test_malformed_config_file_is_a_usage_error(tmp_path, capsys, content, named
     else:
         config_path.write_bytes(content)
     assert main(["ingest", "--config", str(config_path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("usage error: ") and err.count("\n") == 1
-    assert named in err
+    assert_one_error_line(capsys.readouterr().err, named, "usage error: ")
 
 
 def test_cli_requires_corpus():
@@ -641,7 +646,15 @@ def test_experiment_reads_no_artifact_back(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("experiment read an artifact back")
 
-    for name in ("_read", "_read_manifest", "_read_forests", "_read_vectors"):
+    parsing = textpipe.parsing
+
+    def parsing_no_artifact(path, *args, **kwargs):
+        if second in Path(path).parents:
+            refuse()
+        return parsing(path, *args, **kwargs)
+
+    monkeypatch.setattr(textpipe, "parsing", parsing_no_artifact)
+    for name in ("_read_manifest", "_read_forests", "_read_vectors"):
         monkeypatch.setattr(cli, name, refuse)
     monkeypatch.setattr(SimilarityMatrix, "from_csv", refuse)
     assert main([*common, "--out-dir", str(second)]) == 0
@@ -1217,8 +1230,8 @@ def test_staged_forest_with_a_bad_node_exits_2_naming_the_file(tmp_path, capsys)
     capsys.readouterr()
     assert main(["simmatrix", *common, "--measure", "tm-sim"]) == 2
     err = capsys.readouterr().err
+    assert_one_error_line(err, path)
     assert err.startswith(f"error: bad {path}: bad tree node in fixture for 'd2'")
-    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("mode", ["text-dir", "xtm-dir"])
@@ -1262,6 +1275,16 @@ def _no_cluster_column(path: Path) -> None:
 
 def _not_utf8(path: Path) -> None:
     path.write_bytes(b"\xff" + path.read_bytes())
+
+
+def _over_csv_limit(path: Path) -> None:
+    """Put first a row whose first field is one character over the csv module's limit."""
+    path.write_bytes(b"x" * (csv.field_size_limit() + 1) + b",0\n" + path.read_bytes())
+
+
+def _extra_field(path: Path) -> None:
+    """Give the last row one field more than the form the file's reader takes."""
+    path.write_text(path.read_text("utf-8").rstrip("\n") + ",junk\n", encoding="utf-8")
 
 
 def _delete(path: Path) -> None:
@@ -1326,8 +1349,7 @@ def test_corrupt_stage_input_exits_2_naming_the_file(tmp_path, capsys, name, cor
     assert main([stage, *common, "--measure", measure]) == 2
     assert artifact_bytes(out) == before
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(out / name) in err
-    assert err.count("\n") == 1 and "Traceback" not in err
+    assert_one_error_line(err, out / name)
     if corrupt is _delete:
         assert err == f"error: missing {out / name}; run {WRITTEN_BY[name]} first\n"
     if corrupt is _rename_docs:
@@ -1381,7 +1403,8 @@ def test_evaluate_reads_an_assignment_only_in_the_form_cluster_writes(tmp_path, 
     capsys.readouterr()
     assert main(["evaluate", *common]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: bad row in {path}: ") and err.count("\n") == 1
+    assert_one_error_line(err, f"bad row in {path}: ")
+    assert err.startswith(f"error: bad row in {path}: ")
     assert artifact_bytes(out) == before
 
 
@@ -1401,6 +1424,12 @@ def _without_classes(manifest: dict) -> dict:
     return manifest
 
 
+def _first_doc_id_renamed(manifest: dict) -> dict:
+    """A doc id without a label, vector or forest: the error must name the manifest."""
+    manifest["doc_ids"][0] = "ghost"
+    return manifest
+
+
 @pytest.mark.parametrize(
     "name, reshape, stage",
     [
@@ -1413,11 +1442,12 @@ def _without_classes(manifest: dict) -> dict:
         ("vectors.json", _weight(-math.inf), "simmatrix"),
         ("vectors.json", _weight(0), "simmatrix"),
         ("vectors.json", _weight(-1.5), "simmatrix"),
+        ("manifest.json", _first_doc_id_renamed, "simmatrix"),
     ],
     ids=[
         "vectors-empty", "vectors-weight-text", "manifest-list", "manifest-no-classes",
         "vectors-weight-nan", "vectors-weight-infinity", "vectors-weight-minus-infinity",
-        "vectors-weight-zero", "vectors-weight-negative",
+        "vectors-weight-zero", "vectors-weight-negative", "manifest-doc-id-renamed",
     ],
 )
 def test_wrongly_shaped_stage_json_exits_2_naming_the_file(tmp_path, capsys, name, reshape, stage):
@@ -1431,8 +1461,8 @@ def test_wrongly_shaped_stage_json_exits_2_naming_the_file(tmp_path, capsys, nam
     capsys.readouterr()
     assert main([stage, *common, "--measure", "cosine"]) == 2
     err = capsys.readouterr().err
+    assert_one_error_line(err, f"bad {path}: ")
     assert err.startswith(f"error: bad {path}: ")
-    assert err.count("\n") == 1 and "Traceback" not in err
     if reshape.__name__ == "reshape":  # a _weight case names the document and the term
         assert "'d1'" in err and repr(min(stored["vectors"]["d1"])) in err
 
@@ -1546,6 +1576,8 @@ LONG_INT = "9" * 5000
         ("xtm-dir", _xtm_zoo_a(b'href="#dogs"', b'href="#wolves"')),
         ("xtm-dir", _xtm_zoo_a(b"<value>Cats</value>", b"<value>  </value>")),
         ("text-dir", _long_stem),
+        ("text-dir", _corpus_file("labels.csv", _over_csv_limit)),
+        ("xtm-dir", _xtm_zoo_a(b'encoding="UTF-8"', b'encoding="shift_jis"')),
     ],
     ids=[
         "txt-not-utf8", "labels-not-utf8", "stopwords-not-utf8", "jsonl-not-utf8",
@@ -1554,7 +1586,7 @@ LONG_INT = "9" * 5000
         "jsonl-label-null", "jsonl-text-list", "jsonl-id-null", "jsonl-label-empty",
         "jsonl-duplicate-id", "jsonl-long-int-id", "jsonl-long-int-other-key", "labels-empty-label",
         "labels-extra-field", "xtm-malformed", "xtm-duplicate-topic", "xtm-unknown-role-topic", "xtm-empty-topic-name",
-        "text-dir-long-stem",
+        "text-dir-long-stem", "labels-field-over-csv-limit", "xtm-multi-byte-encoding",
     ],
 )
 def test_bad_corpus_input_exits_2_naming_the_file(tmp_path, capsys, mode, corrupt):
@@ -1562,10 +1594,116 @@ def test_bad_corpus_input_exits_2_naming_the_file(tmp_path, capsys, mode, corrup
     named, flags = corrupt(corpus)
     argv = ["ingest", "--corpus", str(corpus), "--mode", mode, "--out-dir", str(tmp_path / "out")]
     assert main([*argv, *flags]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and named in err
-    assert err.count("\n") == 1 and "Traceback" not in err
+    assert_one_error_line(capsys.readouterr().err, named)
     assert not (tmp_path / "out").exists()
+
+
+# The stage input of each reader of an artifact: its name, the stage that
+# reads it and the measure that stage is run for.
+STAGE_INPUTS = {
+    "manifest": ("manifest.json", "simmatrix", "cosine"),
+    "vectors": ("vectors.json", "simmatrix", "cosine"),
+    "forest": ("forests/d1.json", "simmatrix", "tm-sim"),
+    "matrix": ("matrix_cosine.csv", "cluster", "cosine"),
+    "assignment": ("assignment_cosine.csv", "evaluate", "cosine"),
+}
+
+
+def _file_read_by(tmp_path: Path, reader: str) -> tuple[Path, list[str]]:
+    """The file that `reader` reads, and the command line that has it read."""
+    mode = {"jsonl": "jsonl", "xtm": "xtm-dir"}.get(reader, "text-dir")
+    corpus = CORPUS_WRITERS[mode](tmp_path / "corpus")
+    out = tmp_path / "out"
+    common = ["--corpus", str(corpus), "--mode", mode, "--out-dir", str(out)]
+    if reader in STAGE_INPUTS:
+        name, stage, measure = STAGE_INPUTS[reader]
+        assert main(["experiment", *common, "--measures", "cosine,tm-sim"]) == 0
+        return out / name, [stage, *common, "--measure", measure]
+    if reader == "stopwords":
+        path = tmp_path / "stop.txt"
+        path.write_text("red\nsoup\n", encoding="utf-8")
+        return path, ["ingest", *common, "--stopwords", str(path)]
+    if reader == "config":
+        path = tmp_path / "config.json"
+        config = {"corpus": str(corpus), "mode": mode, "out_dir": str(out)}
+        path.write_text(json.dumps(config), encoding="utf-8")
+        return path, ["ingest", "--config", str(path)]
+    files = {"txt": corpus / "d1.txt", "labels": corpus / "labels.csv", "xtm": corpus / "zoo_a.xtm"}
+    return files.get(reader, corpus), ["ingest", *common]
+
+
+def _unknown_xml_encoding(path: Path) -> None:
+    path.write_bytes(path.read_bytes().replace(b'encoding="UTF-8"', b'encoding="UTF98"'))
+
+
+# The eleven readers, each named by the file it reads.
+READERS = ["txt", "stopwords", "labels", "xtm", "jsonl", "config", *STAGE_INPUTS]
+JSON_READERS = ["jsonl", "config", "manifest", "vectors", "forest"]
+CSV_READERS = ["labels", "matrix", "assignment"]
+# Every error class each reader can meet: bytes that are not UTF-8 and
+# malformed syntax (a plain text file has none), nesting too deep for the
+# JSON readers, a field over the csv limit for the CSV readers, and an
+# unknown encoding for an XTM file.
+READER_ERRORS = [
+    *((reader, _not_utf8) for reader in READERS),
+    *((reader, _truncate) for reader in ["xtm", *JSON_READERS]),
+    *((reader, _extra_field) for reader in CSV_READERS),
+    *((reader, _nest_deeply) for reader in JSON_READERS),
+    *((reader, _over_csv_limit) for reader in CSV_READERS),
+    ("xtm", _unknown_xml_encoding),
+]
+
+
+@pytest.mark.parametrize(
+    "reader, corrupt",
+    READER_ERRORS,
+    ids=[
+        f"{reader}-{corrupt.__name__.strip('_')}".replace("_", "-")
+        for reader, corrupt in READER_ERRORS
+    ],
+)
+def test_every_reader_names_the_bad_file_in_one_error_line(tmp_path, capsys, reader, corrupt):
+    path, argv = _file_read_by(tmp_path, reader)
+    assert main(argv) == 0
+    corrupt(path)
+    out = tmp_path / "out"
+    before = artifact_bytes(out)
+    capsys.readouterr()
+    usage = reader == "config"
+    assert main(argv) == (1 if usage else 2)
+    assert_one_error_line(capsys.readouterr().err, path, "usage error: " if usage else "error: ")
+    assert artifact_bytes(out) == before
+
+
+def _node_with_2000_children() -> dict:
+    """A tree whose one node is labelled 7 and has 2,000 good children."""
+    children = [{"label": f"c{k}", "children": []} for k in range(2000)]
+    return {"label": DOC_ROOT_LABEL, "children": [{"label": 7, "children": children}]}
+
+
+@pytest.mark.parametrize("where", ["jsonl", "staged-forest"])
+def test_a_bad_tree_node_is_named_without_its_subtree(tmp_path, capsys, where):
+    corpus = write_text_corpus(tmp_path / "corpus")
+    out = tmp_path / "out"
+    common = ["--corpus", str(corpus), "--mode", "text-dir", "--out-dir", str(out)]
+    if where == "jsonl":
+        path = tmp_path / "tree.jsonl"
+        record = {"id": "d2", "text": "a b", "label": "x", "tree": _node_with_2000_children()}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        argv = ["ingest", "--corpus", str(path), "--mode", "jsonl", "--out-dir", str(out)]
+        named = f"error: {path}:1: "
+    else:
+        assert main(["ingest", *common]) == 0
+        path = out / "forests" / "d2.json"
+        path.write_text(json.dumps(_node_with_2000_children()), encoding="utf-8")
+        argv = ["simmatrix", *common, "--measure", "tm-sim"]
+        named = f"error: bad {path}: "
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert_one_error_line(err, named)
+    assert err.startswith(f"{named}bad tree node in fixture for 'd2': label 7 ")
+    assert len(err.replace(str(path), "").encode("utf-8")) < 300
 
 
 def test_experiment_writes_a_1000_deep_xtm_hierarchy(tmp_path, capsys):

@@ -1,16 +1,18 @@
 """A seeded fuzz test of the whole CLI over all three corpus modes.
 
 Each trial writes a small random corpus (JSONL with pinned trees, a text
-directory or an XTM directory), now and then with a few bytes of one input
-file mutated, and runs `experiment` with random measures, k, linkage and
-`--stem`.  Every run must end in exit 0, 1 or 2 with no exception leaving
-`main`, and a failed run must end its stderr in one `error:` or
-`usage error:` line after any `warning:` lines.  A run that exits 0 must
+directory or an XTM directory), some trials a `--stopwords` file and some a
+`--config` file that names the corpus, now and then with a few bytes of one
+of these input files mutated, and runs `experiment` with random measures, k,
+linkage and `--stem`.  Every run must end in exit 0, 1 or 2 with no
+exception leaving `main`, and a failed run must end its stderr in one
+`error:` or `usage error:` line after any `warning:` lines; an error that
+names the config file is a usage error.  A run that exits 0 must
 write the same bytes when it is run again, and the staged chain (`ingest`,
 then `simmatrix`, `cluster` and `evaluate` per measure) must write what
 `experiment` wrote, `report.csv` and `run_config.json` aside.  Then one
 staged artifact is mutated and the stage that reads it is run again: it
-must accept it or exit 2 the same way.
+must accept it or exit 2 the same way, with an error line that names it.
 
 The standard library's `random` drives it all, from fixed seeds.
 """
@@ -115,7 +117,7 @@ def _mutate(rng: random.Random, data: bytes) -> bytes:
     return data[:at]
 
 
-def _flags(rng: random.Random) -> dict[str, str | None]:
+def _flags(rng: random.Random, trial: Path) -> dict[str, str | None]:
     measures = rng.sample(MEASURE_CHOICES, rng.randint(1, len(MEASURE_CHOICES)))
     return {
         "measures": ",".join(measures),
@@ -123,11 +125,14 @@ def _flags(rng: random.Random) -> dict[str, str | None]:
         "k": None if rng.random() < 0.5 else str(rng.randint(0, 9)),
         "linkage": rng.choice([None, "average", "complete", "single"]),
         "stem": rng.choice([False, True]),
+        "stopwords": str(trial / "stop.txt") if rng.random() < 0.2 else None,
+        "config": str(trial / "config.json") if rng.random() < 0.2 else None,
     }
 
 
-def _run(capsys, argv: list[str]) -> int:
-    """Run the CLI; check its exit code and the form of its stderr."""
+def _run(capsys, argv: list[str], named: Path | None = None) -> int:
+    """Run the CLI; check its exit code and the form of its stderr, and that
+    a data error names the file `named`, if one is given."""
     try:
         code = main(argv)
     except (Exception, SystemExit) as exc:  # nothing may leave main
@@ -139,6 +144,9 @@ def _run(capsys, argv: list[str]) -> int:
         assert last.startswith("usage error: " if code == 1 else "error: "), (argv, err)
         assert all(line.startswith("warning: ") for line in warnings), (argv, err)
         assert err.endswith("\n"), (argv, err)
+        assert code == 1 or "config.json" not in last, (argv, err)
+    if code == 2 and named is not None:
+        assert str(named) in last, (argv, err)
     return code
 
 
@@ -151,6 +159,8 @@ def _options(flags: dict, stage: str) -> list[str]:
     options = []
     if stage in ("ingest", "experiment") and flags["stem"]:
         options.append("--stem")
+    if stage in ("ingest", "experiment") and flags["stopwords"]:
+        options += ["--stopwords", flags["stopwords"]]
     if stage in ("cluster", "experiment"):
         options += [item for key in ("k", "linkage") if flags[key] for item in (f"--{key}", flags[key])]
     if stage == "experiment":
@@ -174,14 +184,24 @@ def test_random_corpora_run_cleanly_reproducibly_and_as_the_staged_chain(tmp_pat
         rng = random.Random(seed)
         trial = tmp_path / f"t{seed}"
         mode, corpus, files = _corpus(rng, trial / "corpus")
+        flags = _flags(rng, trial)
+        common = ["--corpus", str(corpus), "--mode", mode]
+        extras = {}
+        if flags["stopwords"]:
+            words = rng.sample(WORDS, rng.randint(0, 4))
+            extras[Path(flags["stopwords"])] = "".join(f"{w}\n" for w in words).encode("utf-8")
+        if flags["config"]:
+            extras[Path(flags["config"])] = json.dumps({"corpus": str(corpus), "mode": mode}).encode("utf-8")
+            common = ["--config", flags["config"]]
         if rng.random() < 0.2:
             path = rng.choice(sorted(files))
             files[path] = _mutate(rng, files[path])
+        # A trial has at most one of each, so each is mutated more often than a corpus file.
+        for path, data in extras.items():
+            files[path] = _mutate(rng, data) if rng.random() < 0.3 else data
         for path, data in files.items():
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(data)
-        flags = _flags(rng)
-        common = ["--corpus", str(corpus), "--mode", mode]
         whole = trial / "whole"
         experiment = ["experiment", *common, "--out-dir", str(whole), *_options(flags, "experiment")]
         code = _run(capsys, experiment)
@@ -203,11 +223,12 @@ def test_random_corpora_run_cleanly_reproducibly_and_as_the_staged_chain(tmp_pat
         expected = {name: data for name, data in written.items() if name not in ("report.csv", "run_config.json")}
         assert _artifacts(staged) == expected, seed
 
-        # A mutated staged artifact: the stage that reads it accepts it or exits 2.
+        # A mutated staged artifact: the stage that reads it accepts it or
+        # exits 2 with an error line that names it.
         path, stage, measure = rng.choice(_staged_inputs(staged, measures))
         path.write_bytes(_mutate(rng, path.read_bytes()))
         argv = [stage, *common, "--out-dir", str(staged), "--measure", measure, *_options(flags, stage)]
-        assert _run(capsys, argv) in (0, 2), (seed, path)
+        assert _run(capsys, argv, named=path) in (0, 2), (seed, path)
     # The corpora are not all refused: most trials get through.
     assert codes.count(0) > len(codes) // 2
     assert set(codes) == {0, 1, 2}
