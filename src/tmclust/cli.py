@@ -22,6 +22,7 @@ import io
 import json
 import os
 import re
+import reprlib
 import sys
 import typing
 from collections.abc import Iterable, Iterator
@@ -90,10 +91,10 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
                 hints = typing.get_type_hints(ExperimentConfig)
                 for key, value in values.items():
                     if key not in hints:
-                        raise ValidationError(f"unknown config key {key!r}")
-                    if not _fits(value, hints[key]):
-                        wanted = ExperimentConfig.__annotations__[key]
-                        raise ValidationError(f"config key {key!r} must be {wanted}, got {value!r}")
+                        raise ValidationError(f"unknown config key {reprlib.repr(key)}")
+                    if not _fits(value, hints[key]):  # a known key is short; a value need not be
+                        wanted, got = ExperimentConfig.__annotations__[key], reprlib.repr(value)
+                        raise ValidationError(f"config key {key!r} must be {wanted}, got {got}")
         except (OSError, ValidationError) as exc:  # a bad config file is a usage error
             raise UsageError(str(exc)) from exc
     for name in (f.name for f in fields(ExperimentConfig)):
@@ -143,13 +144,14 @@ def _write_json(path: Path, obj: dict) -> None:
     _write(path, json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _vectors_json(df: dict, vectors: list[textpipe.TermVector]) -> Iterator[str]:
+def _vectors_json(vectors: list[textpipe.TermVector]) -> Iterator[str]:
     """`json.dumps(obj, sort_keys=True)` plus a newline for the `vectors.json`
     object, in pieces: the C encoder holds every chunk of what it encodes
-    until the end, so each vector is encoded on its own."""
-    yield '{"df": ' + json.dumps(df, sort_keys=True)
-    yield ', "index": ' + json.dumps({t: i for i, t in enumerate(df)}, sort_keys=True)
-    yield f', "n_docs": {len(vectors)}, "vectors": {{'
+    until the end, so each vector is encoded on its own.  `index` gives each
+    term its place in the sorted union of the vectors' terms."""
+    terms = sorted({term for vector in vectors for term in vector.entries})
+    yield '{"index": ' + json.dumps({t: i for i, t in enumerate(terms)}, sort_keys=True)
+    yield ', "vectors": {'
     for k, vector in enumerate(sorted(vectors, key=lambda v: v.doc_id)):
         entries = json.dumps(vector.entries, sort_keys=True)
         yield (", " if k else "") + json.dumps(vector.doc_id) + ": " + entries
@@ -204,19 +206,14 @@ def _ingest_stage(
             forests.append(forest)
 
     doc_ids = [d.doc_id for d in corpus.docs]
-    df, vectors = textpipe.tfidf(doc_ids, doc_counts)
-    empty = [v.doc_id for v in vectors if not v.entries]
-    for doc_id in empty:
+    vectors = textpipe.tfidf(doc_ids, doc_counts)
+    for doc_id in (v.doc_id for v in vectors if not v.entries):
         print(f"warning: document {doc_id!r} has an empty term vector", file=sys.stderr)
-    _write(out / "vectors.json", _vectors_json(df, vectors))
+    _write(out / "vectors.json", _vectors_json(vectors))
     manifest = {
         "dataset": corpus.name,
-        "mode": config.mode,
         "doc_ids": doc_ids,
         "labels": {d.doc_id: d.label for d in corpus.docs},
-        "classes": corpus.classes,
-        "n_docs": len(corpus.docs),
-        "empty_docs": empty,
     }
     _write_json(out / "manifest.json", manifest)
     return manifest, forests, vectors
@@ -235,8 +232,8 @@ def _stage_input(path: Path, stage: str, prefix: str = "bad "):
     return textpipe.parsing(path, f"missing {path}; run {stage} first", f"{prefix}{path}")
 
 
-# The manifest keys that a later stage reads, with the type of each.
-_MANIFEST_TYPES = {"classes": list, "dataset": str, "doc_ids": list, "labels": dict}
+# The manifest keys, each of which a later stage reads, with the type of each.
+_MANIFEST_TYPES = {"dataset": str, "doc_ids": list, "labels": dict}
 
 
 def _read_manifest(out: Path) -> dict:
@@ -247,10 +244,14 @@ def _read_manifest(out: Path) -> dict:
         for key, kind in _MANIFEST_TYPES.items():
             if not isinstance(manifest.get(key), kind):
                 raise ValidationError(f"{key!r} is not a {kind.__name__}")
-        if not all(isinstance(doc_id, str) for doc_id in manifest["doc_ids"]):
-            raise ValidationError("a doc id is not a str")
+        for doc_id in manifest["doc_ids"]:  # each names its forest file, as ingest checks
+            if not isinstance(doc_id, str):
+                raise ValidationError("a doc id is not a str")
+            textpipe._check_doc_id(doc_id)
         if sorted(manifest["labels"]) != sorted(manifest["doc_ids"]):  # as ingest writes them
             raise ValidationError("'labels' does not hold one label per doc id")
+        if not all(isinstance(label, str) and label for label in manifest["labels"].values()):
+            raise ValidationError("a label is not a non-empty str")
     return manifest
 
 
@@ -285,8 +286,8 @@ def _read_vectors(out: Path, doc_ids: list[str]) -> list[textpipe.TermVector]:
                 # An int compares exactly, so one beyond the float range fails; so does NaN.
                 if type(weight) not in (int, float) or not 0 < weight <= sys.float_info.max:
                     raise ValidationError(
-                        f"vector of {doc_id!r}: weight {weight!r} of term {term!r} "
-                        "is not a finite number > 0"
+                        f"vector of {doc_id!r}: weight {reprlib.repr(weight)} of term "
+                        f"{reprlib.repr(term)} is not a finite number > 0"
                     )
             vectors.append(textpipe.TermVector(doc_id, {t: float(w) for t, w in vector.items()}))
     return vectors
@@ -328,7 +329,7 @@ def cmd_cluster(config: ExperimentConfig, measure: str) -> Path:
     with _stage_input(path, "simmatrix", prefix="") as text:
         matrix = SimilarityMatrix.from_csv(text, measure)
     _check_doc_ids(path, matrix.doc_ids, manifest, "simmatrix")
-    _cluster_stage(out, matrix, config.linkage, config.k or len(manifest["classes"]))
+    _cluster_stage(out, matrix, config.linkage, config.k or len(set(manifest["labels"].values())))
     return out / f"assignment_{measure}.csv"
 
 
@@ -356,10 +357,10 @@ def cmd_evaluate(config: ExperimentConfig, measure: str) -> evalx.EvalReport:
         k = 0  # cut numbers clusters in row order, so a new id is always k
         for row in rows:
             if len(row) != 2:
-                raise ValidationError(f"{row!r} has {len(row)} fields, not 2")
+                raise ValidationError(f"{reprlib.repr(row)} has {len(row)} fields, not 2")
             # The form str() gives a non-negative int; \d would match any digit.
             if not re.fullmatch("0|[1-9][0-9]*", row[1]) or int(row[1]) > k:
-                raise ValidationError(f"{row!r} has a cluster id that cluster does not write")
+                raise ValidationError(f"{reprlib.repr(row)} has a cluster id that cluster does not write")
             labels.append(int(row[1]))
             if labels[-1] == k:
                 k += 1
@@ -378,7 +379,7 @@ def cmd_experiment(config: ExperimentConfig) -> Path:
     """Run every configured measure end to end, passing results in memory."""
     corpus, trees = textpipe.load_corpus(config.corpus, config.mode, config.dataset)
     stopwords = None if config.stopwords is None else textpipe.load_stopwords(config.stopwords)
-    n, k = len(corpus.docs), config.k or len(corpus.classes)
+    n, k = len(corpus.docs), config.k or len({d.label for d in corpus.docs})
     if n < 2:  # the checks of hac and cut, made before anything is written
         raise ValidationError("need at least 2 documents to cluster")
     if k > n:

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import re
+import reprlib
 import sys
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -93,10 +94,6 @@ class Corpus:
     docs: list[CorpusDoc]
     name: str = ""
 
-    @property
-    def classes(self) -> list[str]:
-        return sorted({d.label for d in self.docs})
-
 
 @dataclass
 class TermVector:
@@ -168,9 +165,9 @@ def analyse(
     return TopicForest(doc_id, labels, parents), counts
 
 
-def tfidf(doc_ids: list[str], doc_counts: list[dict]) -> tuple[dict[str, int], list[TermVector]]:
-    """Document frequencies (sorted by term) and TF-IDF vectors, one per
-    document, with weight(t, d) = tf(t, d) * ln(1 + N / df(t)).
+def tfidf(doc_ids: list[str], doc_counts: list[dict]) -> list[TermVector]:
+    """TF-IDF vectors, one per document, each sorted by term, with
+    weight(t, d) = tf(t, d) * ln(1 + N / df(t)).
 
     Documents with no surviving tokens get empty (zero) vectors.
     """
@@ -178,11 +175,10 @@ def tfidf(doc_ids: list[str], doc_counts: list[dict]) -> tuple[dict[str, int], l
     for counts in doc_counts:
         df.update(counts.keys())
     idf = {term: math.log(1.0 + len(doc_ids) / count) for term, count in df.items()}
-    vectors = [
+    return [
         TermVector(doc_id, {term: tf * idf[term] for term, tf in sorted(counts.items())})
         for doc_id, counts in zip(doc_ids, doc_counts)
     ]
-    return dict(sorted(df.items())), vectors
 
 
 def read_labels(path: Path, doc_ids: list[str]) -> dict[str, str]:
@@ -201,10 +197,10 @@ def read_labels(path: Path, doc_ids: list[str]) -> dict[str, str]:
         labels: dict[str, str] = {}
         for row in rows:
             if len(row) != 2:
-                raise ValidationError(f"bad row {row!r} has {len(row)} fields, not 2")
+                raise ValidationError(f"bad row {reprlib.repr(row)} has {len(row)} fields, not 2")
             if row[0] in labels:
                 print(
-                    f"warning: labels.csv lists document {row[0]!r} more than once; "
+                    f"warning: labels.csv lists document {reprlib.repr(row[0])} more than once; "
                     "the last row wins",
                     file=sys.stderr,
                 )
@@ -218,7 +214,8 @@ def read_labels(path: Path, doc_ids: list[str]) -> dict[str, str]:
         for doc_id in labels:
             if doc_id not in known:
                 print(
-                    f"warning: labels.csv names {doc_id!r}, which is not a document of the corpus",
+                    f"warning: labels.csv names {reprlib.repr(doc_id)}, "
+                    "which is not a document of the corpus",
                     file=sys.stderr,
                 )
     return labels
@@ -233,7 +230,7 @@ def _check_doc_id(doc_id: str, where: str = "") -> str:
         size = _MAX_ID_BYTES + 1
     if "/" in doc_id or "\0" in doc_id or size > _MAX_ID_BYTES:
         raise ValidationError(
-            f"{where}doc id {doc_id!r} cannot be a file name: it holds '/', NUL or a lone "
+            f"{where}doc id {reprlib.repr(doc_id)} cannot be a file name: it holds '/', NUL or a lone "
             f"surrogate, or is over {_MAX_ID_BYTES} UTF-8 bytes"
         )
     return doc_id

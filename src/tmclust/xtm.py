@@ -118,13 +118,13 @@ def parse_xtm(data: bytes, doc_id: str = "") -> TopicMapDoc:
         if topic_id is None:
             continue
         if topic_id in names:
-            raise ValidationError(f"topic id collision: {topic_id!r}")
+            raise ValidationError(f"topic id collision: {reprlib.repr(topic_id)}")
         first = topic.find("topicName")
         if first is None:
             first = topic.find("name")
         name = normalize_label(topic_id if first is None else first.findtext("value", first.text) or "")
         if not name:
-            raise ValidationError(f"topic {topic_id!r} has an empty name")
+            raise ValidationError(f"topic {reprlib.repr(topic_id)} has an empty name")
         names[topic_id] = name
         occurrences += (
             Occurrence(topic=topic_id, value=resource.text or "")
@@ -163,7 +163,7 @@ def _parse_association(elem: ET.Element, names: dict[str, str]) -> Association |
         return None
     for _, member in roles:
         if member not in names:
-            raise ValidationError(f"association role references unknown topic {member!r}")
+            raise ValidationError(f"association role references unknown topic {reprlib.repr(member)}")
     parts = assoc_type.split("-")
     by_type = dict(roles)
     if len(parts) >= 2 and parts[0] != parts[-1] and parts[0] in by_type and parts[-1] in by_type:

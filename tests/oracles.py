@@ -31,6 +31,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+import reprlib
 import xml.etree.ElementTree as ET
 from collections import Counter
 
@@ -285,13 +286,13 @@ def reference_parse_xtm(data: bytes, doc_id: str = "") -> TopicMapDoc:
             if topic_id is None:
                 continue
             if topic_id in seen_ids:
-                raise ValidationError(f"topic id collision: {topic_id!r}")
+                raise ValidationError(f"topic id collision: {reprlib.repr(topic_id)}")
             seen_ids.add(topic_id)
             name = _first_topic_name(elem)
             if name is None:
                 name = normalize_label(topic_id)
             if not name:
-                raise ValidationError(f"topic {topic_id!r} has an empty name")
+                raise ValidationError(f"topic {reprlib.repr(topic_id)} has an empty name")
             topics.append(Topic(id=topic_id, name=name))
             occurrences.extend(_topic_occurrences(elem, topic_id))
         elif kind == "association":
@@ -358,7 +359,7 @@ def _parse_association(elem: ET.Element, names: dict[str, str]) -> Association |
     for _, member in roles:
         if member not in names:
             raise ValidationError(
-                f"association role references unknown topic {member!r}"
+                f"association role references unknown topic {reprlib.repr(member)}"
             )
     parts = assoc_type.split("-")
     role_types = [rt for rt, _ in roles]

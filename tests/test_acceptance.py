@@ -160,7 +160,7 @@ def test_criterion_6_measure_sanity(tmp_path):
     docs = make_planted_corpus(n_clusters=3, docs_per_cluster=5, seed=11)
     vocab: dict[str, str] = {}
     counts = [analyse(d.doc_id, d.text, None, None, False, vocab)[1] for d in docs]
-    _, vectors = tfidf([d.doc_id for d in docs], counts)
+    vectors = tfidf([d.doc_id for d in docs], counts)
     matrices = [build_matrix([d.forest for d in docs])]
     matrices += build_matrices_base(list(MEASURES), vectors).values()
     matrix_ok = True

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import reprlib
 import shlex
 import shutil
 import subprocess
@@ -116,8 +117,11 @@ def test_ingest_text_dir_writes_forests_and_vectors(tmp_path):
     ]
     assert (out / "vectors.json").exists()
     manifest = json.loads((out / "manifest.json").read_text("utf-8"))
-    assert manifest["doc_ids"] == ["d1", "d2", "d3", "d4"]
-    assert manifest["classes"] == ["cooking", "racing"]
+    assert manifest == {
+        "dataset": "toy",
+        "doc_ids": ["d1", "d2", "d3", "d4"],
+        "labels": {doc_id: label for doc_id, (_, label) in TEXT_DOCS.items()},
+    }
 
 
 def test_ingest_empty_dir_is_a_data_error(tmp_path):
@@ -372,7 +376,7 @@ def test_readme_library_block_runs_as_written(tmp_path, monkeypatch, capsys):
     assert 0.0 < float(similarity) <= 1.0
     assert int(mapped) == len(names["max_common_subtree"](names["a"], names["b"])) > 1
     assert sorted(names["pinned"]) == [v.doc_id for v in names["vectors"]] == ["zoo_a", "zoo_b"]
-    assert list(names["df"]) == sorted(names["df"])
+    assert all(list(v.entries) == sorted(v.entries) for v in names["vectors"])
 
 
 def test_process_exit_status(tmp_path):
@@ -431,7 +435,7 @@ def test_jsonl_doc_id_that_cannot_be_a_file_name_exits_2(tmp_path, capsys, doc_i
     assert main(ingest) == 2
     err = capsys.readouterr().err
     assert_one_error_line(err, f"{corpus}:2: ")
-    assert err.startswith(f"error: {corpus}:2: ") and repr(doc_id) in err
+    assert err.startswith(f"error: {corpus}:2: ") and reprlib.repr(doc_id) in err
     assert list(tmp_path.rglob("*")) == [corpus]
     # Without the bad line, the 250-byte id names its forest file.
     corpus.write_text(json.dumps(records[0]) + "\n", encoding="utf-8")
@@ -1003,7 +1007,9 @@ GOLDEN_TEXT_DOCS = {
 
 # SHA-256 of every artifact but run_config.json (which echoes the out dir)
 # that `experiment` writes for GOLDEN_TEXT_DOCS with all five measures,
-# recorded when each sentence was split off before it was tokenized.
+# recorded when each sentence was split off before it was tokenized; those
+# of manifest.json and vectors.json since each keeps only the keys a stage
+# reads.
 GOLDEN_TEXT_EXPERIMENT_SHA256 = {
     (): {
         "assignment_cosine.csv": "fd77689e8cd8bbf2eed7d217644e3be0fcd6b61a1f3dd1129ef1b01b4108b3a1",
@@ -1031,14 +1037,14 @@ GOLDEN_TEXT_EXPERIMENT_SHA256 = {
         "forests/sb.json": "2ab38c1fc4a531fe756464f3ea88d672a97fff5502da87dd7769dbab0777f53a",
         "forests/sc.json": "c6060de2922f8659baf814d0d35298b0c58ddca4b9f2b44626fb2c4b1be5f129",
         "forests/zz.json": "e201d8cbd53b32ab46c60518ab7c66dd9ef4ef903e4f7f66fb1a73bb87ab0a43",
-        "manifest.json": "481a6c95e7cbead550d1d271abaa854192239b62c6a0f54c13c4ce26fb2dea5c",
+        "manifest.json": "7e0d7ed76ad4b8ba92de8a2a6cad852252a0e03959a99e0af52bf358edb13bd2",
         "matrix_cosine.csv": "5ba749ceb24dd59547c061f34ae56926d63a87d8dfbea55e9c1f4a7e00a0feb2",
         "matrix_euclidean.csv": "fccbb7c1c07c8241e939c45c72ceb141f17ffed39c13ef1f1a1910b1b143e16e",
         "matrix_jaccard.csv": "c549bfdd8019738104ead7ffa03cd053f369abc74708c102ad2eb8dfc8b97811",
         "matrix_kld.csv": "a9afd70f80f99a347e27945e49dffc88b99add3cf3c44b38a81d4d5de16b99e2",
         "matrix_tm-sim.csv": "9fe6b2b5eb680b33970f8efa0c0b8ada0cdcf3f0b1de3339168bc86055d2f487",
         "report.csv": "bfa5b0315bca7237204c4a0389fe2c48d09766be79540687d7dc32c6df049589",
-        "vectors.json": "e016c2234e190769c8fa24d7552b46a4f3c48a1d9ce4e1ffb9b18ad35d13829f",
+        "vectors.json": "b38afef8b8facc1b3949a6bb44dfaf8d76f4efa30ff0dd25056e24aeef161cfc",
     },
     ("--stem",): {
         "assignment_cosine.csv": "acf2ea0f766c9133047c6ca7e5b181b667a26011a469bd4b3d694cabb6ee3b2c",
@@ -1066,14 +1072,14 @@ GOLDEN_TEXT_EXPERIMENT_SHA256 = {
         "forests/sb.json": "bc9791b12a885068573d0097c871000cbe7c102b2d904c6ed113fa69a098c9d9",
         "forests/sc.json": "8dec766adbd5351563e48d31090e69a03afd5df8b9f7bbf28b5328b5a8e14432",
         "forests/zz.json": "e201d8cbd53b32ab46c60518ab7c66dd9ef4ef903e4f7f66fb1a73bb87ab0a43",
-        "manifest.json": "481a6c95e7cbead550d1d271abaa854192239b62c6a0f54c13c4ce26fb2dea5c",
+        "manifest.json": "7e0d7ed76ad4b8ba92de8a2a6cad852252a0e03959a99e0af52bf358edb13bd2",
         "matrix_cosine.csv": "0b55a839ec92644cbf6b03122f711ef8e5479c08ee345b11cdcff0ce3e968b5e",
         "matrix_euclidean.csv": "bebf5963a88e8de464c6a495886c17febd8821a9c85fd009bbea6e4e791747a1",
         "matrix_jaccard.csv": "7aa23c42f15e5ba6b00819bbd8ee32a2a88384eb7c80673fc0f4ce49c97d5515",
         "matrix_kld.csv": "aacb858fd7295976c78b1b0547c726314660eb17da68e583cfc60c7f9d7f9bd1",
         "matrix_tm-sim.csv": "12ca8f47089ddce5ef4ab06d4e8a4603ed73ef5fb74a82c10da4365c3282978c",
         "report.csv": "08ecf9dc830a04be45608a6a410ab9d06bb684498a9b5ab6db65dbedd58dbf6a",
-        "vectors.json": "964ca28b34da61276bb3cffb5488e35ee2ea9cb7a271708389a3f2526aa90c56",
+        "vectors.json": "36baaa74eaa308105d743d2b1daa0c5230360f9d36c080fafcde589aeb91d11b",
     },
 }
 
@@ -1141,7 +1147,9 @@ GOLDEN_XTM_DOCS = {
 
 # SHA-256 of every artifact but run_config.json (which echoes the out dir)
 # that `experiment` writes for GOLDEN_XTM_DOCS with all five measures,
-# recorded before the library-only text and tm-sim functions were deleted.
+# recorded before the library-only text and tm-sim functions were deleted;
+# those of manifest.json and vectors.json since each keeps only the keys a
+# stage reads.
 GOLDEN_XTM_EXPERIMENT_SHA256 = {
     "assignment_cosine.csv": "269b9ef25e61302ec5046c3dcb646e197db0ff88b1bb48ed2da83dc8dc0b9587",
     "assignment_euclidean.csv": "269b9ef25e61302ec5046c3dcb646e197db0ff88b1bb48ed2da83dc8dc0b9587",
@@ -1163,14 +1171,14 @@ GOLDEN_XTM_EXPERIMENT_SHA256 = {
     "forests/roses.json": "bc359b7aa27af2e3d8cd147bc89e6bdf913b7753c5fa40ba141b339d7fd2e74e",
     "forests/wolves.json": "d335b07e64edf264745aad933ed49545c389a08d1c5092919c42548cce57e2ea",
     "forests/zoo.json": "4c0352fad3fe3e637e14c195d57d460235a00158a35130498c110939dc13246f",
-    "manifest.json": "4406c81d39df5ec5c8888d7b2c68ec9a72db8d497f32eceaf5b116851ecff5f9",
+    "manifest.json": "245db2ccf4de853a1d96e9dea352965567ce27923eaa598a6a9f28ab7c5de5e5",
     "matrix_cosine.csv": "15d8fdd16c60b24c2957f4825bc580d46958f57bf099be8f9851544053015df3",
     "matrix_euclidean.csv": "b0133b28d042228dd5c6c1df420345daa241b3de0273d003169d468fe269c34b",
     "matrix_jaccard.csv": "3fe433caeac1175bddc071869955ba878742e93e8cf1186de7536fd78cb76f0d",
     "matrix_kld.csv": "0e46ec73244c092e9be914ef8219684650ecfc47bb27a02b946b87b89ca22afc",
     "matrix_tm-sim.csv": "0bdcc40a5b59ea87148d2764a12b6a1048d7ecd5fba43718e70b7b5b2ee5a81e",
     "report.csv": "ab4526b3949bfe1975a2318c75fef63e7465302b16863fc7c99712e450da9081",
-    "vectors.json": "baae39762c7b03b9f9b9828ca03a5e8ca364dbacd0ddc84f94b5d49df8ef02fc",
+    "vectors.json": "effd42545a02b036f9c4bf4f086b47a98c13c32c951871e1c893de39da6d5321",
 }
 
 
@@ -1419,9 +1427,21 @@ def _weight(value):
     return reshape
 
 
-def _without_classes(manifest: dict) -> dict:
-    del manifest["classes"]
+def _label_not_a_string(manifest: dict) -> dict:
+    """A label that is no str, which cluster would count as a class."""
+    manifest["labels"]["d1"] = 7
     return manifest
+
+
+def _d1_renamed(doc_id: str):
+    """Rename document d1 to `doc_id` in the manifest's doc ids and labels."""
+
+    def rename(manifest: dict) -> dict:
+        manifest["doc_ids"][manifest["doc_ids"].index("d1")] = doc_id
+        manifest["labels"][doc_id] = manifest["labels"].pop("d1")
+        return manifest
+
+    return rename
 
 
 def _first_doc_id_renamed(manifest: dict) -> dict:
@@ -1436,18 +1456,20 @@ def _first_doc_id_renamed(manifest: dict) -> dict:
         ("vectors.json", lambda vectors: {}, "simmatrix"),
         ("vectors.json", _weight("x"), "simmatrix"),
         ("manifest.json", lambda manifest: [], "simmatrix"),
-        ("manifest.json", _without_classes, "cluster"),
+        ("manifest.json", _label_not_a_string, "cluster"),
         ("vectors.json", _weight(math.nan), "simmatrix"),
         ("vectors.json", _weight(math.inf), "simmatrix"),
         ("vectors.json", _weight(-math.inf), "simmatrix"),
         ("vectors.json", _weight(0), "simmatrix"),
         ("vectors.json", _weight(-1.5), "simmatrix"),
         ("manifest.json", _first_doc_id_renamed, "simmatrix"),
+        ("manifest.json", _d1_renamed("../../elsewhere/zz"), "simmatrix"),
     ],
     ids=[
-        "vectors-empty", "vectors-weight-text", "manifest-list", "manifest-no-classes",
+        "vectors-empty", "vectors-weight-text", "manifest-list", "manifest-label-not-a-string",
         "vectors-weight-nan", "vectors-weight-infinity", "vectors-weight-minus-infinity",
         "vectors-weight-zero", "vectors-weight-negative", "manifest-doc-id-renamed",
+        "manifest-doc-id-a-path",
     ],
 )
 def test_wrongly_shaped_stage_json_exits_2_naming_the_file(tmp_path, capsys, name, reshape, stage):
@@ -1465,6 +1487,40 @@ def test_wrongly_shaped_stage_json_exits_2_naming_the_file(tmp_path, capsys, nam
     assert err.startswith(f"error: bad {path}: ")
     if reshape.__name__ == "reshape":  # a _weight case names the document and the term
         assert "'d1'" in err and repr(min(stored["vectors"]["d1"])) in err
+
+
+# The staged stages that read each JSON file ingest writes, with a measure each.
+JSON_FILE_READERS = {
+    "manifest.json": [("simmatrix", "cosine"), ("simmatrix", "tm-sim"), ("cluster", "cosine"), ("evaluate", "cosine")],
+    "vectors.json": [("simmatrix", "cosine")],
+}
+
+
+@pytest.mark.parametrize("name", list(JSON_FILE_READERS))
+def test_every_key_ingest_stores_is_read_by_some_stage(tmp_path, capsys, name):
+    corpus = write_text_corpus(tmp_path / "corpus")
+    out = tmp_path / "out"
+    common = ["--corpus", str(corpus), "--mode", "text-dir", "--out-dir", str(out)]
+    assert main(["experiment", *common, "--measures", "cosine,tm-sim"]) == 0
+    path = out / name
+    stored = json.loads(path.read_text("utf-8"))
+    # No stage reads vectors.json's `index`; the benchmark harness reads it
+    # for its vocabulary size, so it stays until the harness counts terms itself.
+    keys = sorted(stored.keys() - {"index"})
+    assert keys
+    unread = []
+    for key in keys:
+        path.write_text(json.dumps({k: v for k, v in stored.items() if k != key}), encoding="utf-8")
+        codes = []
+        for stage, measure in JSON_FILE_READERS[name]:
+            capsys.readouterr()
+            codes.append(main([stage, *common, "--measure", measure]))
+            if codes[-1]:
+                assert codes[-1] == 2
+                assert_one_error_line(capsys.readouterr().err, f"error: bad {path}: ")
+        if 2 not in codes:
+            unread.append(key)
+    assert unread == []
 
 
 def _corpus_file(name: str, corrupt=_not_utf8):
@@ -1706,6 +1762,71 @@ def test_a_bad_tree_node_is_named_without_its_subtree(tmp_path, capsys, where):
     assert len(err.replace(str(path), "").encode("utf-8")) < 300
 
 
+LONG_VALUE = "x" * 100_000
+
+
+def _write_json_with(change):
+    """Rewrite a JSON file with `change` applied to what it holds."""
+
+    def apply(path: Path) -> None:
+        stored = json.loads(path.read_text("utf-8"))
+        change(stored)
+        path.write_text(json.dumps(stored), encoding="utf-8")
+
+    return apply
+
+
+def _append(text: str):
+    def apply(path: Path) -> None:
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(text)
+
+    return apply
+
+
+def _replace(*pairs: tuple[bytes, bytes]):
+    def apply(path: Path) -> None:
+        data = path.read_bytes()
+        for old, new in pairs:
+            data = data.replace(old, new)
+        path.write_bytes(data)
+
+    return apply
+
+
+LONG_XTM_ID = LONG_VALUE.encode("ascii")
+LONG_ID_ATTRIBUTE = b'id="' + LONG_XTM_ID + b'"'
+
+# A 100,000-character value in each kind of place that an error line quotes.
+LONG_VALUE_CASES = {
+    "assignment-row-fields": ("assignment", lambda p: p.write_text(f"{LONG_VALUE},0,0\n", encoding="utf-8")),
+    "assignment-row-cluster-id": ("assignment", lambda p: p.write_text(f"{LONG_VALUE},x\n", encoding="utf-8")),
+    "labels-row": ("labels", _append(f"{LONG_VALUE},a,b\n")),
+    "config-key": ("config", _write_json_with(lambda config: config.update({LONG_VALUE: 1}))),
+    "config-value": ("config", _write_json_with(lambda config: config.update(k=LONG_VALUE))),
+    "vectors-term": ("vectors", _write_json_with(lambda v: v["vectors"]["d1"].update({LONG_VALUE: -1}))),
+    "vectors-weight": ("vectors", _write_json_with(_weight(LONG_VALUE))),
+    "jsonl-id": ("jsonl", _append(json.dumps({"id": LONG_VALUE, "text": "a", "label": "x"}) + "\n")),
+    "manifest-doc-id": ("manifest", _write_json_with(_d1_renamed(LONG_VALUE))),
+    "xtm-duplicate-topic": ("xtm", _replace((b'id="cats"', LONG_ID_ATTRIBUTE), (b'id="dogs"', LONG_ID_ATTRIBUTE))),
+    "xtm-empty-topic-name": ("xtm", _replace((b'id="cats"', LONG_ID_ATTRIBUTE), (b"<value>Cats<", b"<value> <"))),
+    "xtm-unknown-role-topic": ("xtm", _replace((b'href="#dogs"', b'href="#' + LONG_XTM_ID + b'"'))),
+}
+
+
+@pytest.mark.parametrize("reader, corrupt", LONG_VALUE_CASES.values(), ids=list(LONG_VALUE_CASES))
+def test_a_long_input_value_is_cut_short_in_the_error_line(tmp_path, capsys, reader, corrupt):
+    path, argv = _file_read_by(tmp_path, reader)
+    assert main(argv) == 0
+    corrupt(path)
+    capsys.readouterr()
+    usage = reader == "config"
+    assert main(argv) == (1 if usage else 2)
+    err = capsys.readouterr().err
+    assert_one_error_line(err, path, "usage error: " if usage else "error: ")
+    assert len(err.replace(str(path), "").encode("utf-8")) < 300, err[:300]
+
+
 def test_experiment_writes_a_1000_deep_xtm_hierarchy(tmp_path, capsys):
     corpus = tmp_path / "deep"
     corpus.mkdir()
@@ -1763,9 +1884,10 @@ def test_every_json_artifact_is_one_canonical_line(tmp_path):
     expected |= {f"{kind}_{m}.json" for kind in ("dendrogram", "eval") for m in MEASURE_CHOICES}
     assert expected <= names
     vectors = json.loads((whole / "vectors.json").read_text("utf-8"))
-    assert sorted(vectors) == ["df", "index", "n_docs", "vectors"]
-    assert vectors["index"] == {term: i for i, term in enumerate(sorted(vectors["df"]))}
-    assert vectors["n_docs"] == len(docs) and vectors["vectors"]["stop"] == {}
+    assert sorted(vectors) == ["index", "vectors"]
+    terms = sorted({term for entries in vectors["vectors"].values() for term in entries})
+    assert vectors["index"] == {term: i for i, term in enumerate(terms)}
+    assert len(vectors["vectors"]) == len(docs) and vectors["vectors"]["stop"] == {}
     dendrogram = json.loads((whole / "dendrogram_cosine.json").read_text("utf-8"))
     assert dendrogram["n_leaves"] == len(docs) and len(dendrogram["merges"]) == len(docs) - 1
 
@@ -1806,12 +1928,10 @@ def test_vectors_json_matches_json_dumps_with_an_empty_vector(tmp_path):
     out = tmp_path / "out"
     assert main(["ingest", "--corpus", str(corpus_path), "--mode", "jsonl", "--out-dir", str(out)]) == 0
     counts = [textpipe.analyse(r["id"], r["text"], None, None, False, {})[1] for r in records]
-    df, vectors = textpipe.tfidf([r["id"] for r in records], counts)
+    vectors = textpipe.tfidf([r["id"] for r in records], counts)
     assert vectors[2].entries == {}
     expected = {
-        "n_docs": len(records),
-        "df": df,
-        "index": {term: i for i, term in enumerate(sorted(df))},
+        "index": {term: i for i, term in enumerate(sorted(set().union(*counts)))},
         "vectors": {v.doc_id: v.entries for v in vectors},
     }
     text = (out / "vectors.json").read_text("utf-8")

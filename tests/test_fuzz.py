@@ -11,8 +11,10 @@ names the config file is a usage error.  A run that exits 0 must
 write the same bytes when it is run again, and the staged chain (`ingest`,
 then `simmatrix`, `cluster` and `evaluate` per measure) must write what
 `experiment` wrote, `report.csv` and `run_config.json` aside.  Then one
-staged artifact is mutated and the stage that reads it is run again: it
+staged artifact is mutated and each stage that reads it is run again: it
 must accept it or exit 2 the same way, with an error line that names it.
+In half the trials that artifact is `manifest.json` or `vectors.json`,
+mutated as JSON: one of its values becomes a value of another JSON type.
 
 The standard library's `random` drives it all, from fixed seeds.
 """
@@ -117,6 +119,32 @@ def _mutate(rng: random.Random, data: bytes) -> bytes:
     return data[:at]
 
 
+# One value of each JSON type.
+JSON_VALUES = [None, True, 7, "s", [1], {"k": 1}]
+
+
+def _json_type(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+def _retyped(rng: random.Random, obj):
+    """`obj` with one of its values, the whole of it included, replaced by a
+    value of another JSON type."""
+    slots, pending = [(None, None)], [obj]  # (container, key) of each value
+    for value in pending:
+        items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+        for key, child in items:
+            slots.append((value, key))
+            pending.append(child)
+    container, key = rng.choice(slots)
+    old = obj if container is None else container[key]
+    new = rng.choice([v for v in JSON_VALUES if _json_type(v) != _json_type(old)])
+    if container is None:
+        return new
+    container[key] = new
+    return obj
+
+
 def _flags(rng: random.Random, trial: Path) -> dict[str, str | None]:
     measures = rng.sample(MEASURE_CHOICES, rng.randint(1, len(MEASURE_CHOICES)))
     return {
@@ -170,7 +198,8 @@ def _options(flags: dict, stage: str) -> list[str]:
 
 def _staged_inputs(out: Path, measures: list[str]) -> list[tuple[Path, str, str]]:
     """Each staged artifact that a later stage reads, that stage and its measure."""
-    inputs = [(out / "manifest.json", "simmatrix", measures[0]), (out / "vectors.json", "simmatrix", "cosine")]
+    inputs = [(out / "manifest.json", stage, measures[0]) for stage in ("simmatrix", "cluster", "evaluate")]
+    inputs.append((out / "vectors.json", "simmatrix", "cosine"))
     inputs += [(path, "simmatrix", "tm-sim") for path in sorted((out / "forests").glob("*.json"))]
     for measure in measures:
         inputs.append((out / f"matrix_{measure}.csv", "cluster", measure))
@@ -223,12 +252,19 @@ def test_random_corpora_run_cleanly_reproducibly_and_as_the_staged_chain(tmp_pat
         expected = {name: data for name, data in written.items() if name not in ("report.csv", "run_config.json")}
         assert _artifacts(staged) == expected, seed
 
-        # A mutated staged artifact: the stage that reads it accepts it or
+        # A mutated staged artifact: each stage that reads it accepts it or
         # exits 2 with an error line that names it.
-        path, stage, measure = rng.choice(_staged_inputs(staged, measures))
-        path.write_bytes(_mutate(rng, path.read_bytes()))
-        argv = [stage, *common, "--out-dir", str(staged), "--measure", measure, *_options(flags, stage)]
-        assert _run(capsys, argv, named=path) in (0, 2), (seed, path)
+        inputs = _staged_inputs(staged, measures)
+        if rng.random() < 0.5:
+            path = staged / rng.choice(["manifest.json", "vectors.json"])
+            path.write_text(json.dumps(_retyped(rng, json.loads(path.read_text("utf-8")))), encoding="utf-8")
+        else:
+            path = rng.choice(inputs)[0]
+            path.write_bytes(_mutate(rng, path.read_bytes()))
+        for read, stage, measure in inputs:
+            if read == path:
+                argv = [stage, *common, "--out-dir", str(staged), "--measure", measure, *_options(flags, stage)]
+                assert _run(capsys, argv, named=path) in (0, 2), (seed, path, stage)
     # The corpora are not all refused: most trials get through.
     assert codes.count(0) > len(codes) // 2
     assert set(codes) == {0, 1, 2}

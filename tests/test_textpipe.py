@@ -31,7 +31,7 @@ def _fallback(doc_id: str, text: str) -> TopicForest:
     return analyse(doc_id, text, None, None, False, {})[0]
 
 
-def _tfidf(*texts: str, ids: list[str] | None = None) -> tuple[dict[str, int], list[TermVector]]:
+def _tfidf(*texts: str, ids: list[str] | None = None) -> list[TermVector]:
     """`tfidf` of the counts that `analyse` gives each text, as `ingest` runs
     them: one vocabulary for the corpus, documents `d0`, `d1`, ... unless
     `ids` names them."""
@@ -66,35 +66,34 @@ def test_tokenize_stemming_is_optional():
 
 
 def test_vectorize_single_doc_weights():
-    _, vectors = _tfidf("cat cat dog")
+    vectors = _tfidf("cat cat dog")
     assert vectors[0].entries == pytest.approx(
         {"cat": 2 * math.log(2), "dog": math.log(2)}
     )
 
 
 def test_vectorize_absent_term_has_no_entry():
-    _, vectors = _tfidf("cat cat", "dog")
+    vectors = _tfidf("cat cat", "dog")
     assert "dog" not in vectors[0].entries
     assert "cat" not in vectors[1].entries
 
 
 def test_vectorize_identical_docs_identical_vectors():
-    _, vectors = _tfidf("tree map tree", "tree map tree")
+    vectors = _tfidf("tree map tree", "tree map tree")
     assert vectors[0].entries == vectors[1].entries
 
 
 def test_vectorize_formula_uses_df_across_corpus():
-    df, vectors = _tfidf("cat dog", "cat bird")
+    vectors = _tfidf("cat dog", "cat bird")
     n, df_cat = 2, 2
-    assert df == {"bird": 1, "cat": 2, "dog": 1}
     assert vectors[0].entries["cat"] == pytest.approx(math.log(1 + n / df_cat))
     assert vectors[0].entries["dog"] == pytest.approx(math.log(1 + n / 1))
 
 
 def test_vectorize_permutation_invariant_weights():
     docs = ["cat dog", "dog bird fish", "cat cat fish"]
-    _, forward = _tfidf(*docs)
-    _, backward = _tfidf(*reversed(docs), ids=["d2", "d1", "d0"])
+    forward = _tfidf(*docs)
+    backward = _tfidf(*reversed(docs), ids=["d2", "d1", "d0"])
     by_id_fwd = {v.doc_id: v.entries for v in forward}
     by_id_bwd = {v.doc_id: v.entries for v in backward}
     assert by_id_fwd == by_id_bwd
@@ -102,14 +101,14 @@ def test_vectorize_permutation_invariant_weights():
 
 def test_vectorize_tf_scales_linearly():
     text = "cat dog dog fish"
-    _, base = _tfidf(text, "other words")
-    _, doubled = _tfidf(text + " " + text, "other words")
+    base = _tfidf(text, "other words")
+    doubled = _tfidf(text + " " + text, "other words")
     for term, weight in base[0].entries.items():
         assert doubled[0].entries[term] == pytest.approx(2 * weight)
 
 
 def test_vectorize_empty_doc_flagged_as_zero_vector():
-    _, vectors = _tfidf("the a of", "cat dog")
+    vectors = _tfidf("the a of", "cat dog")
     assert vectors[0].entries == {}
     assert vectors[1].entries
 
@@ -206,7 +205,7 @@ def test_load_text_dir(tmp_path):
     (tmp_path / "labels.csv").write_text("doc_id,label\na,pets\nb,wild\n", encoding="utf-8")
     corpus = load_corpus(tmp_path, "text-dir")[0]
     assert [d.doc_id for d in corpus.docs] == ["a", "b"]
-    assert corpus.classes == ["pets", "wild"]
+    assert [d.label for d in corpus.docs] == ["pets", "wild"]
 
 
 @pytest.mark.parametrize(
