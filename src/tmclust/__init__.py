@@ -11,7 +11,7 @@ from .errors import TmclustError, ValidationError, XtmParseError
 from .evalx import ContingencyTable, EvalReport, contingency, entropy, evaluate, purity
 from .matrix import SimilarityMatrix
 from .simbase import build_matrices_base
-from .textpipe import Corpus, CorpusDoc, TermVector
+from .textpipe import CorpusDoc, TermVector
 from .treesim import build_matrix, max_common_subtree
 from .xtm import (
     DOC_ROOT_LABEL,

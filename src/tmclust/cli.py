@@ -26,7 +26,7 @@ import reprlib
 import sys
 import typing
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import cluster as _cluster
@@ -109,7 +109,6 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.command in ("ingest", "experiment") and not config.corpus:
         raise UsageError("a corpus path is required (flag --corpus or config)")
     config.validate()
-    config.dataset = config.dataset or Path(config.corpus).stem
     return config
 
 
@@ -185,8 +184,23 @@ def _delete_artifacts(out: Path) -> None:
         raise failures[0]
 
 
+def _load_corpus(config: ExperimentConfig) -> tuple[ExperimentConfig, list, frozenset | None]:
+    """The config with its dataset name, which defaults to the corpus stem,
+    then the corpus and the stopwords it names.  A name that UTF-8 cannot
+    encode is refused before any file is read."""
+    name = config.dataset or Path(config.corpus).stem
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, as argv or a file name can hold
+        raise ValidationError(f"dataset name {name!r} cannot be written as UTF-8") from None
+    config = replace(config, dataset=name)
+    docs = textpipe.load_corpus(config.corpus, config.mode)
+    stopwords = None if config.stopwords is None else textpipe.load_stopwords(config.stopwords)
+    return config, docs, stopwords
+
+
 def _ingest_stage(
-    config: ExperimentConfig, corpus: textpipe.Corpus, trees: dict, stopwords: frozenset | None
+    config: ExperimentConfig, docs: list[textpipe.CorpusDoc], stopwords: frozenset | None
 ) -> tuple[dict, list, list]:
     """Delete an earlier chain's artifacts, then write the forests, vectors and
     manifest of a loaded corpus; return the manifest, the forests (none unless
@@ -196,24 +210,23 @@ def _ingest_stage(
     (out / "forests").mkdir(parents=True, exist_ok=True)
 
     forests, doc_counts, vocab = [], [], {}
-    for doc in corpus.docs:
-        tree = trees.get(doc.doc_id)
-        forest, counts = textpipe.analyse(doc.doc_id, doc.text, tree, stopwords, config.stem, vocab)
+    for doc in docs:
+        forest, counts = textpipe.analyse(doc.doc_id, doc.text, doc.tree, stopwords, config.stem, vocab)
         doc_counts.append(counts)
         _write(out / "forests" / f"{doc.doc_id}.json", xtm.forest_json_text(forest))
         # Only tm-sim reads forests; without it each one is dropped once written.
         if treesim.TM_MEASURE in config.measures:
             forests.append(forest)
 
-    doc_ids = [d.doc_id for d in corpus.docs]
+    doc_ids = [d.doc_id for d in docs]
     vectors = textpipe.tfidf(doc_ids, doc_counts)
     for doc_id in (v.doc_id for v in vectors if not v.entries):
         print(f"warning: document {doc_id!r} has an empty term vector", file=sys.stderr)
     _write(out / "vectors.json", _vectors_json(vectors))
     manifest = {
-        "dataset": corpus.name,
+        "dataset": config.dataset,
         "doc_ids": doc_ids,
-        "labels": {d.doc_id: d.label for d in corpus.docs},
+        "labels": {d.doc_id: d.label for d in docs},
     }
     _write_json(out / "manifest.json", manifest)
     return manifest, forests, vectors
@@ -221,9 +234,7 @@ def _ingest_stage(
 
 def cmd_ingest(config: ExperimentConfig) -> Path:
     """Persist forests, vectors, and the corpus manifest."""
-    corpus, trees = textpipe.load_corpus(config.corpus, config.mode, config.dataset)
-    stopwords = None if config.stopwords is None else textpipe.load_stopwords(config.stopwords)
-    _ingest_stage(config, corpus, trees, stopwords)
+    _ingest_stage(*_load_corpus(config))
     return Path(config.out_dir)
 
 
@@ -377,15 +388,14 @@ def cmd_evaluate(config: ExperimentConfig, measure: str) -> evalx.EvalReport:
 
 def cmd_experiment(config: ExperimentConfig) -> Path:
     """Run every configured measure end to end, passing results in memory."""
-    corpus, trees = textpipe.load_corpus(config.corpus, config.mode, config.dataset)
-    stopwords = None if config.stopwords is None else textpipe.load_stopwords(config.stopwords)
-    n, k = len(corpus.docs), config.k or len({d.label for d in corpus.docs})
+    config, docs, stopwords = _load_corpus(config)
+    n, k = len(docs), config.k or len({d.label for d in docs})
     if n < 2:  # the checks of hac and cut, made before anything is written
         raise ValidationError("need at least 2 documents to cluster")
     if k > n:
         raise ValidationError(f"k={k} out of range 1..{n}")
     out = Path(config.out_dir)
-    manifest, forests, vectors = _ingest_stage(config, corpus, trees, stopwords)
+    manifest, forests, vectors = _ingest_stage(config, docs, stopwords)
     rows = [("dataset", "measure", "linkage", "k", "purity", "entropy")]
     # Every baseline matrix comes from one pass over one term index.
     baselines = [m for m in config.measures if m != treesim.TM_MEASURE]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import re
+import reprlib
 from dataclasses import dataclass
 from itertools import chain
 
@@ -95,7 +96,7 @@ class SimilarityMatrix:
             if len(cells) != n:
                 raise ValidationError(
                     f"matrix CSV has a ragged or non-numeric row: "
-                    f"row {doc_id!r} has {len(cells)} cells, not {n}"
+                    f"row {reprlib.repr(doc_id)} has {len(cells)} cells, not {n}"
                 )
             rows.append(cells)
         if pos < len(text):
@@ -115,8 +116,8 @@ class SimilarityMatrix:
                     for j in range(i):
                         if row[j] != mirror[j]:
                             values[i, j] = float(row[j])
-        except ValueError as exc:
-            raise ValidationError(f"matrix CSV has a ragged or non-numeric row: {exc}") from exc
+        except ValueError as exc:  # float() refused a cell
+            raise _cell_error(rows) from exc
         matrix = cls(measure=measure, doc_ids=doc_ids, values=values)
         matrix.validate()
         return matrix
@@ -141,6 +142,18 @@ def _record(text: str, pos: int) -> tuple[list[str], int]:
         raise ValidationError(f"matrix CSV is malformed: {exc}") from exc
 
 
+def _cell_error(rows: list[list[str]]) -> ValidationError:
+    """The error for the first cell of `rows` that `float()` refuses (one must)."""
+    for cell in chain.from_iterable(rows):
+        try:
+            float(cell)
+        except ValueError:
+            break
+    return ValidationError(
+        f"matrix CSV has a ragged or non-numeric row: cell {reprlib.repr(cell)} is not a number"
+    )
+
+
 def _row_error(text: str, pos: int, doc_id: str) -> ValidationError:
     """Why the text at `pos`, where `doc_id`'s row should start, does not
     start with that row in the form `to_csv` writes."""
@@ -149,7 +162,11 @@ def _row_error(text: str, pos: int, doc_id: str) -> ValidationError:
     except ValidationError as exc:
         return exc
     if not row:
-        return ValidationError(f"matrix CSV has a ragged or non-numeric row: no row for {doc_id!r}")
+        return ValidationError(
+            f"matrix CSV has a ragged or non-numeric row: no row for {reprlib.repr(doc_id)}"
+        )
     if row[0] != doc_id:
-        return ValidationError(f"matrix CSV row {row[0]!r} is where the header has {doc_id!r}")
-    return ValidationError(f"matrix CSV row {doc_id!r} is not in the form to_csv writes")
+        return ValidationError(
+            f"matrix CSV row {reprlib.repr(row[0])} is where the header has {reprlib.repr(doc_id)}"
+        )
+    return ValidationError(f"matrix CSV row {reprlib.repr(doc_id)} is not in the form to_csv writes")

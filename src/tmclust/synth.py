@@ -1,30 +1,23 @@
 """Synthetic planted-cluster corpora for experiments and tests.
 
-Each cluster owns a fixed topic-tree skeleton and a term pool; documents
-get a noisy copy of their cluster's skeleton and a bag-of-words text that
-mixes cluster terms with a vocabulary shared across all clusters.
+Each cluster owns a fixed topic-tree skeleton and a term pool; each
+document is a `CorpusDoc` whose pinned `tree` is a noisy copy of its
+cluster's skeleton and whose text is a bag of words that mixes cluster
+terms with a vocabulary shared across all clusters.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from pathlib import Path
 
-from .xtm import DOC_ROOT_LABEL, TopicForest, forest_from_json, forest_json_text
+from .textpipe import CorpusDoc
+from .xtm import DOC_ROOT_LABEL, forest_from_json, forest_json_text
 
 # Term ids spell their digits as letters, because `textpipe.analyse` keeps
 # only runs of [a-z]: "common03" would reach the vectors as "common".
 _DIGIT_LETTERS = str.maketrans("0123456789", "abcdefghij")
-
-
-@dataclass
-class PlantedDoc:
-    doc_id: str
-    label: str
-    text: str
-    forest: TopicForest
 
 
 def _skeleton(cluster: int, branches: int = 3, leaves: int = 3) -> list[tuple[str, list[str]]]:
@@ -44,7 +37,7 @@ def make_planted_corpus(
     shared_vocab_frac: float = 0.5,
     tokens_per_doc: int = 80,
     seed: int = 0,
-) -> list[PlantedDoc]:
+) -> list[CorpusDoc]:
     rng = random.Random(seed)
     shared_pool = [f"common{i:02d}".translate(_DIGIT_LETTERS) for i in range(30)]
     cluster_pools = [
@@ -52,7 +45,7 @@ def make_planted_corpus(
         for c in range(n_clusters)
     ]
 
-    docs: list[PlantedDoc] = []
+    docs: list[CorpusDoc] = []
     for cluster in range(n_clusters):
         skeleton = _skeleton(cluster)
         for d in range(docs_per_cluster):
@@ -76,7 +69,7 @@ def make_planted_corpus(
                     else:
                         leaves.append({"label": leaf, "children": []})
                 branches.append({"label": label, "children": leaves})
-            forest = forest_from_json(doc_id, {"label": DOC_ROOT_LABEL, "children": branches})
+            tree = forest_from_json(doc_id, {"label": DOC_ROOT_LABEL, "children": branches})
 
             tokens = [
                 rng.choice(shared_pool)
@@ -84,19 +77,12 @@ def make_planted_corpus(
                 else rng.choice(cluster_pools[cluster])
                 for _ in range(tokens_per_doc)
             ]
-            docs.append(
-                PlantedDoc(
-                    doc_id=doc_id,
-                    label=f"cluster{cluster}",
-                    text=" ".join(tokens),
-                    forest=forest,
-                )
-            )
+            docs.append(CorpusDoc(doc_id, " ".join(tokens), f"cluster{cluster}", tree))
     return docs
 
 
-def write_jsonl(docs: list[PlantedDoc], path: str | Path) -> Path:
-    """Write planted docs as a JSONL corpus with embedded tree fixtures."""
+def write_jsonl(docs: list[CorpusDoc], path: str | Path) -> Path:
+    """Write documents as a JSONL corpus, each pinned tree as its fixture."""
     target = Path(path)
     with target.open("w", encoding="utf-8") as handle:
         for doc in docs:
@@ -104,7 +90,7 @@ def write_jsonl(docs: list[PlantedDoc], path: str | Path) -> Path:
                 "id": doc.doc_id,
                 "text": doc.text,
                 "label": doc.label,
-                "tree": json.loads(forest_json_text(doc.forest)),
+                "tree": json.loads(forest_json_text(doc.tree)),
             }
             handle.write(json.dumps(record, sort_keys=True) + "\n")
     return target

@@ -87,12 +87,7 @@ class CorpusDoc:
     doc_id: str
     text: str
     label: str
-
-
-@dataclass
-class Corpus:
-    docs: list[CorpusDoc]
-    name: str = ""
+    tree: TopicForest | None = None  # the forest the input pins; None for the fallback
 
 
 @dataclass
@@ -236,8 +231,8 @@ def _check_doc_id(doc_id: str, where: str = "") -> str:
     return doc_id
 
 
-def _jsonl_record(line: str) -> tuple[CorpusDoc, TopicForest | None]:
-    """One JSONL corpus line: the document and the forest its "tree" pins."""
+def _jsonl_record(line: str) -> CorpusDoc:
+    """One JSONL corpus line: the document, with the forest its "tree" pins."""
     record = json.loads(line)
     if not isinstance(record, dict):
         raise ValidationError("record is not a JSON object")
@@ -250,14 +245,13 @@ def _jsonl_record(line: str) -> tuple[CorpusDoc, TopicForest | None]:
     if not record["label"]:
         raise ValidationError("'label' is empty")
     doc_id = _check_doc_id(str(record["id"]))
-    doc = CorpusDoc(doc_id, record["text"], record["label"])
-    return doc, forest_from_json(doc_id, record["tree"]) if "tree" in record else None
+    tree = forest_from_json(doc_id, record["tree"]) if "tree" in record else None
+    return CorpusDoc(doc_id, record["text"], record["label"], tree)
 
 
-def load_corpus(
-    path: str | Path, mode: str, name: str = ""
-) -> tuple[Corpus, dict[str, TopicForest]]:
-    """Load a corpus in one of `MODES`, with the forests its input pins.
+def load_corpus(path: str | Path, mode: str) -> list[CorpusDoc]:
+    """Load a corpus in one of `MODES`: its documents, each with the forest
+    its input pins.
 
     `jsonl` is one file with one {"id", "text", "label"} object per line,
     "text" and "label" JSON strings and "id" a string or an integer; an
@@ -267,27 +261,19 @@ def load_corpus(
     it may not repeat (`1` and "1" are one id), and a label may not be empty.
     `text-dir` and `xtm-dir` are a directory of `*.txt` or `*.xtm` files plus
     labels.csv, read by `read_labels`; a document's id is its file stem, under
-    the same rule as a JSONL id, checked before labels.csv is read.  An
-    XTM document's forest is derived from its topic map, and its vector text
-    is its topic names plus its occurrence values.  Every file is read by
-    `parsing`, so a data error names the file at fault (a JSONL error its
-    line too).
-    `name` defaults to the path's stem, and is refused if UTF-8 cannot
-    encode it, before any file is read.
+    the same rule as a JSONL id, checked before labels.csv is read.  A
+    text document pins no forest.  An XTM document's forest is derived from
+    its topic map, and its vector text is its topic names plus its
+    occurrence values.  Every file is read by `parsing`, so a data error
+    names the file at fault (a JSONL error its line too).
     """
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     base = Path(path)
-    name = name or base.stem
-    try:
-        name.encode("utf-8")
-    except UnicodeEncodeError:  # a lone surrogate, as argv or a file name can hold
-        raise ValidationError(f"dataset name {name!r} cannot be written as UTF-8") from None
     missing = f"corpus path not found: {base}"
     if not base.exists():
         raise ValidationError(missing)
     docs: list[CorpusDoc] = []
-    trees: dict[str, TopicForest] = {}
     if mode == "jsonl":
         first_line: dict[str, int] = {}
         with parsing(base, missing) as text:
@@ -297,7 +283,7 @@ def load_corpus(
                 if not line:
                     continue
                 try:
-                    doc, tree = _jsonl_record(line)
+                    doc = _jsonl_record(line)
                     if doc.doc_id in first_line:
                         raise ValidationError(
                             f"duplicate doc id {doc.doc_id!r} "
@@ -308,22 +294,20 @@ def load_corpus(
                     raise
                 first_line[doc.doc_id] = lineno
                 docs.append(doc)
-                if tree is not None:
-                    trees[doc.doc_id] = tree
     else:
         paths = sorted(base.glob("*.xtm" if mode == "xtm-dir" else "*.txt"))
         for doc_path in paths:
             _check_doc_id(doc_path.stem, f"{doc_path}: ")
         labels = read_labels(base / "labels.csv", [p.stem for p in paths]) if paths else {}
         for doc_path in paths:
-            doc_id, xml = doc_path.stem, mode == "xtm-dir"
+            doc_id, xml, tree = doc_path.stem, mode == "xtm-dir", None
             with parsing(doc_path, f"document not found: {doc_path}", xml=xml) as text:
                 if xml:  # `text` holds the bytes of a topic map
                     parsed = parse_xtm(text, doc_id=doc_id)
-                    trees[doc_id] = derive_forest(parsed)
+                    tree = derive_forest(parsed)
                     words = [t.name for t in parsed.topics] + [o.value for o in parsed.occurrences]
                     text = " ".join(words)
-            docs.append(CorpusDoc(doc_id=doc_id, text=text, label=labels[doc_id]))
+            docs.append(CorpusDoc(doc_id, text, labels[doc_id], tree))
     if not docs:
         raise ValidationError(f"no documents found in {base}")
-    return Corpus(docs=docs, name=name), trees
+    return docs

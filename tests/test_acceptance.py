@@ -161,7 +161,7 @@ def test_criterion_6_measure_sanity(tmp_path):
     vocab: dict[str, str] = {}
     counts = [analyse(d.doc_id, d.text, None, None, False, vocab)[1] for d in docs]
     vectors = tfidf([d.doc_id for d in docs], counts)
-    matrices = [build_matrix([d.forest for d in docs])]
+    matrices = [build_matrix([d.tree for d in docs])]
     matrices += build_matrices_base(list(MEASURES), vectors).values()
     matrix_ok = True
     for matrix in matrices:

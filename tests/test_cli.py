@@ -241,6 +241,15 @@ def test_experiment_writes_report_and_config_echo(tmp_path):
     ]
 
 
+def test_experiment_without_a_dataset_names_it_by_the_corpus_stem(tmp_path):
+    corpus = write_text_corpus(tmp_path / "corpus")
+    config = config_for(tmp_path, corpus, "text-dir", dataset="", measures=["cosine"])
+    cmd_experiment(config)
+    for name in ("run_config.json", "manifest.json"):
+        assert json.loads((Path(config.out_dir) / name).read_text("utf-8"))["dataset"] == "corpus"
+    assert config.dataset == ""  # the caller's config is left as it was
+
+
 @pytest.mark.parametrize("dataset", ["a\rb", "a\rb,c", 'x,"y"', "plain"])
 def test_report_csv_reads_back_the_dataset_name(tmp_path, dataset):
     corpus = write_text_corpus(tmp_path / "corpus")
@@ -375,7 +384,8 @@ def test_readme_library_block_runs_as_written(tmp_path, monkeypatch, capsys):
     similarity, mapped = capsys.readouterr().out.splitlines()
     assert 0.0 < float(similarity) <= 1.0
     assert int(mapped) == len(names["max_common_subtree"](names["a"], names["b"])) > 1
-    assert sorted(names["pinned"]) == [v.doc_id for v in names["vectors"]] == ["zoo_a", "zoo_b"]
+    assert [d.doc_id for d in names["docs"]] == [v.doc_id for v in names["vectors"]] == ["zoo_a", "zoo_b"]
+    assert all(d.tree is not None for d in names["docs"])
     assert all(list(v.entries) == sorted(v.entries) for v in names["vectors"])
 
 
@@ -1794,6 +1804,19 @@ def _replace(*pairs: tuple[bytes, bytes]):
     return apply
 
 
+def _matrix_field(line: int, column: int, new):
+    """Rewrite one comma-separated field of a matrix CSV as `new(old)`."""
+
+    def apply(path: Path) -> None:
+        lines = path.read_text("utf-8").splitlines()
+        cells = lines[line].split(",")
+        cells[column] = new(cells[column])
+        lines[line] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    return apply
+
+
 LONG_XTM_ID = LONG_VALUE.encode("ascii")
 LONG_ID_ATTRIBUTE = b'id="' + LONG_XTM_ID + b'"'
 
@@ -1808,6 +1831,9 @@ LONG_VALUE_CASES = {
     "vectors-weight": ("vectors", _write_json_with(_weight(LONG_VALUE))),
     "jsonl-id": ("jsonl", _append(json.dumps({"id": LONG_VALUE, "text": "a", "label": "x"}) + "\n")),
     "manifest-doc-id": ("manifest", _write_json_with(_d1_renamed(LONG_VALUE))),
+    "matrix-cell": ("matrix", _matrix_field(1, -1, lambda old: LONG_VALUE)),
+    "matrix-row-id": ("matrix", _matrix_field(1, 0, lambda old: "y" * 100_000)),
+    "matrix-header-id": ("matrix", _matrix_field(0, 1, lambda old: old + "z" * 100_000)),
     "xtm-duplicate-topic": ("xtm", _replace((b'id="cats"', LONG_ID_ATTRIBUTE), (b'id="dogs"', LONG_ID_ATTRIBUTE))),
     "xtm-empty-topic-name": ("xtm", _replace((b'id="cats"', LONG_ID_ATTRIBUTE), (b"<value>Cats<", b"<value> <"))),
     "xtm-unknown-role-topic": ("xtm", _replace((b'href="#dogs"', b'href="#' + LONG_XTM_ID + b'"'))),

@@ -12,8 +12,8 @@ def test_planted_corpus_shape_and_validity():
     labels = {d.label for d in docs}
     assert labels == {f"cluster{c}" for c in range(4)}
     for doc in docs:
-        validate_forest(doc.forest)
-        assert len(doc.forest.labels) >= 2
+        validate_forest(doc.tree)
+        assert len(doc.tree.labels) >= 2
         assert doc.text
 
 
@@ -37,6 +37,11 @@ def test_planted_corpus_deterministic_for_seed(tmp_path):
 
 def test_planted_corpus_loads_with_trees(tmp_path):
     path = write_jsonl(make_planted_corpus(n_clusters=2, docs_per_cluster=3, seed=1), tmp_path / "p.jsonl")
-    corpus, trees = load_corpus(path, "jsonl")
-    assert len(corpus.docs) == 6
-    assert set(trees) == {d.doc_id for d in corpus.docs}
+    docs = load_corpus(path, "jsonl")
+    assert len(docs) == 6
+    assert all(doc.tree is not None for doc in docs)
+
+
+def test_planted_corpus_reads_back_as_written(tmp_path):
+    docs = make_planted_corpus(3, 4, seed=2)
+    assert load_corpus(write_jsonl(docs, tmp_path / "p.jsonl"), "jsonl") == docs

@@ -203,9 +203,10 @@ def test_load_text_dir(tmp_path):
     (tmp_path / "a.txt").write_text("cat dog", encoding="utf-8")
     (tmp_path / "b.txt").write_text("bird fish", encoding="utf-8")
     (tmp_path / "labels.csv").write_text("doc_id,label\na,pets\nb,wild\n", encoding="utf-8")
-    corpus = load_corpus(tmp_path, "text-dir")[0]
-    assert [d.doc_id for d in corpus.docs] == ["a", "b"]
-    assert [d.label for d in corpus.docs] == ["pets", "wild"]
+    docs = load_corpus(tmp_path, "text-dir")
+    assert [d.doc_id for d in docs] == ["a", "b"]
+    assert [d.label for d in docs] == ["pets", "wild"]
+    assert [d.tree for d in docs] == [None, None]
 
 
 @pytest.mark.parametrize(
@@ -223,8 +224,8 @@ def test_labels_csv_header_can_only_be_the_first_row(tmp_path, capsys, stems, ro
     for stem in stems:
         (tmp_path / f"{stem}.txt").write_text("cat dog", encoding="utf-8")
     (tmp_path / "labels.csv").write_text(rows, encoding="utf-8")
-    corpus = load_corpus(tmp_path, "text-dir")[0]
-    assert {d.doc_id: d.label for d in corpus.docs} == labels
+    docs = load_corpus(tmp_path, "text-dir")
+    assert {d.doc_id: d.label for d in docs} == labels
     assert capsys.readouterr().err == "".join(
         f"warning: labels.csv names {doc_id!r}, which is not a document of the corpus\n"
         for doc_id in warned
@@ -252,10 +253,10 @@ def test_load_jsonl_with_tree_fixture(tmp_path):
         json.dumps({"id": "y", "text": "other text", "label": "l2"}),
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    corpus, trees = load_corpus(path, "jsonl")
-    assert [d.doc_id for d in corpus.docs] == ["x", "y"]
-    assert set(trees) == {"x"}
-    assert forest_dict(trees["x"]) == tree
+    x, y = load_corpus(path, "jsonl")
+    assert [x.doc_id, y.doc_id] == ["x", "y"]
+    assert forest_dict(x.tree) == tree
+    assert y.tree is None
 
 
 def test_load_jsonl_rejects_missing_fields(tmp_path):

@@ -444,7 +444,7 @@ GOLDEN_FALLBACK_SHA256 = "b637ca61c36b487772253bdfd3f926e9edf97b7c8b695893ef396e
 
 def test_golden_planted_matrices():
     docs = make_planted_corpus(4, 10, seed=0)
-    pinned = build_matrix([d.forest for d in docs]).to_csv()
+    pinned = build_matrix([d.tree for d in docs]).to_csv()
     fallback = build_matrix(
         [analyse(d.doc_id, d.text, None, None, False, {})[0] for d in docs]
     ).to_csv()
@@ -709,7 +709,7 @@ def _oracle_matrix(forests: list[TopicForest]) -> SimilarityMatrix:
 @pytest.mark.parametrize("kind", ["planted", "xtm"])
 def test_build_matrix_csv_is_the_oracle_csv(kind):
     if kind == "planted":
-        forests = [d.forest for d in make_planted_corpus(4, 10, seed=5)]
+        forests = [d.tree for d in make_planted_corpus(4, 10, seed=5)]
     else:
         forests = _xtm_forests(7, 24)
     assert build_matrix(forests).to_csv() == _oracle_matrix(forests).to_csv()

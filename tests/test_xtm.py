@@ -259,10 +259,10 @@ XTM2_VEHICLES = b"""<?xml version="1.0" encoding="UTF-8"?>
 def test_xtm2_document_with_name_elements_gives_forest_and_vector_text(tmp_path):
     (tmp_path / "cars.xtm").write_bytes(XTM2_VEHICLES)
     (tmp_path / "labels.csv").write_text("doc_id,label\ncars,road\n", encoding="utf-8")
-    corpus, trees = load_corpus(tmp_path, "xtm-dir")
+    [doc] = load_corpus(tmp_path, "xtm-dir")
     want = make_forest("cars", node("vehicle", node("bicycle"), node("motor car")), node("wheel"))
-    assert forest_dict(trees["cars"]) == forest_dict(want)
-    assert corpus.docs[0].text == "vehicle motor car bicycle wheel Moves people"
+    assert forest_dict(doc.tree) == forest_dict(want)
+    assert doc.text == "vehicle motor car bicycle wheel Moves people"
 
 
 def _named_topic(rng: random.Random) -> tuple[bytes, str, tuple[bool, bool]]:
@@ -544,7 +544,7 @@ def test_forest_from_json_sorts_siblings_stably_in_level_order():
 def test_every_builder_emits_a_valid_forest_that_its_json_text_reads_back_as():
     rng = random.Random(17)
     forests = [random_forest(rng, max_nodes=30, alphabet="aabc") for _ in range(50)]
-    forests += [doc.forest for doc in make_planted_corpus(3, 5, seed=2)]
+    forests += [doc.tree for doc in make_planted_corpus(3, 5, seed=2)]
     words = ["tree", "map", "graph", "node", "edge"]
     for k in range(30):
         text = ". ".join(" ".join(rng.choices(words, k=rng.randint(1, 5))) for _ in range(rng.randint(0, 4)))
