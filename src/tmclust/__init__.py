@@ -6,9 +6,9 @@ subtree measure plus four vector baselines; hierarchical agglomerative
 clustering and purity/entropy scoring close the loop.
 """
 
-from .cluster import ClusterAssignment, Dendrogram, cut, hac
+from .cluster import Dendrogram, cut, hac
 from .errors import TmclustError, ValidationError, XtmParseError
-from .evalx import ContingencyTable, EvalReport, contingency, entropy, evaluate, purity
+from .evalx import EvalReport, evaluate
 from .matrix import SimilarityMatrix
 from .simbase import build_matrices_base
 from .textpipe import CorpusDoc, TermVector

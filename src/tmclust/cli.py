@@ -55,14 +55,14 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         if self.mode not in textpipe.MODES:
-            raise UsageError(f"mode must be one of {textpipe.MODES}, got {self.mode!r}")
+            raise UsageError(f"mode must be one of {textpipe.MODES}, got {reprlib.repr(self.mode)}")
         if not self.measures:
             raise UsageError("measures must be non-empty")
         for measure in self.measures:
             if measure not in MEASURE_CHOICES:
-                raise UsageError(f"unknown measure {measure!r}")
+                raise UsageError(f"unknown measure {reprlib.repr(measure)}")
             if self.measures.count(measure) > 1:
-                raise UsageError(f"measures lists {measure!r} more than once")
+                raise UsageError(f"measures lists {reprlib.repr(measure)} more than once")
         if self.linkage not in _cluster.LINKAGES:
             raise UsageError(f"linkage must be one of {_cluster.LINKAGES}")
         if self.k is not None and self.k < 1:
@@ -317,19 +317,17 @@ def cmd_simmatrix(config: ExperimentConfig, measure: str) -> Path:
     return path
 
 
-def _cluster_stage(
-    out: Path, matrix: SimilarityMatrix, linkage: str, k: int
-) -> _cluster.ClusterAssignment:
-    """Cluster one matrix, write the dendrogram and the cut, return the cut."""
+def _cluster_stage(out: Path, matrix: SimilarityMatrix, linkage: str, k: int) -> list[int]:
+    """Cluster one matrix, write the dendrogram and the cut, return the cut's ids."""
     dendrogram = _cluster.hac(matrix, linkage)
-    assignment = _cluster.cut(dendrogram, k)
+    labels = _cluster.cut(dendrogram, k)
     _write_json(
         out / f"dendrogram_{matrix.measure}.json",
         {"merges": dendrogram.merges, "n_leaves": dendrogram.n_leaves},
     )
-    rows = zip(matrix.doc_ids, map(str, assignment.labels))
+    rows = zip(matrix.doc_ids, map(str, labels))
     _write(out / f"assignment_{matrix.measure}.csv", _csv_text([("doc_id", "cluster"), *rows]))
-    return assignment
+    return labels
 
 
 def cmd_cluster(config: ExperimentConfig, measure: str) -> Path:
@@ -344,13 +342,11 @@ def cmd_cluster(config: ExperimentConfig, measure: str) -> Path:
     return out / f"assignment_{measure}.csv"
 
 
-def _evaluate_stage(
-    out: Path, measure: str, manifest: dict, assignment: _cluster.ClusterAssignment
-) -> evalx.EvalReport:
-    """Score an assignment of the manifest's documents and write the scores."""
+def _evaluate_stage(out: Path, measure: str, manifest: dict, labels: list[int]) -> evalx.EvalReport:
+    """Score the cluster ids of the manifest's documents and write the scores."""
     doc_ids = manifest["doc_ids"]
     gold = [manifest["labels"].get(doc_id) for doc_id in doc_ids]
-    report = evalx.evaluate(assignment, gold, measure, manifest["dataset"], doc_ids=doc_ids)
+    report = evalx.evaluate(labels, gold, measure, manifest["dataset"], doc_ids=doc_ids)
     _write_json(out / f"eval_{measure}.json", asdict(report))
     return report
 
@@ -377,8 +373,7 @@ def cmd_evaluate(config: ExperimentConfig, measure: str) -> evalx.EvalReport:
                 k += 1
         doc_ids = [row[0] for row in rows]
     _check_doc_ids(path, doc_ids, manifest, "cluster")
-    assignment = _cluster.ClusterAssignment(k=k, labels=labels)
-    report = _evaluate_stage(out, measure, manifest, assignment)
+    report = _evaluate_stage(out, measure, manifest, labels)
     print(
         f"{report.dataset} {report.measure} k={report.k} "
         f"purity={report.purity:.4f} entropy={report.entropy:.4f}"
@@ -403,8 +398,8 @@ def cmd_experiment(config: ExperimentConfig) -> Path:
     for measure in config.measures:
         matrix = matrices.pop(measure) if measure in matrices else treesim.build_matrix(forests)
         _write(out / f"matrix_{measure}.csv", matrix.to_csv())
-        assignment = _cluster_stage(out, matrix, config.linkage, k)
-        report = _evaluate_stage(out, measure, manifest, assignment)
+        labels = _cluster_stage(out, matrix, config.linkage, k)
+        report = _evaluate_stage(out, measure, manifest, labels)
         scores = (repr(report.purity), repr(report.entropy))
         rows.append((report.dataset, report.measure, config.linkage, str(k), *scores))
         print(

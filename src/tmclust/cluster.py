@@ -21,14 +21,6 @@ class Dendrogram:
     merges: list[tuple[int, int, float, int]]
 
 
-@dataclass
-class ClusterAssignment:
-    """Flat cut: doc index -> cluster id in 0..k-1, all k clusters non-empty."""
-
-    k: int
-    labels: list[int]
-
-
 def hac(matrix: SimilarityMatrix, linkage: str = "average") -> Dendrogram:
     """Greedy agglomeration merging the most similar pair of clusters.
 
@@ -109,9 +101,10 @@ def hac(matrix: SimilarityMatrix, linkage: str = "average") -> Dendrogram:
     return Dendrogram(n_leaves=n, merges=merges)
 
 
-def cut(dendrogram: Dendrogram, k: int) -> ClusterAssignment:
+def cut(dendrogram: Dendrogram, k: int) -> list[int]:
     """Undo the last k-1 merges; surviving components are the clusters,
-    numbered 0..k-1 by their smallest document index."""
+    numbered 0..k-1 by their smallest document index.  Returns each
+    document's cluster id, so every id in 0..k-1 occurs."""
     n = dendrogram.n_leaves
     if not 1 <= k <= n:
         raise ValidationError(f"k={k} out of range 1..{n}")
@@ -123,4 +116,4 @@ def cut(dendrogram: Dendrogram, k: int) -> ClusterAssignment:
     for cluster, docs in enumerate(groups):
         for doc in docs:
             labels[doc] = cluster
-    return ClusterAssignment(k=k, labels=labels)
+    return labels

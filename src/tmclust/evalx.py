@@ -8,21 +8,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .cluster import ClusterAssignment
 from .errors import ValidationError
-
-
-@dataclass
-class ContingencyTable:
-    """counts[i][j] = documents in cluster i with gold class j."""
-
-    cluster_ids: list[int]
-    class_labels: list[str]
-    counts: list[list[int]]
-
-    @property
-    def total(self) -> int:
-        return sum(map(sum, self.counts))
 
 
 @dataclass
@@ -35,33 +21,8 @@ class EvalReport:
     per_cluster: list[dict] = field(default_factory=list)
 
 
-def contingency(
-    assignment: ClusterAssignment,
-    gold: Sequence[str | None],
-    doc_ids: Sequence[str] | None = None,
-) -> ContingencyTable:
-    """Exact cluster-vs-class counts; every document must carry a label."""
-    if len(gold) != len(assignment.labels):
-        raise ValidationError(
-            f"{len(assignment.labels)} assigned documents but {len(gold)} labels"
-        )
-    for idx, label in enumerate(gold):
-        if label is None or label == "":
-            name = doc_ids[idx] if doc_ids else f"doc index {idx}"
-            raise ValidationError(f"document {name!r} has no gold label")
-    classes = sorted({str(label) for label in gold})
-    class_index = {label: j for j, label in enumerate(classes)}
-    clusters = sorted(set(assignment.labels))
-    cluster_index = {c: i for i, c in enumerate(clusters)}
-    counts = [[0] * len(classes) for _ in clusters]
-    for cluster, label in zip(assignment.labels, gold):
-        counts[cluster_index[cluster]][class_index[str(label)]] += 1
-    return ContingencyTable(cluster_ids=clusters, class_labels=classes, counts=counts)
-
-
-def _cluster_entropy(table: ContingencyTable, row: list[int]) -> float:
-    """Class entropy of one row of `table`, log base = class count; 0 with one class."""
-    base = len(table.class_labels)
+def _row_entropy(row: list[int], base: int) -> float:
+    """Class entropy of one cluster's class counts, log base `base`; 0 with one class."""
     if base < 2:
         return 0.0
     size = sum(row)
@@ -73,48 +34,49 @@ def _cluster_entropy(table: ContingencyTable, row: list[int]) -> float:
     return value
 
 
-def _sum_over_n(table: ContingencyTable, score) -> float:
-    """sum(score(row)) over the non-empty rows, divided by N."""
-    total = table.total
-    if total <= 0:
-        raise ValidationError("contingency table is empty")
-    return sum(score(row) for row in table.counts if sum(row)) / total
-
-
-def purity(table: ContingencyTable) -> float:
-    """Size-weighted dominant-class share, computed as sum(max) / N."""
-    return _sum_over_n(table, max)
-
-
-def entropy(table: ContingencyTable) -> float:
-    """Size-weighted class entropy per cluster, log base = class count."""
-    return _sum_over_n(table, lambda row: sum(row) * _cluster_entropy(table, row))
-
-
 def evaluate(
-    assignment: ClusterAssignment,
+    labels: Sequence[int],
     gold: Sequence[str | None],
     measure: str,
     dataset: str,
     doc_ids: Sequence[str] | None = None,
 ) -> EvalReport:
-    table = contingency(assignment, gold, doc_ids)
-    # contingency() makes a row only for a cluster that holds a document.
+    """Score the cluster ids `labels` (one per document) against the `gold`
+    classes, each of which must be set.  `k` is the number of distinct ids.
+
+    The cluster x class table has one row per id, in id order, and one
+    column per class, in sorted order.  Purity is sum(row max) / N and
+    entropy sum(row size * row entropy) / N, over the rows in that order."""
+    if len(gold) != len(labels):
+        raise ValidationError(f"{len(labels)} assigned documents but {len(gold)} labels")
+    if not labels:
+        raise ValidationError("no documents to score")
+    for idx, label in enumerate(gold):
+        if label is None or label == "":
+            name = doc_ids[idx] if doc_ids else f"doc index {idx}"
+            raise ValidationError(f"document {name!r} has no gold label")
+    classes = sorted({str(label) for label in gold})
+    column = {label: j for j, label in enumerate(classes)}
+    table = {cluster: [0] * len(classes) for cluster in sorted(set(labels))}
+    for cluster, label in zip(labels, gold):
+        table[cluster][column[str(label)]] += 1
+    # Every row holds a document, as each id comes from `labels`.
     per_cluster = [
         {
             "cluster": cluster,
             "size": sum(row),
             "purity": max(row) / sum(row),
-            "entropy": _cluster_entropy(table, row),
-            "dominant_class": table.class_labels[row.index(max(row))],
+            "entropy": _row_entropy(row, len(classes)),
+            "dominant_class": classes[row.index(max(row))],
         }
-        for cluster, row in zip(table.cluster_ids, table.counts)
+        for cluster, row in table.items()
     ]
+    n = len(labels)
     return EvalReport(
         measure=measure,
         dataset=dataset,
-        k=assignment.k,
-        purity=purity(table),
-        entropy=entropy(table),
+        k=len(table),
+        purity=sum(max(row) for row in table.values()) / n,
+        entropy=sum(c["size"] * c["entropy"] for c in per_cluster) / n,
         per_cluster=per_cluster,
     )

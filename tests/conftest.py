@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from tmclust.evalx import EvalReport, evaluate
 from tmclust.xtm import DOC_ROOT_LABEL, TopicForest, forest_from_json
 
 XTM_ZOO = b"""<?xml version="1.0" encoding="UTF-8"?>
@@ -59,3 +60,13 @@ def random_forest(
         parent["children"].append(child)
         nodes.append(child)
     return forest_from_json(doc_id, root)
+
+
+def evaluate_table(counts: list[list[int]], classes: list[str] | None = None) -> EvalReport:
+    """`evaluate` of a cut whose cluster i holds counts[i][j] documents of
+    class j, the classes named `classes` or else cls0, cls1, ..."""
+    classes = classes or [f"cls{j}" for j in range(len(counts[0]))]
+    cells = [(i, classes[j], c) for i, row in enumerate(counts) for j, c in enumerate(row)]
+    labels = [i for i, _, c in cells for _ in range(c)]
+    gold = [label for _, label, c in cells for _ in range(c)]
+    return evaluate(labels, gold, "m", "d")

@@ -14,6 +14,9 @@
   it strips each child's namespace with `_local` in a Python loop per
   lookup, where `parse_xtm` renames every tag once and uses ElementTree's
   own child lookups.
+- `certifies` and `label_dice` are the certified-corpus oracle: on a
+  corpus whose forests `certifies` accepts, tm-sim is the label-set Dice
+  that `label_dice` computes from one product of a 0/1 matrix.
 - `reference_pairwise` is the baseline matrix routine that the inverted
   index in `simbase._pairwise` replaced: one row at a time, each later row
   read off a dense copy of the row through its own padded term ids.
@@ -33,7 +36,7 @@ import io
 import re
 import reprlib
 import xml.etree.ElementTree as ET
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 
@@ -192,6 +195,84 @@ def brute_force_common_subtree(a: TopicForest, b: TopicForest) -> frozenset[tupl
     if labels1[1] == labels2[1]:
         search(2, [(1, 1)], {1})
     return frozenset(best)
+
+
+def euler_tokens(forest: TopicForest) -> list[tuple[str, bool]]:
+    """The forest as balanced parentheses: an open token (label, False) as a
+    walk in preorder enters each node, and a close token (label, True) as it
+    leaves the node."""
+    children: list[list[int]] = [[] for _ in forest.labels]
+    for k, parent in enumerate(forest.parents[1:], start=1):
+        children[parent].append(k)
+    tokens, stack = [], [0]
+    while stack:
+        k = stack.pop()
+        if k < 0:
+            tokens.append((forest.labels[~k], True))
+            continue
+        tokens.append((forest.labels[k], False))
+        stack.append(~k)
+        stack.extend(reversed(children[k]))
+    return tokens
+
+
+def certifies(forests: list[TopicForest]) -> bool:
+    """Whether tm-sim is the label-set Dice on every pair of `forests`.
+
+    The certificate: every forest's labels are distinct, and the directed
+    graph whose edges join consecutive tokens of each forest's
+    `euler_tokens` has no cycle (Kahn's algorithm, CACM 5(11), 1962).
+
+    Proof.  Let S be a topological order of the graph.  A forest's tokens
+    are distinct and its sequence is a path through all of them, so S
+    restricted to them is that sequence.  Contracting a forest onto a label
+    set (deleting every other non-root node and promoting its children)
+    deletes exactly the other labels' tokens from its sequence.  So for two
+    forests with one root label and K their shared non-root labels, both
+    contract onto K to S restricted to the root's and K's tokens: one tree,
+    which maps onto itself whole.  No mapping is larger, as each pair it
+    holds shares a label, so |M| = |K| + 1."""
+    successors: defaultdict[tuple[str, bool], set] = defaultdict(set)
+    for forest in forests:
+        if len(set(forest.labels)) < len(forest.labels):
+            return False
+        tokens = euler_tokens(forest)
+        for before, after in zip(tokens, tokens[1:]):
+            successors[before].add(after)
+            successors[after]  # a token with no successor is a node too
+    indegree = Counter(after for nexts in successors.values() for after in nexts)
+    ready = [token for token in successors if not indegree[token]]
+    done = 0
+    while ready:
+        done += 1
+        for after in successors[ready.pop()]:
+            indegree[after] -= 1
+            if not indegree[after]:
+                ready.append(after)
+    return done == len(successors)
+
+
+def label_dice(forests: list[TopicForest]) -> np.ndarray:
+    """The label-set Dice of every pair: `(2.0 * M - 2.0) / (n1 + n2 - 2.0)`,
+    `treesim._similarity`'s own float expression, with M = |K| + 1 and |K|
+    from one float64 product of the 0/1 document x non-root label matrix,
+    whose sums are small integers and so exact.  A pair whose roots differ
+    scores 0.0, two root-only forests with one root label 1.0, and the
+    diagonal is 1.0, as in `build_matrix`."""
+    codec: dict[str, int] = {}
+    rows = [[codec.setdefault(label, len(codec)) for label in f.labels[1:]] for f in forests]
+    x = np.zeros((len(forests), len(codec)))
+    for i, ids in enumerate(rows):
+        x[i, ids] = 1.0
+    shared = x @ x.T + 1.0
+    n = np.array([len(f.labels) for f in forests], dtype=float)
+    with np.errstate(invalid="ignore"):  # 0 / 0 for two root-only forests
+        values = (2.0 * shared - 2.0) / (n[:, None] + n[None, :] - 2.0)
+    values[np.isnan(values)] = 1.0
+    roots = np.array([f.labels[0] for f in forests], dtype=object)
+    values[roots[:, None] != roots[None, :]] = 0.0
+    np.fill_diagonal(values, 1.0)
+    return values
 
 
 def serialize_xtm(doc: TopicMapDoc) -> bytes:

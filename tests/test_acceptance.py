@@ -12,12 +12,12 @@ import random
 import time
 
 import numpy as np
-from conftest import random_forest
+from conftest import evaluate_table, random_forest
 from oracles import brute_force_common_subtree, common_subtree_size, mapping_violations
 
 from tmclust.cli import ExperimentConfig, cmd_experiment
-from tmclust.cluster import ClusterAssignment, cut, hac
-from tmclust.evalx import contingency, entropy, purity
+from tmclust.cluster import cut, hac
+from tmclust.evalx import evaluate
 from tmclust.simbase import MEASURES, build_matrices_base
 from tmclust.synth import make_planted_corpus, write_jsonl
 from tmclust.textpipe import TermVector, analyse, tfidf
@@ -70,34 +70,24 @@ def test_criterion_2_mapping_validity():
     assert invalid == 0
 
 
-def _table(counts):
-    from tmclust.evalx import ContingencyTable
-
-    return ContingencyTable(
-        cluster_ids=list(range(len(counts))),
-        class_labels=[f"c{j}" for j in range(len(counts[0]))],
-        counts=counts,
-    )
-
-
 def test_criterion_3_metric_correctness():
     checks = [
-        abs(purity(_table([[3, 1]])) - 0.75) <= 1e-9,
-        abs(purity(_table([[2, 0], [1, 1]])) - 0.75) <= 1e-9,
-        abs(entropy(_table([[2, 2]])) - 1.0) <= 1e-9,
+        abs(evaluate_table([[3, 1]]).purity - 0.75) <= 1e-9,
+        abs(evaluate_table([[2, 0], [1, 1]]).purity - 0.75) <= 1e-9,
+        abs(evaluate_table([[2, 2]]).entropy - 1.0) <= 1e-9,
         abs(
-            entropy(_table([[3, 1]]))
+            evaluate_table([[3, 1]]).entropy
             - (-(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25)))
         )
         <= 1e-9,
     ]
-    pure = contingency(ClusterAssignment(k=2, labels=[0, 0, 1]), ["a", "a", "b"])
-    exact = purity(pure) == 1.0 and entropy(pure) == 0.0
+    pure = evaluate([0, 0, 1], ["a", "a", "b"], "m", "d")
+    exact = pure.purity == 1.0 and pure.entropy == 0.0
     ok = all(checks) and exact
     _report(3, "metric-correctness", ok)
     assert all(checks)
-    assert purity(pure) == 1.0
-    assert entropy(pure) == 0.0
+    assert pure.purity == 1.0
+    assert pure.entropy == 0.0
 
 
 def test_criterion_4_block_matrix_recovery():
@@ -111,8 +101,7 @@ def test_criterion_4_block_matrix_recovery():
     started = time.perf_counter()
     purities = {}
     for linkage in ("single", "complete", "average"):
-        assignment = cut(hac(matrix, linkage), blocks)
-        purities[linkage] = purity(contingency(assignment, gold))
+        purities[linkage] = evaluate(cut(hac(matrix, linkage), blocks), gold, "block", "d").purity
     elapsed = time.perf_counter() - started
     ok = all(p == 1.0 for p in purities.values()) and elapsed < 5.0
     _report(4, "block-matrix-recovery", ok, f"N={n}, {elapsed:.2f}s, purities={purities}")

@@ -387,6 +387,9 @@ def test_readme_library_block_runs_as_written(tmp_path, monkeypatch, capsys):
     assert [d.doc_id for d in names["docs"]] == [v.doc_id for v in names["vectors"]] == ["zoo_a", "zoo_b"]
     assert all(d.tree is not None for d in names["docs"])
     assert all(list(v.entries) == sorted(v.entries) for v in names["vectors"])
+    assert names["labels"] == [0, 1]
+    report = names["report"]
+    assert (report.k, report.purity, report.entropy) == (2, 1.0, 0.0)
 
 
 def test_process_exit_status(tmp_path):
@@ -616,10 +619,15 @@ def test_cli_rejects_unknown_config_key(tmp_path):
         (b'{"corpus": "x", "stem": "yes"}', "'stem'"),
         (b'{"corpus": "x", "measures": ["cosine", "cosine"]}', "'cosine'"),
         (b"[" * 5000 + b"]" * 5000, "config.json"),
+        (b'{"corpus": "x", "mode": "bogus"}', "'bogus'"),
+        (b'{"corpus": "x", "measures": []}', "measures must be non-empty"),
+        (b'{"corpus": "x", "measures": ["pearson"]}', "'pearson'"),
+        (b'{"corpus": "x", "linkage": "ward"}', "linkage must be one of"),
     ],
     ids=["directory", "array", "not-utf8", "k-string", "k-bool", "corpus-number",
          "measures-string", "measures-number", "stem-string", "measures-twice",
-         "nested-5000-deep"],
+         "nested-5000-deep", "mode-unknown", "measures-empty", "measure-unknown",
+         "linkage-unknown"],
 )
 def test_malformed_config_file_is_a_usage_error(tmp_path, capsys, content, named):
     config_path = tmp_path / "config.json"
@@ -1285,6 +1293,15 @@ def _non_numeric_cell(path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _half_diagonal(path: Path) -> None:
+    """Set the first diagonal cell of a matrix CSV to 0.5."""
+    lines = path.read_text("utf-8").splitlines()
+    cells = lines[1].split(",")
+    cells[1] = "0.5"
+    lines[1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def _no_cluster_column(path: Path) -> None:
     lines = path.read_text("utf-8").splitlines()
     lines[1] = lines[1].split(",")[0]
@@ -1348,12 +1365,13 @@ WRITTEN_BY = {
         ("assignment_cosine.csv", _rename_docs, "evaluate", "cosine"),
         ("vectors.json", _nest_deeply, "simmatrix", "cosine"),
         ("forests/d1.json", _nest_deeply, "simmatrix", "tm-sim"),
+        ("matrix_cosine.csv", _half_diagonal, "cluster", "cosine"),
     ],
     ids=[
         "manifest", "forest", "vectors", "matrix-ragged", "matrix-text", "assignment",
         "vectors-not-utf8", "matrix-not-utf8", "manifest-missing", "forest-missing",
         "vectors-missing", "matrix-missing", "assignment-missing", "matrix-stale",
-        "assignment-stale", "vectors-nested", "forest-nested",
+        "assignment-stale", "vectors-nested", "forest-nested", "matrix-diagonal",
     ],
 )
 def test_corrupt_stage_input_exits_2_naming_the_file(tmp_path, capsys, name, corrupt, stage, measure):
@@ -1374,6 +1392,8 @@ def test_corrupt_stage_input_exits_2_naming_the_file(tmp_path, capsys, name, cor
         assert err.endswith(f"; run {WRITTEN_BY[name]} again\n")
     if corrupt is _nest_deeply:
         assert err.startswith(f"error: bad {out / name}: ")
+    if corrupt is _half_diagonal:
+        assert err == f"error: {out / name}: cosine matrix diagonal is not 1\n"
 
 
 @pytest.mark.parametrize(
@@ -1851,6 +1871,26 @@ def test_a_long_input_value_is_cut_short_in_the_error_line(tmp_path, capsys, rea
     err = capsys.readouterr().err
     assert_one_error_line(err, path, "usage error: " if usage else "error: ")
     assert len(err.replace(str(path), "").encode("utf-8")) < 300, err[:300]
+
+
+@pytest.mark.parametrize(
+    "values, flags, named",
+    [
+        ({"mode": LONG_VALUE}, [], "mode must be one of"),
+        ({"measures": [LONG_VALUE]}, [], "unknown measure 'xxx"),
+        ({}, ["--measures", LONG_VALUE], "unknown measure 'xxx"),
+    ],
+    ids=["config-mode", "config-measures", "measures-flag"],
+)
+def test_a_long_config_value_is_cut_short_in_the_usage_error_line(tmp_path, capsys, values, flags, named):
+    """A mode or measure is checked once the file and the flags are merged,
+    so its error line names the value and not the config file."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"corpus": "x", **values}), encoding="utf-8")
+    assert main(["experiment", "--config", str(config_path), *flags]) == 1
+    err = capsys.readouterr().err
+    assert_one_error_line(err, named, "usage error: ")
+    assert len(err.encode("utf-8")) < 300, err[:300]
 
 
 def test_experiment_writes_a_1000_deep_xtm_hierarchy(tmp_path, capsys):

@@ -14,7 +14,9 @@ from conftest import forest_dict, make_forest, node, random_forest
 from oracles import (
     bfs_arrays,
     brute_force_common_subtree,
+    certifies,
     common_subtree_size,
+    label_dice,
     lifted_postorder,
     mapping_violations,
     reference_from_csv,
@@ -96,6 +98,7 @@ def test_root_only_forests_are_identical():
 def test_forests_with_different_roots_score_zero(a, b):
     t1, t2 = TopicForest("d1", *a), TopicForest("d2", *b)
     assert len(brute_force_common_subtree(t1, t2)) == 0
+    assert max_common_subtree(t1, t2) == max_common_subtree(t2, t1) == frozenset()
     assert sim(t1, t2) == 0.0
     assert sim(t2, t1) == 0.0
 
@@ -432,6 +435,11 @@ def test_matrix_validate_rejects_asymmetry_and_range():
     )
     with pytest.raises(ValidationError, match="outside"):
         out_of_range.validate()
+    off_diagonal = SimilarityMatrix(
+        measure="m", doc_ids=["a", "b"], values=np.array([[0.5, 0.4], [0.4, 1.0]])
+    )
+    with pytest.raises(ValidationError, match="diagonal is not 1"):
+        off_diagonal.validate()
 
 
 # Matrix CSV digests for make_planted_corpus(4, 10, seed=0).  The pinned one
@@ -742,3 +750,93 @@ def test_600_label_chain_contracts_without_recursion():
     assert list(compress(form.bfs, kept)) == list(order)
     assert (contracted, leftmost) == (expected, expected_leftmost)
     assert leftmost == [0] * 201
+
+
+def _base_tree(rng: random.Random, size: int) -> dict:
+    """A random tree of `size` nodes whose labels rise in preorder, so that
+    every contraction of it has each node's children sorted by label."""
+    nodes = [node(DOC_ROOT_LABEL)]
+    for _ in range(size - 1):
+        child = node("")
+        rng.choice(nodes)["children"].append(child)
+        nodes.append(child)
+    stack, count = list(reversed(nodes[0]["children"])), 0
+    while stack:
+        current = stack.pop()
+        current["label"] = f"t{count:03d}"
+        count += 1
+        stack.extend(reversed(current["children"]))
+    return nodes[0]
+
+
+def _contraction(base: dict, keep) -> dict:
+    """`base` with every non-root node whose label `keep` refuses deleted and
+    its children promoted into its place."""
+    root = node(base["label"])
+    stack = [(child, root) for child in reversed(base["children"])]
+    while stack:
+        old, parent = stack.pop()
+        if keep(old["label"]):
+            parent["children"].append(node(old["label"]))
+            parent = parent["children"][-1]
+        stack.extend((child, parent) for child in reversed(old["children"]))
+    return root
+
+
+def _nodes(root: dict) -> list[dict]:
+    """Every node of a fixture tree, in level order."""
+    order = [root]
+    for current in order:
+        order.extend(current["children"])
+    return order
+
+
+def _level_order(doc_id: str, root: dict) -> TopicForest:
+    """A fixture tree as a forest, each node's children in their given order."""
+    labels, parents, order = [root["label"]], [-1], [root]
+    for k, current in enumerate(order):
+        for child in current["children"]:
+            order.append(child)
+            labels.append(child["label"])
+            parents.append(k)
+    return TopicForest(doc_id, labels, parents)
+
+
+def _certified_trees(seed: int, count: int = 300, size: int = 60) -> list[dict]:
+    """The base tree and `count` - 1 random contractions of it, each keeping
+    every node with its own random probability."""
+    rng = random.Random(seed)
+    base = _base_tree(rng, size)
+    trees = [base]
+    for _ in range(count - 1):
+        share = rng.random()
+        trees.append(_contraction(base, lambda label: rng.random() < share))
+    return trees
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_build_matrix_is_the_label_dice_on_certified_corpora(seed):
+    trees = _certified_trees(seed)
+    forests = [forest_from_json(f"d{i}", tree) for i, tree in enumerate(trees)]
+    # forest_from_json sorts siblings by label, which moves none of them here.
+    assert forests == [_level_order(f"d{i}", tree) for i, tree in enumerate(trees)]
+    assert any(len(f.labels) == 1 for f in forests)
+    assert certifies(forests)
+    values = build_matrix(forests).values
+    assert np.array_equal(values.view(np.int64), label_dice(forests).view(np.int64))
+
+
+def test_a_re_sorted_sibling_run_is_refused_by_the_certificate():
+    trees = _certified_trees(2, count=20)
+    assert certifies([forest_from_json(f"d{i}", tree) for i, tree in enumerate(trees)])
+    # Reverse the children of one node of a contraction that has two or more.
+    k, parent = next(
+        (k, current)
+        for k, tree in enumerate(trees[1:], start=1)
+        for current in _nodes(tree)
+        if len(current["children"]) > 1
+    )
+    parent["children"].reverse()
+    forests = [_level_order(f"d{i}", tree) for i, tree in enumerate(trees)]
+    assert not certifies(forests)
+    assert certifies(forests[:k] + forests[k + 1 :])
